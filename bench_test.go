@@ -63,7 +63,10 @@ func table3Rows(b *testing.B) map[rescue.Variant]rescue.ScanSummary {
 		if err != nil {
 			b.Fatal(err)
 		}
-		tp := sys.GenerateTests(rescue.DefaultGenConfig())
+		tp, err := sys.GenerateTestsFlow(context.Background(), rescue.DefaultGenConfig(), nil)
+		if err != nil {
+			b.Fatal(err)
+		}
 		table3[v] = sys.Summary(tp)
 	}
 	return table3
@@ -98,11 +101,18 @@ func BenchmarkFaultIsolation6000(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tp := sys.GenerateTests(rescue.DefaultGenConfig())
+	ctx := context.Background()
+	tp, err := sys.GenerateTestsFlow(ctx, rescue.DefaultGenConfig(), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	var rep rescue.IsolationReport
 	for i := 0; i < b.N; i++ {
-		rep = sys.IsolateCampaign(tp, 100, rescue.Stages(), int64(i)+1, 0)
+		rep, err = sys.IsolateCampaignFlow(ctx, tp, 100, rescue.Stages(), int64(i)+1, 0, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
 	}
 	total := rep.Isolated + rep.Wrong + rep.Ambiguous
 	b.ReportMetric(float64(rep.Isolated), "isolated")
@@ -122,7 +132,7 @@ func BenchmarkFigure8IPC(b *testing.B) {
 	var rows []rescue.IPCRow
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = rescue.IPCStudy(names, 10_000, 60_000)
+		rows, err = rescue.IPCStudyFlow(context.Background(), names, 10_000, 60_000, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -145,7 +155,7 @@ func BenchmarkFigure9YAT(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		models := map[int]*rescue.PerfModel{}
 		for _, node := range rescue.Nodes() {
-			pm, err := rescue.BuildPerfModel(node, names, 2_000, 20_000)
+			pm, err := rescue.BuildPerfModelFlow(context.Background(), node, names, 2_000, 20_000, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -321,7 +331,10 @@ func BenchmarkFaultSimulation(b *testing.B) {
 	}
 	c, _ := scan.Insert(d.N, 1)
 	u := fault.NewUniverse(d.N)
-	g := atpg.Generate(c, u, atpg.DefaultGenConfig())
+	g, err := atpg.GenerateFlow(context.Background(), c, u, atpg.DefaultGenConfig(), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -347,7 +360,10 @@ func campaignSetup(b *testing.B) (*fault.Sim, *fault.Universe) {
 		}
 		c, _ := scan.Insert(d.N, 1)
 		u := fault.NewUniverse(d.N)
-		g := atpg.Generate(c, u, atpg.DefaultGenConfig())
+		g, err := atpg.GenerateFlow(context.Background(), c, u, atpg.DefaultGenConfig(), nil)
+		if err != nil {
+			b.Fatal(err)
+		}
 		campaignFixture.sim = g.Sim
 		campaignFixture.fullSim = fault.NewSimCone(c, g.Sim.Patterns, 0)
 		campaignFixture.u = u
@@ -395,7 +411,7 @@ func BenchmarkFaultCampaign(b *testing.B) {
 			var st fault.Stats
 			for i := 0; i < b.N; i++ {
 				var err error
-				_, st, err = camp.Run(context.Background(), faults)
+				_, st, err = camp.RunCheckpoint(context.Background(), nil, faults)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -415,14 +431,14 @@ func BenchmarkFaultCampaign(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
-			cfg := fault.CampaignConfig{Workers: 2, Drop: true}
+			ctx := context.Background()
 			var last int64
 			if hooked {
-				cfg.Progress = func(done, total int64) { atomic.StoreInt64(&last, done) }
+				ctx = fault.WithProgress(ctx, func(done, total int64) { atomic.StoreInt64(&last, done) })
 			}
-			camp := fault.NewCampaign(sim, cfg)
+			camp := fault.NewCampaign(sim, fault.CampaignConfig{Workers: 2, Drop: true})
 			for i := 0; i < b.N; i++ {
-				if _, _, err := camp.Run(context.Background(), faults); err != nil {
+				if _, _, err := camp.RunCheckpoint(ctx, nil, faults); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -193,7 +193,6 @@ func runCoordinator(cfg coordConfig) {
 
 	pool, err := dispatch.NewPool(dispatch.Config{
 		Workers:     urls,
-		Flow:        serve.Spec{Kind: cfg.kind, Params: json.RawMessage(cfg.params)},
 		Shards:      cfg.shards,
 		MinFaults:   cfg.minFaults,
 		RetryBudget: cfg.budget,
@@ -213,10 +212,14 @@ func runCoordinator(cfg coordConfig) {
 		cli.Fatalf("%v", err)
 	}
 	defer pool.Close()
+	plan, err := pool.Plan(serve.Spec{Kind: cfg.kind, Params: json.RawMessage(cfg.params)})
+	if err != nil {
+		cli.Fatalf("%v", err)
+	}
 
 	ctx, cancel := cli.FlowContext(cfg.timeout)
 	defer cancel()
-	ctx = fault.WithShardPlan(ctx, pool.Plan())
+	ctx = fault.WithShardPlan(ctx, plan)
 
 	rc := serve.RunContext{
 		Env:     flows.Env{Store: flows.NewStore(), Ck: ck},

@@ -197,7 +197,7 @@ func main() {
 			if err != nil {
 				return nil, err
 			}
-			return pool.ExecJob(ctx, serve.Spec{Kind: "sweep", Params: body})
+			return pool.ExecJob(ctx, serve.Spec{Kind: "sweep", Params: body}, nil)
 		}
 	}
 

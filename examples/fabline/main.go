@@ -19,6 +19,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -39,7 +40,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	tp := sys.GenerateTests(atpg.DefaultGenConfig())
+	tp, err := sys.GenerateTestsFlow(context.Background(), atpg.DefaultGenConfig(), nil)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("test program ready: %d vectors, %.1f%% coverage\n\n",
 		tp.Gen.Vectors, tp.Gen.Coverage*100)
 	prof, err := workload.ByName("gzip")

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -37,7 +38,10 @@ func main() {
 	fmt.Println("ICI audit: every scan bit observes exactly one super-component")
 
 	// 2. Generate scan tests with conventional ATPG.
-	tp := sys.GenerateTests(atpg.DefaultGenConfig())
+	tp, err := sys.GenerateTestsFlow(context.Background(), atpg.DefaultGenConfig(), nil)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("ATPG: %d vectors, %.1f%% stuck-at coverage, %d tester cycles\n",
 		tp.Gen.Vectors, tp.Gen.Coverage*100, tp.Gen.Cycles)
 

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -21,7 +22,7 @@ func main() {
 	fmt.Println("building per-node degraded-performance models (3 benchmarks x 65 configs)...")
 	models := map[int]*core.PerfModel{}
 	for _, node := range area.Nodes() {
-		pm, err := core.BuildPerfModel(node, benches, 5_000, 40_000)
+		pm, err := core.BuildPerfModelFlow(context.Background(), node, benches, 5_000, 40_000, 0)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package atpg
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -230,11 +231,21 @@ func TestPodemAgreesWithExhaustiveSimulation(t *testing.T) {
 	}
 }
 
+// mustGenerate is the test shorthand for an uninterrupted ATPG run.
+func mustATPG(t *testing.T, c *scan.Chain, u *fault.Universe, cfg GenConfig) *GenResult {
+	t.Helper()
+	g, err := GenerateFlow(context.Background(), c, u, cfg, nil)
+	if err != nil {
+		t.Fatalf("ATPG failed: %v", err)
+	}
+	return g
+}
+
 func TestGenerateFullCoverage(t *testing.T) {
 	n := buildPipe()
 	c, _ := scan.Insert(n, 1)
 	u := fault.NewUniverse(n)
-	g := Generate(c, u, DefaultGenConfig())
+	g := mustATPG(t, c, u, DefaultGenConfig())
 	if g.Coverage < 0.999 {
 		t.Fatalf("coverage = %.4f, want ~1.0 (aborted=%d)", g.Coverage, g.Aborted)
 	}
@@ -254,7 +265,7 @@ func TestGenerateOnRandomCircuits(t *testing.T) {
 		}
 		c, _ := scan.Insert(n, 1)
 		u := fault.NewUniverse(n)
-		g := Generate(c, u, DefaultGenConfig())
+		g := mustATPG(t, c, u, DefaultGenConfig())
 		if g.Coverage < 0.99 {
 			t.Errorf("seed %d: coverage %.3f < 0.99 (untestable=%d aborted=%d)",
 				seed, g.Coverage, g.Untestable, g.Aborted)
@@ -271,7 +282,7 @@ func TestGenerateCyclesAccounting(t *testing.T) {
 	n := buildPipe()
 	c, _ := scan.Insert(n, 1)
 	u := fault.NewUniverse(n)
-	g := Generate(c, u, DefaultGenConfig())
+	g := mustATPG(t, c, u, DefaultGenConfig())
 	if want := c.TestCycles(g.Vectors); g.Cycles != want {
 		t.Fatalf("cycles = %d, want %d", g.Cycles, want)
 	}

@@ -1,6 +1,7 @@
 package atpg
 
 import (
+	"context"
 	"testing"
 
 	"rescue/internal/fault"
@@ -16,9 +17,12 @@ func TestCompactReverse(t *testing.T) {
 	cfg := DefaultGenConfig()
 	cfg.MaxRandomWords = 16 // deliberately generous so there is slack to trim
 	cfg.UselessLimit = 8
-	g := Generate(c, u, cfg)
+	g := mustATPG(t, c, u, cfg)
 	before := g.Vectors
-	after := CompactReverse(c, u, g, 2)
+	after, err := CompactReverseContext(context.Background(), c, u, g, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if after > before {
 		t.Fatalf("compaction grew vectors: %d -> %d", before, after)
 	}

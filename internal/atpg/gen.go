@@ -2,7 +2,6 @@ package atpg
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 
 	"rescue/internal/fault"
@@ -52,26 +51,15 @@ type GenResult struct {
 	Stats fault.Stats
 }
 
-// Generate runs the full ATPG flow on a scan-inserted netlist: a random
-// phase with fault dropping, then PODEM for the survivors. It is the
-// uninterruptible wrapper around GenerateFlow; it panics if the flow
-// reports an error, which cannot happen without a cancellable context, a
-// checkpoint, or an armed chaos budget.
-func Generate(c *scan.Chain, u *fault.Universe, cfg GenConfig) *GenResult {
-	g, err := GenerateFlow(context.Background(), c, u, cfg, nil)
-	if err != nil {
-		panic(fmt.Sprintf("atpg: Generate failed: %v", err))
-	}
-	return g
-}
-
-// GenerateFlow is Generate with cooperative cancellation and an optional
-// campaign checkpoint journal. The flow is deterministic for a given
-// (config, netlist): on resume it is re-executed from the start and every
-// journaled fault-dropping campaign rehydrates instead of simulating, so
-// a killed-and-resumed generation is bit-identical to an uninterrupted
-// one. On cancellation the partial GenResult (with its campaign Stats so
-// far) is returned alongside the error.
+// GenerateFlow runs the full ATPG flow on a scan-inserted netlist: a
+// random phase with fault dropping, then PODEM for the survivors. It takes
+// cooperative cancellation and an optional campaign checkpoint journal. The
+// flow is deterministic for a given (config, netlist): on resume it is
+// re-executed from the start and every journaled fault-dropping campaign
+// rehydrates instead of simulating, so a killed-and-resumed generation is
+// bit-identical to an uninterrupted one. On cancellation the partial
+// GenResult (with its campaign Stats so far) is returned alongside the
+// error.
 func GenerateFlow(ctx context.Context, c *scan.Chain, u *fault.Universe, cfg GenConfig, ck *fault.Checkpoint) (*GenResult, error) {
 	defer obs.Span(ctx, "atpg_generate")()
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -239,23 +227,14 @@ func GenerateFlow(ctx context.Context, c *scan.Chain, u *fault.Universe, cfg Gen
 	return partial(), nil
 }
 
-// CompactReverse performs reverse-order static compaction: vectors are
-// dropped greedily (newest first) when the remaining set still detects
+// CompactReverseContext performs reverse-order static compaction: vectors
+// are dropped greedily (newest first) when the remaining set still detects
 // every originally-detected fault. It returns the compacted vector count.
 // The paper's vector counts come from a commercial tool with compaction;
 // this pass approximates it. Each trial detection sweep is a parallel
-// campaign with fault dropping (detection-only, workers <= 0 = all cores).
-func CompactReverse(c *scan.Chain, u *fault.Universe, g *GenResult, workers int) int {
-	n, err := CompactReverseContext(context.Background(), c, u, g, workers)
-	if err != nil {
-		panic(fmt.Sprintf("atpg: CompactReverse failed: %v", err))
-	}
-	return n
-}
-
-// CompactReverseContext is CompactReverse with cooperative cancellation:
-// each trial detection sweep aborts at chunk granularity when ctx is
-// cancelled, and the error carries the cancellation cause.
+// campaign with fault dropping (detection-only, workers <= 0 = all cores)
+// that aborts at chunk granularity when ctx is cancelled; the error then
+// carries the cancellation cause.
 func CompactReverseContext(ctx context.Context, c *scan.Chain, u *fault.Universe, g *GenResult, workers int) (int, error) {
 	// Build per-vector detection sets lazily is expensive; approximate by
 	// word granularity: try dropping whole 64-lane words from the end.
@@ -271,7 +250,7 @@ func CompactReverseContext(ctx context.Context, c *scan.Chain, u *fault.Universe
 			}
 		}
 		camp := fault.NewCampaign(sim, fault.CampaignConfig{Workers: workers, Drop: true})
-		results, _, err := camp.Run(ctx, u.Collapsed)
+		results, _, err := camp.RunCheckpoint(ctx, nil, u.Collapsed)
 		if err != nil {
 			return 0, err
 		}

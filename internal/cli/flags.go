@@ -32,7 +32,7 @@ type FlowFlags struct {
 // flag.CommandLine for a command's top-level flags) and returns the
 // destination struct.
 func AddFlowFlags(fs *flag.FlagSet) *FlowFlags {
-	ff := addStudyFlags(fs)
+	ff := AddStudyFlags(fs)
 	ff.hasCheckpoint = true
 	fs.StringVar(&ff.Checkpoint, "checkpoint", "", "campaign checkpoint journal path (enables kill-and-resume)")
 	fs.BoolVar(&ff.Resume, "resume", false, "resume a previous run from the -checkpoint journal")
@@ -44,10 +44,6 @@ func AddFlowFlags(fs *flag.FlagSet) *FlowFlags {
 // rescue-yat), which run no checkpointable campaigns: -workers, -timeout,
 // and -progress.
 func AddStudyFlags(fs *flag.FlagSet) *FlowFlags {
-	return addStudyFlags(fs)
-}
-
-func addStudyFlags(fs *flag.FlagSet) *FlowFlags {
 	ff := &FlowFlags{}
 	fs.IntVar(&ff.Workers, "workers", 0, "fault-simulation workers (0 = all cores)")
 	fs.DurationVar(&ff.Timeout, "timeout", 0, "overall deadline (0 = none); exceeded = exit 124")

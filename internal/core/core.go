@@ -60,16 +60,10 @@ type TestProgram struct {
 	Gen      *atpg.GenResult
 }
 
-// GenerateTests runs the ATPG flow (random phase + PODEM) on the system.
-func (s *System) GenerateTests(cfg atpg.GenConfig) *TestProgram {
-	u := fault.NewUniverse(s.Design.N)
-	return &TestProgram{Universe: u, Gen: atpg.Generate(s.Chain, u, cfg)}
-}
-
-// GenerateTestsFlow is GenerateTests with cooperative cancellation and an
-// optional campaign checkpoint journal (see atpg.GenerateFlow). On
-// interrupt the partial TestProgram — carrying the campaign Stats so far —
-// is returned alongside the error.
+// GenerateTestsFlow runs the ATPG flow (random phase + PODEM) on the
+// system, with cooperative cancellation and an optional campaign checkpoint
+// journal (see atpg.GenerateFlow). On interrupt the partial TestProgram —
+// carrying the campaign Stats so far — is returned alongside the error.
 func (s *System) GenerateTestsFlow(ctx context.Context, cfg atpg.GenConfig, ck *fault.Checkpoint) (*TestProgram, error) {
 	u := fault.NewUniverse(s.Design.N)
 	g, err := atpg.GenerateFlow(ctx, s.Chain, u, cfg, ck)

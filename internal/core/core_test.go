@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"rescue/internal/area"
@@ -17,6 +18,38 @@ func buildSmall(t *testing.T, v rtl.Variant) *System {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// mustTestProgram is the test shorthand for an uninterrupted ATPG run.
+func mustTestProgram(t *testing.T, s *System, cfg atpg.GenConfig) *TestProgram {
+	t.Helper()
+	tp, err := s.GenerateTestsFlow(context.Background(), cfg, nil)
+	if err != nil {
+		t.Fatalf("ATPG failed: %v", err)
+	}
+	return tp
+}
+
+// mustIsolate is the test shorthand for an uninterrupted isolation
+// campaign.
+func mustIsolate(t *testing.T, s *System, tp *TestProgram, perStage int, stages []string, seed int64, workers int) IsolationReport {
+	t.Helper()
+	rep, err := s.IsolateCampaignFlow(context.Background(), tp, perStage, stages, seed, workers, nil)
+	if err != nil {
+		t.Fatalf("isolation campaign failed: %v", err)
+	}
+	return rep
+}
+
+// mustMultiFault is the test shorthand for an uninterrupted multi-fault
+// isolation run.
+func mustMultiFault(t *testing.T, s *System, tp *TestProgram, trials, nFaults int, seed int64, workers int) (ok, total int) {
+	t.Helper()
+	ok, total, err := s.MultiFaultIsolationFlow(context.Background(), tp, trials, nFaults, seed, workers, nil)
+	if err != nil {
+		t.Fatalf("multi-fault isolation failed: %v", err)
+	}
+	return ok, total
 }
 
 func testCfg() atpg.GenConfig {
@@ -42,7 +75,7 @@ func TestBuildBaselineAuditsViolations(t *testing.T) {
 
 func TestGenerateTestsAndSummary(t *testing.T) {
 	s := buildSmall(t, rtl.RescueDesign)
-	tp := s.GenerateTests(testCfg())
+	tp := mustTestProgram(t, s, testCfg())
 	sum := s.Summary(tp)
 	if sum.Coverage < 0.90 {
 		t.Fatalf("coverage = %.3f", sum.Coverage)
@@ -57,8 +90,8 @@ func TestGenerateTestsAndSummary(t *testing.T) {
 
 func TestIsolationCampaignSmall(t *testing.T) {
 	s := buildSmall(t, rtl.RescueDesign)
-	tp := s.GenerateTests(testCfg())
-	rep := s.IsolateCampaign(tp, 30, Stages(), 42, 2)
+	tp := mustTestProgram(t, s, testCfg())
+	rep := mustIsolate(t, s, tp, 30, Stages(), 42, 2)
 	total := rep.Isolated + rep.Wrong + rep.Ambiguous
 	if total == 0 {
 		t.Fatal("no faults sampled")
@@ -71,8 +104,8 @@ func TestIsolationCampaignSmall(t *testing.T) {
 
 func TestMultiFaultIsolation(t *testing.T) {
 	s := buildSmall(t, rtl.RescueDesign)
-	tp := s.GenerateTests(testCfg())
-	ok, total := s.MultiFaultIsolation(tp, 20, 3, 7, 2)
+	tp := mustTestProgram(t, s, testCfg())
+	ok, total := mustMultiFault(t, s, tp, 20, 3, 7, 2)
 	if total != 20 {
 		t.Fatalf("total = %d", total)
 	}
@@ -121,7 +154,7 @@ func TestScaleFor(t *testing.T) {
 }
 
 func TestIPCStudySubset(t *testing.T) {
-	rows, err := IPCStudy([]string{"gzip", "swim"}, 2000, 15000)
+	rows, err := IPCStudyFlow(context.Background(), []string{"gzip", "swim"}, 2000, 15000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +178,7 @@ func TestPerfModelAndYATStudy(t *testing.T) {
 	benches := []string{"gzip", "swim"}
 	models := map[int]*PerfModel{}
 	for _, node := range area.Nodes() {
-		pm, err := BuildPerfModel(node, benches, 1000, 6000)
+		pm, err := BuildPerfModelFlow(context.Background(), node, benches, 1000, 6000, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,8 +15,8 @@ import (
 // violate ICI.
 func TestBaselineCannotIsolate(t *testing.T) {
 	s := buildSmall(t, rtl.Baseline)
-	tp := s.GenerateTests(testCfg())
-	rep := s.IsolateCampaign(tp, 40, []string{"rename", "issue"}, 11, 2)
+	tp := mustTestProgram(t, s, testCfg())
+	rep := mustIsolate(t, s, tp, 40, []string{"rename", "issue"}, 11, 2)
 	total := rep.Isolated + rep.Wrong + rep.Ambiguous
 	if total == 0 {
 		t.Fatal("no faults sampled")
@@ -33,7 +33,7 @@ func TestBaselineCannotIsolate(t *testing.T) {
 // simulator — the quickstart example as a regression test.
 func TestEndToEndSalvage(t *testing.T) {
 	s := buildSmall(t, rtl.RescueDesign)
-	tp := s.GenerateTests(testCfg())
+	tp := mustTestProgram(t, s, testCfg())
 
 	// inject one detectable fault per distinct redundant super-component
 	salvaged := 0

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"sort"
 
@@ -38,31 +37,23 @@ func Stages() []string {
 	return []string{"fetch", "decode", "rename", "issue", "execute", "memory"}
 }
 
-// IsolateCampaign samples perStage detectable gate faults from each listed
-// stage (FF faults are scan cells — chipkill by construction — and chipkill
-// components are excluded), runs full fault simulation for each, and
-// verifies isolation. It mirrors the paper's 6000-fault TetraMax campaign.
+// IsolateCampaignFlow samples perStage detectable gate faults from each
+// listed stage (FF faults are scan cells — chipkill by construction — and
+// chipkill components are excluded), runs full fault simulation for each,
+// and verifies isolation. It mirrors the paper's 6000-fault TetraMax
+// campaign.
 //
 // Simulation is sharded across workers (<= 0 = all cores) with fault
 // dropping off — isolation needs every failing observation point. Faults
 // are batch-simulated in sampling order and the report walk replays the
 // serial logic exactly, so the outcome is identical at any worker count.
-// It panics if the flow errors, which cannot happen without a cancellable
-// context, a checkpoint, or an armed chaos budget.
-func (s *System) IsolateCampaign(tp *TestProgram, perStage int, stages []string, seed int64, workers int) IsolationReport {
-	rep, err := s.IsolateCampaignFlow(context.Background(), tp, perStage, stages, seed, workers, nil)
-	if err != nil {
-		panic(fmt.Sprintf("core: IsolateCampaign failed: %v", err))
-	}
-	return rep
-}
-
-// IsolateCampaignFlow is IsolateCampaign with cooperative cancellation and
-// an optional campaign checkpoint journal: the sampling sequence is fully
-// determined by the seed, so a killed run's journaled batches rehydrate on
-// resume and the report converges bit-identically to an uninterrupted run
-// at any worker count. On interrupt the partial report — carrying the
-// campaign Stats so far — is returned alongside the error.
+//
+// Cancellation is cooperative and an optional campaign checkpoint journal
+// makes the run resumable: the sampling sequence is fully determined by the
+// seed, so a killed run's journaled batches rehydrate on resume and the
+// report converges bit-identically to an uninterrupted run. On interrupt
+// the partial report — carrying the campaign Stats so far — is returned
+// alongside the error.
 func (s *System) IsolateCampaignFlow(ctx context.Context, tp *TestProgram, perStage int, stages []string, seed int64, workers int, ck *fault.Checkpoint) (IsolationReport, error) {
 	defer obs.Span(ctx, "isolate_campaign")()
 	rng := rand.New(rand.NewSource(seed))
@@ -147,32 +138,21 @@ func (s *System) IsolateCampaignFlow(ctx context.Context, tp *TestProgram, perSt
 	return rep, nil
 }
 
-// MultiFaultIsolation exercises the ICI corollary of Section 3.1: faults
-// injected simultaneously into nFaults DIFFERENT super-components must all
-// be isolated by the same pattern set. It returns the number of trials in
-// which every implicated super-component matched a ground-truth faulty one
-// and every faulty super with a detectable fault was implicated.
+// MultiFaultIsolationFlow exercises the ICI corollary of Section 3.1:
+// faults injected simultaneously into nFaults DIFFERENT super-components
+// must all be isolated by the same pattern set. It returns the number of
+// trials in which every implicated super-component matched a ground-truth
+// faulty one and every faulty super with a detectable fault was implicated.
 //
 // Simultaneous injection is simulated by unioning each fault's failing
 // bits — valid under ICI because a fault in one component cannot influence
 // observation points of another (their cones are disjoint by audit).
 //
 // Sampling depends only on the seed, so all trials' faults are drawn
-// first and simulated as one campaign across workers (<= 0 = all cores).
-// It panics if the flow errors, which cannot happen without a cancellable
-// context, a checkpoint, or an armed chaos budget.
-func (s *System) MultiFaultIsolation(tp *TestProgram, trials, nFaults int, seed int64, workers int) (ok, total int) {
-	ok, total, err := s.MultiFaultIsolationFlow(context.Background(), tp, trials, nFaults, seed, workers, nil)
-	if err != nil {
-		panic(fmt.Sprintf("core: MultiFaultIsolation failed: %v", err))
-	}
-	return ok, total
-}
-
-// MultiFaultIsolationFlow is MultiFaultIsolation with cooperative
-// cancellation and an optional campaign checkpoint journal: the single
-// deduplicated campaign resumes at chunk granularity after a kill and the
-// trial outcomes are bit-identical to an uninterrupted run.
+// first and simulated as one deduplicated campaign across workers (<= 0 =
+// all cores). With an optional checkpoint journal that campaign resumes at
+// chunk granularity after a kill and the trial outcomes are bit-identical
+// to an uninterrupted run.
 func (s *System) MultiFaultIsolationFlow(ctx context.Context, tp *TestProgram, trials, nFaults int, seed int64, workers int, ck *fault.Checkpoint) (ok, total int, err error) {
 	defer obs.Span(ctx, "isolate_multi")()
 	rng := rand.New(rand.NewSource(seed))

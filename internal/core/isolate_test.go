@@ -16,11 +16,11 @@ var faultStatsZero fault.Stats
 // worker count.
 func TestIsolateCampaignWorkerDeterminism(t *testing.T) {
 	s := buildSmall(t, rtl.RescueDesign)
-	tp := s.GenerateTests(testCfg())
+	tp := mustTestProgram(t, s, testCfg())
 
-	ref := s.IsolateCampaign(tp, 25, Stages(), 99, 1)
+	ref := mustIsolate(t, s, tp, 25, Stages(), 99, 1)
 	for _, workers := range []int{2, 8} {
-		rep := s.IsolateCampaign(tp, 25, Stages(), 99, workers)
+		rep := mustIsolate(t, s, tp, 25, Stages(), 99, workers)
 		// Stats carries wall time and worker counts; everything else must
 		// match bit-for-bit.
 		rep.Stats, ref.Stats = faultStatsZero, faultStatsZero
@@ -29,9 +29,9 @@ func TestIsolateCampaignWorkerDeterminism(t *testing.T) {
 		}
 	}
 
-	okRef, totalRef := s.MultiFaultIsolation(tp, 15, 3, 5, 1)
+	okRef, totalRef := mustMultiFault(t, s, tp, 15, 3, 5, 1)
 	for _, workers := range []int{2, 8} {
-		ok, total := s.MultiFaultIsolation(tp, 15, 3, 5, workers)
+		ok, total := mustMultiFault(t, s, tp, 15, 3, 5, workers)
 		if ok != okRef || total != totalRef {
 			t.Fatalf("multi-fault workers=%d: %d/%d != serial %d/%d", workers, ok, total, okRef, totalRef)
 		}

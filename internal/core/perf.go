@@ -55,14 +55,10 @@ func runIPC(p uarch.Params, prof workload.Profile, warmup, commit int64) (float6
 	return s.Run(warmup, commit).IPC(), nil
 }
 
-// parallelMap runs jobs across workers goroutines (<= 0 = all CPUs).
-func parallelMap(n, workers int, f func(i int)) {
-	parallelMapCtx(context.Background(), n, workers, f)
-}
-
-// parallelMapCtx is parallelMap with cooperative cancellation at job
-// granularity: once ctx is done no new jobs are dispatched, in-flight
-// jobs finish, and the context's cause is returned.
+// parallelMapCtx runs jobs across workers goroutines (<= 0 = all CPUs)
+// with cooperative cancellation at job granularity: once ctx is done no new
+// jobs are dispatched, in-flight jobs finish, and the context's cause is
+// returned.
 func parallelMapCtx(ctx context.Context, n, workers int, f func(i int)) error {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
@@ -96,23 +92,13 @@ dispatch:
 	return err
 }
 
-// IPCStudy reproduces Figure 8: fault-free baseline vs. Rescue IPC for the
-// given benchmarks (nil = all 23). Workers accumulate into disjoint
-// per-index slots — no shared state, nothing to lock.
-func IPCStudy(benchNames []string, warmup, commit int64) ([]IPCRow, error) {
-	return IPCStudyWorkers(benchNames, warmup, commit, 0)
-}
-
-// IPCStudyWorkers is IPCStudy with an explicit simulation concurrency
-// degree (<= 0 = all cores). Rows land in disjoint per-index slots, so the
-// result is identical at any worker count.
-func IPCStudyWorkers(benchNames []string, warmup, commit int64, workers int) ([]IPCRow, error) {
-	return IPCStudyFlow(context.Background(), benchNames, warmup, commit, workers)
-}
-
-// IPCStudyFlow is IPCStudyWorkers with cooperative cancellation: once ctx
-// is done no new benchmark simulations start and the context's cause is
-// returned (the partial rows alongside it).
+// IPCStudyFlow reproduces Figure 8: fault-free baseline vs. Rescue IPC
+// for the given benchmarks (nil = all 23) at an explicit simulation
+// concurrency degree (<= 0 = all cores). Workers accumulate into disjoint
+// per-index slots — no shared state, nothing to lock — so the result is
+// identical at any worker count. Once ctx is done no new benchmark
+// simulations start and the context's cause is returned (the partial rows
+// alongside it).
 func IPCStudyFlow(ctx context.Context, benchNames []string, warmup, commit int64, workers int) ([]IPCRow, error) {
 	defer obs.Span(ctx, "ipc_study")()
 	profs, err := resolve(benchNames)
@@ -190,16 +176,11 @@ func toDegraded(c yield.CoreConfig) uarch.Degraded {
 	}
 }
 
-// BuildPerfModel simulates every (benchmark, degraded configuration) pair
-// at a node. This is the expensive step of Figure 9; warmup/commit control
-// the accuracy/runtime trade.
-func BuildPerfModel(node area.Scaling, benchNames []string, warmup, commit int64) (*PerfModel, error) {
-	return BuildPerfModelFlow(context.Background(), node, benchNames, warmup, commit, 0)
-}
-
-// BuildPerfModelFlow is BuildPerfModel with cooperative cancellation and
-// an explicit simulation concurrency degree (<= 0 = all cores). Once ctx
-// is done no new simulations start and the context's cause is returned.
+// BuildPerfModelFlow simulates every (benchmark, degraded configuration)
+// pair at a node. This is the expensive step of Figure 9; warmup/commit
+// control the accuracy/runtime trade, workers the simulation concurrency
+// (<= 0 = all cores). Once ctx is done no new simulations start and the
+// context's cause is returned.
 func BuildPerfModelFlow(ctx context.Context, node area.Scaling, benchNames []string, warmup, commit int64, workers int) (*PerfModel, error) {
 	return BuildPerfModelFlowParams(ctx, node, uarch.DefaultParams(), uarch.RescueParams(), benchNames, warmup, commit, workers)
 }

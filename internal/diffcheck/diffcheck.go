@@ -177,7 +177,7 @@ func CheckConfig(ctx context.Context, cfg netlist.RandomConfig, opt Options) err
 	// P2: campaign at every worker count == serial, bit for bit.
 	for _, w := range opt.Workers {
 		camp := fault.NewCampaign(sim, fault.CampaignConfig{Workers: w})
-		res, _, err := camp.Run(ctx, u.All)
+		res, _, err := camp.RunCheckpoint(ctx, nil, u.All)
 		if err != nil {
 			return fmt.Errorf("P2 campaign workers=%d: %w", w, err)
 		}
@@ -188,7 +188,7 @@ func CheckConfig(ctx context.Context, cfg netlist.RandomConfig, opt Options) err
 			}
 		}
 		drop := fault.NewCampaign(sim, fault.CampaignConfig{Workers: w, Drop: true})
-		dres, _, err := drop.Run(ctx, u.All)
+		dres, _, err := drop.RunCheckpoint(ctx, nil, u.All)
 		if err != nil {
 			return fmt.Errorf("P2 campaign workers=%d drop: %w", w, err)
 		}

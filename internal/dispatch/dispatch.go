@@ -14,7 +14,7 @@
 // byte-identically, and a late result from an abandoned worker is simply
 // never read — its job is cancelled best-effort and its output discarded.
 //
-// The pool plugs into a campaign as a fault.ShardPlan via Plan(); the
+// The pool plugs into a campaign as a fault.ShardPlan via Plan(flow); the
 // chaos knobs (ChaosConfig) kill a seeded random subset of workers after a
 // configurable number of completed shards, which is how CI proves the
 // failure story end to end.
@@ -24,6 +24,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -43,32 +44,25 @@ type Config struct {
 	// Workers is the pool: one rescued base URL each (http://host:port).
 	// Required, at least one.
 	Workers []string
-	// Flow is the job spec every worker re-executes to reach the target
-	// campaign — the coordinator's own kind and params. Required for
-	// shard dispatch (Plan/Exec); a pool used only through ExecJob may
-	// leave it empty.
-	Flow serve.Spec
 	// Shards is how many pieces each eligible campaign splits into.
 	// 0 = len(Workers).
 	Shards int
 	// MinFaults gates dispatch: smaller campaigns run locally. 0 = 64.
 	MinFaults int
-	// RetryBudget is how many times one shard may be re-dispatched after
-	// its first attempt fails. 0 = 2*len(Workers).
+	// RetryBudget is how many times one job (shard or sweep point) may be
+	// re-dispatched after its first attempt fails. 0 = 2*len(Workers).
 	RetryBudget int
 	// BackoffBase/BackoffCap bound the exponential retry backoff.
 	// 0 = 100ms / 2s.
 	BackoffBase time.Duration
 	BackoffCap  time.Duration
-	// Heartbeat is the longest silence tolerated on a shard job's event
-	// stream before the worker is declared hung, the job cancelled, and
-	// the shard reassigned. 0 = 30s.
+	// Heartbeat is the longest silence tolerated on a job's event stream
+	// before the worker is declared hung, the job cancelled, and the job
+	// reassigned. 0 = 30s.
 	Heartbeat time.Duration
 	// HealthEvery is the /healthz polling period that revives recovered
 	// workers and retires unreachable ones. 0 = 500ms.
 	HealthEvery time.Duration
-	// SubmitTimeout bounds one POST /jobs round trip. 0 = 10s.
-	SubmitTimeout time.Duration
 	// Seed drives retry jitter and the chaos victim choice. Same seed,
 	// same decisions.
 	Seed int64
@@ -99,12 +93,12 @@ type ChaosConfig struct {
 	Kill func(worker int) error
 }
 
+// requestTimeout bounds one submit or result-fetch round trip.
+const requestTimeout = 10 * time.Second
+
 func (c *Config) setDefaults() error {
 	if len(c.Workers) == 0 {
 		return fmt.Errorf("dispatch: need at least one worker URL")
-	}
-	if c.Flow.Kind == "shard" {
-		return fmt.Errorf("dispatch: shard flows do not nest")
 	}
 	if c.Shards == 0 {
 		c.Shards = len(c.Workers)
@@ -127,9 +121,6 @@ func (c *Config) setDefaults() error {
 	if c.HealthEvery == 0 {
 		c.HealthEvery = 500 * time.Millisecond
 	}
-	if c.SubmitTimeout == 0 {
-		c.SubmitTimeout = 10 * time.Second
-	}
 	if c.Chaos.KillWorkers > 0 && c.Chaos.Kill == nil {
 		return fmt.Errorf("dispatch: chaos armed without a kill function")
 	}
@@ -138,7 +129,8 @@ func (c *Config) setDefaults() error {
 
 // Stats is the pool's observability record.
 type Stats struct {
-	// Completed counts shards computed remotely and merged.
+	// Completed counts jobs (shards or sweep points) computed remotely and
+	// accepted.
 	Completed int64
 	// Retries counts re-dispatch attempts after a failed one.
 	Retries int64
@@ -196,7 +188,7 @@ func NewPool(cfg Config) (*Pool, error) {
 	return p, nil
 }
 
-// Close stops the health loop. In-flight Exec calls are unaffected.
+// Close stops the health loop. In-flight ExecJob calls are unaffected.
 func (p *Pool) Close() {
 	close(p.stop)
 	p.wg.Wait()
@@ -212,87 +204,73 @@ func (p *Pool) Stats() Stats {
 	}
 }
 
-// Plan adapts the pool to a campaign: attach the returned plan with
+// Plan adapts the pool to a campaign of the given flow — the job spec
+// every worker re-executes to reach the target campaign, i.e. the
+// coordinator's own kind and params. Attach the returned plan with
 // fault.WithShardPlan and every eligible campaign under that context
-// dispatches through this pool.
-func (p *Pool) Plan() *fault.ShardPlan {
+// dispatches through this pool. Each shard is an ordinary ExecJob whose
+// result must decode to the requested window of the requested campaign and
+// pass its digest check; a rejected result is retried like any other
+// failed attempt, and a shard the pool gives up on is simulated locally.
+func (p *Pool) Plan(flow serve.Spec) (*fault.ShardPlan, error) {
+	if flow.Kind == "shard" {
+		return nil, fmt.Errorf("dispatch: shard flows do not nest")
+	}
+	exec := func(ctx context.Context, key fault.CampaignKey, lo, hi int) (*fault.ShardResult, error) {
+		spec, err := serve.ShardSpec(flow, key, lo, hi)
+		if err != nil {
+			return nil, err
+		}
+		var res fault.ShardResult
+		// The campaign re-verifies before merging; verifying here too lets
+		// the retry loop (not the fallback path) recover from a corrupt
+		// transfer.
+		_, err = p.ExecJob(ctx, spec, func(b []byte) error {
+			res = fault.ShardResult{}
+			if err := json.Unmarshal(b, &res); err != nil {
+				return err
+			}
+			if res.Key != key || res.Lo != lo || res.Hi != hi {
+				return fmt.Errorf("wrong shard (got key %+v [%d,%d))", res.Key, res.Lo, res.Hi)
+			}
+			return res.Verify()
+		})
+		if err != nil {
+			return nil, err
+		}
+		return &res, nil
+	}
 	return &fault.ShardPlan{
-		Exec:      p.Exec,
+		Exec:      exec,
 		Shards:    p.cfg.Shards,
 		MinFaults: p.cfg.MinFaults,
 		OnFallback: func(key fault.CampaignKey, lo, hi int, err error) {
 			p.fallbacks.Add(1)
 			p.logf("shard [%d,%d): local fallback: %v", lo, hi, err)
 		},
-	}
+	}, nil
 }
 
-// Exec computes one shard remotely, retrying across the pool under the
-// budget. The returned error means the pool gave up; the campaign then
-// simulates the range locally.
-func (p *Pool) Exec(ctx context.Context, key fault.CampaignKey, lo, hi int) (*fault.ShardResult, error) {
-	if p.cfg.Flow.Kind == "" {
-		return nil, fmt.Errorf("dispatch: pool has no flow spec; shard dispatch needs Config.Flow")
-	}
-	spec, err := serve.ShardSpec(p.cfg.Flow, key, lo, hi)
-	if err != nil {
-		return nil, err
-	}
+// ExecJob submits a job spec to the pool and returns its result bytes,
+// retrying across the pool under the budget: pick a live worker, submit,
+// watch the event stream under the heartbeat watchdog, fetch the result,
+// and run check (when non-nil) on it. A 429 waits out the worker's
+// Retry-After without marking it down; any other failure — connection
+// refused, mid-stream EOF, heartbeat timeout, job failure, a result check
+// rejects — marks the worker down (the health loop revives it if /healthz
+// answers) and moves the job to a survivor after a backoff. The returned
+// error means the pool gave up; the caller then runs the work locally.
+func (p *Pool) ExecJob(ctx context.Context, spec serve.Spec, check func([]byte) error) ([]byte, error) {
 	body, err := json.Marshal(spec)
 	if err != nil {
 		return nil, err
 	}
-
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, context.Cause(ctx)
+	what := spec.Kind + " job"
+	if spec.Kind == "shard" {
+		var win struct{ Lo, Hi int }
+		if json.Unmarshal(spec.Params, &win) == nil {
+			what = fmt.Sprintf("shard [%d,%d)", win.Lo, win.Hi)
 		}
-		w := p.pick()
-		if w == nil {
-			return nil, fmt.Errorf("dispatch: no live workers for shard [%d,%d) (last error: %v)", lo, hi, lastErr)
-		}
-		res, err := p.runShard(ctx, w, body, key, lo, hi)
-		if err == nil {
-			n := p.completed.Add(1)
-			p.maybeChaos(n)
-			return res, nil
-		}
-		lastErr = err
-		busy, retryAfter := asBusy(err)
-		if !busy {
-			// Anything else — connection refused, mid-stream EOF, heartbeat
-			// timeout, job failure — is treated as worker trouble: mark it
-			// down (the health loop revives it if /healthz answers) and move
-			// the shard to a survivor.
-			w.down.Store(true)
-			p.logf("worker %s suspected down after shard [%d,%d): %v", w.url, lo, hi, err)
-		}
-		if attempt >= p.cfg.RetryBudget {
-			return nil, fmt.Errorf("dispatch: shard [%d,%d) exhausted its retry budget (%d attempts): %w",
-				lo, hi, attempt+1, err)
-		}
-		p.retries.Add(1)
-		wait := p.backoff(attempt, retryAfter)
-		select {
-		case <-time.After(wait):
-		case <-ctx.Done():
-			return nil, context.Cause(ctx)
-		}
-	}
-}
-
-// ExecJob submits an arbitrary job spec to the pool and returns its raw
-// result bytes, under the same worker selection, retry budget, backoff,
-// and hung-worker detection as shard dispatch. It is how the sweep
-// coordinator fans grid points out: each point becomes a single-point
-// sweep job on some worker, and the caller verifies the returned frontier
-// line by content digest before merging. The returned error means the
-// pool gave up; the sweep then runs the point locally.
-func (p *Pool) ExecJob(ctx context.Context, spec serve.Spec) ([]byte, error) {
-	body, err := json.Marshal(spec)
-	if err != nil {
-		return nil, err
 	}
 	var lastErr error
 	for attempt := 0; ; attempt++ {
@@ -301,26 +279,26 @@ func (p *Pool) ExecJob(ctx context.Context, spec serve.Spec) ([]byte, error) {
 		}
 		w := p.pick()
 		if w == nil {
-			return nil, fmt.Errorf("dispatch: no live workers for %s job (last error: %v)", spec.Kind, lastErr)
+			return nil, fmt.Errorf("dispatch: no live workers for %s (last error: %v)", what, lastErr)
 		}
-		out, err := p.runJobRaw(ctx, w, body)
+		out, err := p.attempt(ctx, w, body, spec.Kind, check)
 		if err == nil {
 			n := p.completed.Add(1)
 			p.maybeChaos(n)
 			return out, nil
 		}
 		lastErr = err
-		busy, retryAfter := asBusy(err)
-		if !busy {
+		var busy errBusy
+		if !errors.As(err, &busy) {
 			w.down.Store(true)
-			p.logf("worker %s suspected down after %s job: %v", w.url, spec.Kind, err)
+			p.logf("worker %s suspected down after %s: %v", w.url, what, err)
 		}
 		if attempt >= p.cfg.RetryBudget {
-			return nil, fmt.Errorf("dispatch: %s job exhausted its retry budget (%d attempts): %w",
-				spec.Kind, attempt+1, err)
+			return nil, fmt.Errorf("dispatch: %s exhausted its retry budget (%d attempts): %w",
+				what, attempt+1, err)
 		}
 		p.retries.Add(1)
-		wait := p.backoff(attempt, retryAfter)
+		wait := p.backoff(attempt, busy.retryAfter)
 		select {
 		case <-time.After(wait):
 		case <-ctx.Done():
@@ -329,27 +307,26 @@ func (p *Pool) ExecJob(ctx context.Context, spec serve.Spec) ([]byte, error) {
 	}
 }
 
-// runJobRaw drives one generic job attempt on one worker: submit, watch
-// the event stream under the heartbeat watchdog, fetch the raw result.
-func (p *Pool) runJobRaw(ctx context.Context, w *worker, body []byte) ([]byte, error) {
+// attempt drives one job attempt on one worker: submit, watch the event
+// stream under the heartbeat watchdog, fetch the result, check it.
+func (p *Pool) attempt(ctx context.Context, w *worker, body []byte, kind string, check func([]byte) error) ([]byte, error) {
 	id, err := p.submit(ctx, w, body)
 	if err != nil {
 		return nil, err
 	}
 	state, err := p.watch(ctx, w, id)
 	if err != nil {
+		// The worker may still be computing (hung, or just slower than the
+		// heartbeat): cancel the job best-effort so a late completion burns
+		// no further cycles, and never fetch its result — the reassigned
+		// twin's result is the only one read.
 		p.cancelJob(w, id)
 		return nil, err
 	}
 	if state != "succeeded" {
-		return nil, fmt.Errorf("worker %s: job %s ended %s", w.url, id, state)
+		return nil, fmt.Errorf("worker %s: %s job %s ended %s", w.url, kind, id, state)
 	}
-	return p.fetchRaw(ctx, w, id)
-}
-
-// fetchRaw reads a finished job's result bytes verbatim.
-func (p *Pool) fetchRaw(ctx context.Context, w *worker, id string) ([]byte, error) {
-	rctx, cancel := context.WithTimeout(ctx, p.cfg.SubmitTimeout)
+	rctx, cancel := context.WithTimeout(ctx, requestTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(rctx, http.MethodGet, w.url+"/jobs/"+id+"/result", nil)
 	if err != nil {
@@ -363,7 +340,14 @@ func (p *Pool) fetchRaw(ctx context.Context, w *worker, id string) ([]byte, erro
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("result from %s: HTTP %d", w.url, resp.StatusCode)
 	}
-	return io.ReadAll(resp.Body)
+	out, err := io.ReadAll(resp.Body)
+	if err == nil && check != nil {
+		err = check(out)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("result from %s: %w", w.url, err)
+	}
+	return out, nil
 }
 
 // pick returns the next live worker round-robin, or nil when every worker
@@ -407,54 +391,8 @@ func (e errBusy) Error() string {
 	return fmt.Sprintf("worker queue full (retry after %s)", e.retryAfter)
 }
 
-func asBusy(err error) (bool, time.Duration) {
-	var b errBusy
-	if ok := errAs(err, &b); ok {
-		return true, b.retryAfter
-	}
-	return false, 0
-}
-
-// errAs is errors.As without the reflective any-target form.
-func errAs(err error, target *errBusy) bool {
-	for err != nil {
-		if b, ok := err.(errBusy); ok {
-			*target = b
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
-}
-
-// runShard drives one shard attempt on one worker: submit, watch the event
-// stream under the heartbeat watchdog, fetch and decode the result.
-func (p *Pool) runShard(ctx context.Context, w *worker, body []byte, key fault.CampaignKey, lo, hi int) (*fault.ShardResult, error) {
-	id, err := p.submit(ctx, w, body)
-	if err != nil {
-		return nil, err
-	}
-	state, err := p.watch(ctx, w, id)
-	if err != nil {
-		// The worker may still be computing (hung, or just slower than the
-		// heartbeat): cancel the job best-effort so a late completion burns
-		// no further cycles, and never fetch its result — the reassigned
-		// twin's digest-verified result is the only one merged.
-		p.cancelJob(w, id)
-		return nil, err
-	}
-	if state != "succeeded" {
-		return nil, fmt.Errorf("worker %s: shard job %s ended %s", w.url, id, state)
-	}
-	return p.fetchResult(ctx, w, id, key, lo, hi)
-}
-
 func (p *Pool) submit(ctx context.Context, w *worker, body []byte) (string, error) {
-	sctx, cancel := context.WithTimeout(ctx, p.cfg.SubmitTimeout)
+	sctx, cancel := context.WithTimeout(ctx, requestTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(sctx, http.MethodPost, w.url+"/jobs", strings.NewReader(string(body)))
 	if err != nil {
@@ -560,36 +498,6 @@ func (p *Pool) watch(ctx context.Context, w *worker, id string) (string, error) 
 		return "", fmt.Errorf("worker %s: event stream for %s ended without a done event", w.url, id)
 	}
 	return state, nil
-}
-
-func (p *Pool) fetchResult(ctx context.Context, w *worker, id string, key fault.CampaignKey, lo, hi int) (*fault.ShardResult, error) {
-	rctx, cancel := context.WithTimeout(ctx, p.cfg.SubmitTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodGet, w.url+"/jobs/"+id+"/result", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := p.client.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("result from %s: %w", w.url, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("result from %s: HTTP %d", w.url, resp.StatusCode)
-	}
-	var res fault.ShardResult
-	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
-		return nil, fmt.Errorf("result from %s: %v", w.url, err)
-	}
-	// The campaign re-verifies before merging; verifying here too lets the
-	// retry loop (not the fallback path) recover from a corrupt transfer.
-	if res.Key != key || res.Lo != lo || res.Hi != hi {
-		return nil, fmt.Errorf("result from %s: wrong shard (got key %+v [%d,%d))", w.url, res.Key, res.Lo, res.Hi)
-	}
-	if err := res.Verify(); err != nil {
-		return nil, fmt.Errorf("result from %s: %w", w.url, err)
-	}
-	return &res, nil
 }
 
 // cancelJob best-effort DELETEs an abandoned job so a hung-but-alive

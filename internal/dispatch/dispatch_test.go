@@ -10,6 +10,9 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httputil"
+	"net/url"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -54,7 +57,7 @@ func miniFlow(ctx context.Context, rc serve.RunContext, _ json.RawMessage) ([]by
 	sim := fault.NewSim(c, pats)
 	faults := fault.NewUniverse(d.N).Collapsed[:200]
 	camp := fault.NewCampaign(sim, fault.CampaignConfig{Workers: 2})
-	res, st, err := camp.Run(ctx, faults)
+	res, st, err := camp.RunCheckpoint(ctx, nil, faults)
 	if err != nil {
 		return nil, err
 	}
@@ -89,7 +92,11 @@ func workerURLs(servers ...*httptest.Server) []string {
 // plan — the same wiring rescue-shard uses.
 func runCoordinator(t *testing.T, p *dispatch.Pool) []byte {
 	t.Helper()
-	ctx := fault.WithShardPlan(context.Background(), p.Plan())
+	plan, err := p.Plan(serve.Spec{Kind: "mini"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := fault.WithShardPlan(context.Background(), plan)
 	out, err := miniFlow(ctx, serve.RunContext{Workers: 2}, nil)
 	if err != nil {
 		t.Fatalf("coordinator flow: %v", err)
@@ -116,7 +123,6 @@ func TestDispatchDeterminism(t *testing.T) {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			p, err := dispatch.NewPool(dispatch.Config{
 				Workers:   workerURLs(w1, w2, w3),
-				Flow:      serve.Spec{Kind: "mini"},
 				Shards:    shards,
 				MinFaults: 1,
 				Seed:      42,
@@ -152,7 +158,6 @@ func TestDispatchChaosKill(t *testing.T) {
 	killed := map[int]bool{}
 	p, err := dispatch.NewPool(dispatch.Config{
 		Workers:     workerURLs(servers...),
-		Flow:        serve.Spec{Kind: "mini"},
 		Shards:      6,
 		MinFaults:   1,
 		Seed:        7,
@@ -209,7 +214,6 @@ func TestDispatchAllWorkersDead(t *testing.T) {
 
 	p, err := dispatch.NewPool(dispatch.Config{
 		Workers:     []string{dead, dead},
-		Flow:        serve.Spec{Kind: "mini"},
 		Shards:      3,
 		MinFaults:   1,
 		RetryBudget: 1,
@@ -300,10 +304,9 @@ func TestDispatchHungWorker(t *testing.T) {
 
 	p, err := dispatch.NewPool(dispatch.Config{
 		Workers:     []string{hung.ts.URL, live.URL},
-		Flow:        serve.Spec{Kind: "mini"},
 		Shards:      2,
 		MinFaults:   1,
-		Heartbeat:   150 * time.Millisecond,
+		Heartbeat:   2 * time.Second, // well above the live worker's silent build, even under -race
 		BackoffBase: time.Millisecond,
 		BackoffCap:  10 * time.Millisecond,
 		HealthEvery: time.Hour, // the hung worker reports healthy; don't revive it after the watchdog fires
@@ -349,7 +352,20 @@ func TestDispatchBusyWorker(t *testing.T) {
 		}
 	}
 	srv := serve.New(serve.Config{Kinds: kinds, Workers: 2, QueueCap: 1, Slots: 1})
-	ts := httptest.NewServer(srv.Handler())
+	h := srv.Handler()
+	var once sync.Once
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost || r.URL.Path != "/jobs" {
+			h.ServeHTTP(w, r)
+			return
+		}
+		sw := &statusWriter{ResponseWriter: w}
+		h.ServeHTTP(sw, r)
+		// Unblock the queue once dispatch has hit a 429.
+		if sw.status == http.StatusTooManyRequests {
+			once.Do(func() { close(release) })
+		}
+	}))
 	t.Cleanup(ts.Close)
 
 	// Saturate: one blocker holds the slot, a second fills the queue.
@@ -366,7 +382,6 @@ func TestDispatchBusyWorker(t *testing.T) {
 
 	p, err := dispatch.NewPool(dispatch.Config{
 		Workers:     []string{ts.URL},
-		Flow:        serve.Spec{Kind: "mini"},
 		Shards:      1,
 		MinFaults:   1,
 		BackoffBase: 10 * time.Millisecond,
@@ -379,12 +394,6 @@ func TestDispatchBusyWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-
-	// Unblock the queue shortly after dispatch starts hitting 429s.
-	go func() {
-		time.Sleep(100 * time.Millisecond)
-		close(release)
-	}()
 
 	got := runCoordinator(t, p)
 	if !bytes.Equal(got, want) {
@@ -402,17 +411,27 @@ func TestDispatchBusyWorker(t *testing.T) {
 	}
 }
 
-// TestDispatchConfigValidation pins the constructor's error cases.
+// statusWriter records the status code a handler sends.
+type statusWriter struct {
+	http.ResponseWriter
+	status int
+}
+
+func (s *statusWriter) WriteHeader(code int) {
+	s.status = code
+	s.ResponseWriter.WriteHeader(code)
+}
+
+// TestDispatchConfigValidation pins the constructor's and Plan's error
+// cases.
 func TestDispatchConfigValidation(t *testing.T) {
 	cases := []struct {
 		name string
 		cfg  dispatch.Config
 	}{
-		{"no workers", dispatch.Config{Flow: serve.Spec{Kind: "mini"}}},
-		{"nested shard", dispatch.Config{Workers: []string{"http://x"}, Flow: serve.Spec{Kind: "shard"}}},
+		{"no workers", dispatch.Config{}},
 		{"chaos without kill", dispatch.Config{
 			Workers: []string{"http://x"},
-			Flow:    serve.Spec{Kind: "mini"},
 			Chaos:   dispatch.ChaosConfig{KillWorkers: 1},
 		}},
 	}
@@ -424,22 +443,95 @@ func TestDispatchConfigValidation(t *testing.T) {
 		})
 	}
 
-	// A Flow-less pool is legal (ExecJob-only use), but shard dispatch
-	// through it must refuse rather than submit an empty kind.
-	t.Run("flowless pool refuses Exec", func(t *testing.T) {
+	t.Run("nested shard", func(t *testing.T) {
 		p, err := dispatch.NewPool(dispatch.Config{Workers: []string{"http://x"}, HealthEvery: time.Hour})
 		if err != nil {
-			t.Fatalf("flow-less pool: %v", err)
+			t.Fatal(err)
 		}
 		defer p.Close()
-		if _, err := p.Exec(context.Background(), fault.CampaignKey{}, 0, 1); err == nil {
-			t.Fatal("Exec on a flow-less pool did not error")
+		if _, err := p.Plan(serve.Spec{Kind: "shard"}); err == nil {
+			t.Fatal("Plan accepted a nested shard flow")
 		}
 	})
 }
 
+// corruptingProxy fronts a worker and flips one byte — the first digit of
+// the sealed digest — in every GET /jobs/{id}/result body, so each result
+// it serves fails verification. Everything else passes through untouched.
+func corruptingProxy(t *testing.T, target *httptest.Server) *httptest.Server {
+	t.Helper()
+	u, err := url.Parse(target.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp := httputil.NewSingleHostReverseProxy(u)
+	rp.FlushInterval = -1 // stream job events as they arrive
+	rp.ModifyResponse = func(resp *http.Response) error {
+		if resp.Request.Method != http.MethodGet || !strings.HasSuffix(resp.Request.URL.Path, "/result") {
+			return nil
+		}
+		b, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			return err
+		}
+		if i := bytes.Index(b, []byte(`"digest":"`)); i >= 0 {
+			i += len(`"digest":"`)
+			b[i] ^= 1
+		}
+		resp.Body = io.NopCloser(bytes.NewReader(b))
+		resp.ContentLength = int64(len(b))
+		resp.Header.Set("Content-Length", strconv.Itoa(len(b)))
+		return nil
+	}
+	ts := httptest.NewServer(rp)
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// TestDispatchCorruptResult: a worker whose results arrive corrupted is
+// caught by the shard check inside the retry loop, not by the campaign's
+// merge-time verification — the shard is retried on the healthy worker,
+// nothing falls back to local execution, and the merged output is
+// byte-identical to the serial golden.
+func TestDispatchCorruptResult(t *testing.T) {
+	want := serialGolden(t)
+	bad := corruptingProxy(t, newWorker(t))
+	good := newWorker(t)
+
+	p, err := dispatch.NewPool(dispatch.Config{
+		Workers:     workerURLs(bad, good),
+		Shards:      2,
+		MinFaults:   1,
+		BackoffBase: time.Millisecond,
+		BackoffCap:  10 * time.Millisecond,
+		HealthEvery: time.Hour, // the proxy answers /healthz; keep it down once suspected
+		Seed:        5,
+		Logf:        t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+
+	got := runCoordinator(t, p)
+	if !bytes.Equal(got, want) {
+		t.Fatal("corrupt-result run output differs from serial golden")
+	}
+	st := p.Stats()
+	if st.Fallbacks != 0 {
+		t.Fatalf("%d shards fell back locally, want 0: a rejected result must be retried remotely", st.Fallbacks)
+	}
+	if st.Retries < 1 {
+		t.Fatal("expected at least one retry after a corrupt result")
+	}
+	if st.Completed != 2 {
+		t.Fatalf("completed %d shards remotely, want 2", st.Completed)
+	}
+}
+
 // TestDispatchExecJobSweep: grid points fanned out to worker daemons as
-// single-point sweep jobs (ExecJob on a Flow-less pool) merge into a
+// single-point sweep jobs (ExecJob with no result check) merge into a
 // frontier byte-identical to the all-local run, with no local fallbacks.
 func TestDispatchExecJobSweep(t *testing.T) {
 	if testing.Short() {
@@ -491,7 +583,7 @@ func TestDispatchExecJobSweep(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			return p.ExecJob(ctx, serve.Spec{Kind: "sweep", Params: body})
+			return p.ExecJob(ctx, serve.Spec{Kind: "sweep", Params: body}, nil)
 		},
 		OnPoint: func(ev sweep.PointEvent) {
 			if ev.Phase == "fallback" {
@@ -524,7 +616,6 @@ func TestDispatchTenantTag(t *testing.T) {
 	w := newWorker(t)
 	p, err := dispatch.NewPool(dispatch.Config{
 		Workers:   workerURLs(w),
-		Flow:      serve.Spec{Kind: "mini"},
 		Shards:    2,
 		MinFaults: 1,
 		Seed:      7,

@@ -36,7 +36,7 @@ func fixture(t *testing.T) (*core.System, *core.TestProgram) {
 		if fixErr != nil {
 			return
 		}
-		fixTP = fixSys.GenerateTests(atpg.DefaultGenConfig())
+		fixTP, fixErr = fixSys.GenerateTestsFlow(context.Background(), atpg.DefaultGenConfig(), nil)
 	})
 	if fixErr != nil {
 		t.Fatalf("fixture: %v", fixErr)

@@ -40,11 +40,12 @@ func (s *Stats) Add(o Stats) {
 	}
 }
 
-// ErrCampaignBusy is returned when Run/RunWords is called while another run
-// on the same Campaign is still in flight. Overlapping runs would share the
-// per-worker scratch state and corrupt both results silently; the guard
-// turns that latent hazard into an immediate error.
-var ErrCampaignBusy = errors.New("fault: campaign already running — Run/RunWords calls must not overlap")
+// ErrCampaignBusy is returned when RunCheckpoint/RunWordsCheckpoint is
+// called while another run on the same Campaign is still in flight.
+// Overlapping runs would share the per-worker scratch state and corrupt both
+// results silently; the guard turns that latent hazard into an immediate
+// error.
+var ErrCampaignBusy = errors.New("fault: campaign already running — RunCheckpoint/RunWordsCheckpoint calls must not overlap")
 
 // ErrChaosCancel is the cancellation cause injected by the chaos harness
 // (ChaosCancelAfterSims) to simulate an operator interrupt at a
@@ -115,13 +116,6 @@ type CampaignConfig struct {
 	// effective MaxFail of at least 1). Must stay off when callers need
 	// every failing observation point.
 	Drop bool
-	// Chunk is the dispatch batch size; <= 0 picks one from the fault count.
-	Chunk int
-	// Progress, when non-nil, is called once per completed chunk with the
-	// cumulative (done, total) fault counts — see ProgressFunc. It combines
-	// with any hook installed via WithProgress on the run's context. Unset
-	// on both paths, the hot loop pays only a nil check.
-	Progress ProgressFunc
 }
 
 // Campaign shards a fault list across workers that share one read-only
@@ -155,29 +149,23 @@ func NewCampaign(s *Sim, cfg CampaignConfig) *Campaign {
 // Workers reports the configured concurrency degree.
 func (c *Campaign) Workers() int { return c.cfg.Workers }
 
-// Run simulates every fault against the full pattern set. Cancellation is
-// cooperative at chunk granularity: when ctx is cancelled, in-flight chunks
-// finish, results computed so far stay valid in the returned slice, and the
-// error carries the cancellation cause (or a PanicError if a worker died).
-func (c *Campaign) Run(ctx context.Context, faults []netlist.Fault) ([]Result, Stats, error) {
-	return c.run(ctx, nil, faults, 0, len(c.core.Patterns))
-}
-
-// RunWords simulates every fault against pattern words [wLo, wHi) only —
-// the campaign form of the ATPG per-word fault-dropping loop.
-func (c *Campaign) RunWords(ctx context.Context, faults []netlist.Fault, wLo, wHi int) ([]Result, Stats, error) {
-	return c.run(ctx, nil, faults, wLo, wHi)
-}
-
-// RunCheckpoint is Run with a checkpoint journal: chunks already journaled
-// by a previous (interrupted) identical run are skipped and their results
+// RunCheckpoint simulates every fault against the full pattern set.
+// Cancellation is cooperative at chunk granularity: when ctx is cancelled,
+// in-flight chunks finish, results computed so far stay valid in the
+// returned slice, and the error carries the cancellation cause (or a
+// PanicError if a worker died). The run reports progress into any hook
+// attached with WithProgress.
+//
+// A non-nil checkpoint journals the run: chunks already journaled by a
+// previous (interrupted) identical run are skipped and their results
 // rehydrated; newly completed chunks are appended to the journal and
-// flushed crash-safely. A nil checkpoint degrades to plain Run.
+// flushed crash-safely. A nil checkpoint runs without a journal.
 func (c *Campaign) RunCheckpoint(ctx context.Context, ck *Checkpoint, faults []netlist.Fault) ([]Result, Stats, error) {
 	return c.run(ctx, ck, faults, 0, len(c.core.Patterns))
 }
 
-// RunWordsCheckpoint is RunWords with a checkpoint journal.
+// RunWordsCheckpoint is RunCheckpoint over pattern words [wLo, wHi) only —
+// the campaign form of the ATPG per-word fault-dropping loop.
 func (c *Campaign) RunWordsCheckpoint(ctx context.Context, ck *Checkpoint, faults []netlist.Fault, wLo, wHi int) ([]Result, Stats, error) {
 	return c.run(ctx, ck, faults, wLo, wHi)
 }
@@ -201,7 +189,7 @@ func (c *Campaign) run(ctx context.Context, ck *Checkpoint, faults []netlist.Fau
 	var st Stats
 	st.Workers = workers
 
-	progress := combineProgress(c.cfg.Progress, ProgressFromContext(ctx))
+	progress := ProgressFromContext(ctx)
 	total := int64(len(faults))
 	var progressDone atomic.Int64
 
@@ -264,7 +252,7 @@ func (c *Campaign) run(ctx context.Context, ck *Checkpoint, faults []netlist.Fau
 		}
 	}
 
-	q := newChunkQueue(len(faults), workers, c.cfg.Chunk)
+	q := newChunkQueue(len(faults), workers)
 	perWorker := make([]Stats, workers)
 
 	runCtx, cancel := context.WithCancelCause(ctx)
@@ -390,7 +378,7 @@ func (c *Campaign) runWindow(ctx context.Context, res *ShardResult, faults []net
 	}
 	scrs := c.core.acquireScratch(workers)
 	defer c.core.releaseScratch(scrs)
-	q := newChunkQueue(n, workers, c.cfg.Chunk)
+	q := newChunkQueue(n, workers)
 	perWorker := make([]Stats, workers)
 
 	runCtx, cancel := context.WithCancelCause(ctx)
@@ -603,17 +591,15 @@ type chunkSeg struct {
 	_   [6]int64     // keep cursors on separate cache lines
 }
 
-func newChunkQueue(n, workers, chunk int) *chunkQueue {
-	if chunk <= 0 {
-		// Small chunks keep stealing effective; larger ones amortize the
-		// atomic op. ~16 chunks per worker balances both.
-		chunk = n / (workers * 16)
-		if chunk < 1 {
-			chunk = 1
-		}
-		if chunk > 256 {
-			chunk = 256
-		}
+func newChunkQueue(n, workers int) *chunkQueue {
+	// Small chunks keep stealing effective; larger ones amortize the atomic
+	// op. ~16 chunks per worker balances both.
+	chunk := n / (workers * 16)
+	if chunk < 1 {
+		chunk = 1
+	}
+	if chunk > 256 {
+		chunk = 256
 	}
 	q := &chunkQueue{segs: make([]chunkSeg, workers), chunk: int64(chunk)}
 	per := n / workers

@@ -17,11 +17,22 @@ import (
 // mustRun is the test shorthand for an uninterrupted campaign run.
 func mustRun(t *testing.T, c *Campaign, faults []netlist.Fault) ([]Result, Stats) {
 	t.Helper()
-	res, st, err := c.Run(context.Background(), faults)
+	res, st, err := c.RunCheckpoint(context.Background(), nil, faults)
 	if err != nil {
 		t.Fatalf("campaign run failed: %v", err)
 	}
 	return res, st
+}
+
+// mustDictionary is the test shorthand for an uninterrupted dictionary
+// build.
+func mustDictionary(t *testing.T, sim *Sim, u *Universe, workers int) *Dictionary {
+	t.Helper()
+	d, _, err := BuildDictionaryFlow(context.Background(), sim, u, workers, nil)
+	if err != nil {
+		t.Fatalf("dictionary build failed: %v", err)
+	}
+	return d
 }
 
 // rescueSim builds the RescueDesign small config with a seeded random
@@ -218,7 +229,7 @@ func TestCampaignRunWords(t *testing.T) {
 	sim, u := rescueSim(t, 5, 99)
 	camp := NewCampaign(sim, CampaignConfig{Workers: 4, MaxFail: 1})
 	for w := 0; w < len(sim.Patterns); w++ {
-		got, _, err := camp.RunWords(context.Background(), u.Collapsed, w, w+1)
+		got, _, err := camp.RunWordsCheckpoint(context.Background(), nil, u.Collapsed, w, w+1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,7 +243,7 @@ func TestCampaignRunWords(t *testing.T) {
 }
 
 // TestCampaignReuse verifies per-worker scratch reuse across runs: a
-// second Run over the same campaign must match a fresh serial pass.
+// second run over the same campaign must match a fresh serial pass.
 func TestCampaignReuse(t *testing.T) {
 	sim, u := rescueSim(t, 3, 5)
 	camp := NewCampaign(sim, CampaignConfig{Workers: 3})
@@ -262,7 +273,7 @@ func TestCampaignEmptyAndTiny(t *testing.T) {
 }
 
 // TestCampaignOverlapGuard provokes the overlap hazard the in-use guard
-// exists for: a second Run while the first is mid-flight must be rejected
+// exists for: a second run while the first is mid-flight must be rejected
 // with ErrCampaignBusy (overlapping runs would share per-worker scratch
 // state and corrupt both silently), and the guard must release once the
 // first run drains.
@@ -281,18 +292,18 @@ func TestCampaignOverlapGuard(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := camp.Run(context.Background(), faults)
+		_, _, err := camp.RunCheckpoint(context.Background(), nil, faults)
 		done <- err
 	}()
 	<-entered // first run is simulating
-	if _, _, err := camp.Run(context.Background(), faults); !errors.Is(err, ErrCampaignBusy) {
-		t.Fatalf("overlapping Run returned %v, want ErrCampaignBusy", err)
+	if _, _, err := camp.RunCheckpoint(context.Background(), nil, faults); !errors.Is(err, ErrCampaignBusy) {
+		t.Fatalf("overlapping run returned %v, want ErrCampaignBusy", err)
 	}
 	close(release)
 	if err := <-done; err != nil {
 		t.Fatalf("first run failed: %v", err)
 	}
-	res, _, err := camp.Run(context.Background(), faults)
+	res, _, err := camp.RunCheckpoint(context.Background(), nil, faults)
 	if err != nil {
 		t.Fatalf("run after guard release failed: %v", err)
 	}
@@ -306,10 +317,10 @@ func TestCampaignOverlapGuard(t *testing.T) {
 // TestChunkQueueCoversAll checks that the work-stealing queue hands out
 // every index exactly once, own-segment-first, steals included.
 func TestChunkQueueCoversAll(t *testing.T) {
-	for _, tc := range []struct{ n, workers, chunk int }{
-		{100, 4, 7}, {5, 8, 1}, {1, 1, 0}, {1000, 3, 0}, {64, 2, 64},
+	for _, tc := range []struct{ n, workers int }{
+		{100, 4}, {5, 8}, {1, 1}, {1000, 3}, {64, 2}, {20000, 3},
 	} {
-		q := newChunkQueue(tc.n, tc.workers, tc.chunk)
+		q := newChunkQueue(tc.n, tc.workers)
 		seen := make([]int, tc.n)
 		for w := 0; w < tc.workers; w++ {
 			for {
@@ -324,8 +335,8 @@ func TestChunkQueueCoversAll(t *testing.T) {
 		}
 		for i, c := range seen {
 			if c != 1 {
-				t.Fatalf("n=%d workers=%d chunk=%d: index %d handed out %d times",
-					tc.n, tc.workers, tc.chunk, i, c)
+				t.Fatalf("n=%d workers=%d: index %d handed out %d times",
+					tc.n, tc.workers, i, c)
 			}
 		}
 	}
@@ -335,9 +346,12 @@ func TestChunkQueueCoversAll(t *testing.T) {
 // identical at every worker count.
 func TestDictionaryWorkersDeterminism(t *testing.T) {
 	sim, u := rescueSim(t, 4, 11)
-	ref := BuildDictionary(sim, u)
+	ref := mustDictionary(t, sim, u, 0)
 	for _, w := range []int{1, 2, 8} {
-		d, st := BuildDictionaryWorkers(sim, u, w)
+		d, st, err := BuildDictionaryFlow(context.Background(), sim, u, w, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !reflect.DeepEqual(d.Syndromes, ref.Syndromes) {
 			t.Fatalf("workers=%d: dictionary differs from reference", w)
 		}

@@ -33,7 +33,7 @@ func TestChaosWorkerPanicIsolated(t *testing.T) {
 				panic("injected defect")
 			}
 		}
-		_, _, err := camp.Run(context.Background(), faults)
+		_, _, err := camp.RunCheckpoint(context.Background(), nil, faults)
 		campaignSimHook = nil
 		var pe *PanicError
 		if !errors.As(err, &pe) {
@@ -52,7 +52,7 @@ func TestChaosWorkerPanicIsolated(t *testing.T) {
 			t.Fatalf("target=%d: a worker panic must not count as a resumable interrupt", target)
 		}
 		// The guard must have been released and the campaign must still work.
-		res, _, err := camp.Run(context.Background(), faults[:32])
+		res, _, err := camp.RunCheckpoint(context.Background(), nil, faults[:32])
 		if err != nil {
 			t.Fatalf("target=%d: campaign unusable after panic: %v", target, err)
 		}
@@ -83,7 +83,7 @@ func TestChaosRandomCancellation(t *testing.T) {
 				cancel()
 			}
 		}
-		_, _, err := camp.Run(ctx, faults)
+		_, _, err := camp.RunCheckpoint(ctx, nil, faults)
 		campaignSimHook = nil
 		cancel()
 		if err != nil && !errors.Is(err, context.Canceled) {
@@ -92,7 +92,7 @@ func TestChaosRandomCancellation(t *testing.T) {
 		if err == nil && cancelAt < int64(len(faults))/2 {
 			t.Fatalf("trial %d: early cancellation at %d/%d did not interrupt the run", trial, cancelAt, len(faults))
 		}
-		got, _, err := camp.Run(context.Background(), faults)
+		got, _, err := camp.RunCheckpoint(context.Background(), nil, faults)
 		if err != nil {
 			t.Fatalf("trial %d: clean run after cancellation failed: %v", trial, err)
 		}
@@ -113,7 +113,7 @@ func TestChaosCancelAfterSims(t *testing.T) {
 	camp := NewCampaign(sim, CampaignConfig{Workers: 4})
 
 	ChaosCancelAfterSims(int64(len(faults) / 4))
-	_, st, err := camp.Run(context.Background(), faults)
+	_, st, err := camp.RunCheckpoint(context.Background(), nil, faults)
 	if !errors.Is(err, ErrChaosCancel) {
 		t.Fatalf("armed chaos budget: got %v, want ErrChaosCancel", err)
 	}
@@ -125,7 +125,7 @@ func TestChaosCancelAfterSims(t *testing.T) {
 	}
 
 	ChaosCancelAfterSims(0)
-	if _, _, err := camp.Run(context.Background(), faults); err != nil {
+	if _, _, err := camp.RunCheckpoint(context.Background(), nil, faults); err != nil {
 		t.Fatalf("disarmed run failed: %v", err)
 	}
 }

@@ -22,32 +22,15 @@ type Dictionary struct {
 	Syndromes [][]int
 }
 
-// BuildDictionary simulates every collapsed fault against the pattern set
-// across all cores. This is the expensive, exhaustive version of the
-// per-fault isolation flow; cost is proportional to faults × affected cones.
-func BuildDictionary(sim *Sim, u *Universe) *Dictionary {
-	d, _ := BuildDictionaryWorkers(sim, u, 0)
-	return d
-}
-
-// BuildDictionaryWorkers is BuildDictionary with an explicit worker count
-// (<= 0 = all cores) and campaign stats. Fault dropping stays off: a
-// dictionary needs every fault's complete syndrome. It panics if the
-// underlying flow errors, which cannot happen without a cancellable
-// context, a checkpoint, or an armed chaos budget.
-func BuildDictionaryWorkers(sim *Sim, u *Universe, workers int) (*Dictionary, Stats) {
-	d, st, err := BuildDictionaryFlow(context.Background(), sim, u, workers, nil)
-	if err != nil {
-		panic(fmt.Sprintf("fault: BuildDictionaryWorkers failed: %v", err))
-	}
-	return d, st
-}
-
-// BuildDictionaryFlow is BuildDictionaryWorkers with cooperative
-// cancellation and an optional checkpoint journal: the single big campaign
-// behind the dictionary resumes at chunk granularity after a kill, and the
-// rebuilt dictionary is bit-identical to an uninterrupted build at any
-// worker count. On error the partial campaign Stats are still returned.
+// BuildDictionaryFlow simulates every collapsed fault against the pattern
+// set across workers (<= 0 = all cores). This is the expensive, exhaustive
+// version of the per-fault isolation flow; cost is proportional to faults ×
+// affected cones. Fault dropping stays off: a dictionary needs every
+// fault's complete syndrome. Cancellation is cooperative, and an optional
+// checkpoint journal lets the single big campaign behind the dictionary
+// resume at chunk granularity after a kill; the rebuilt dictionary is
+// bit-identical to an uninterrupted build at any worker count. On error the
+// partial campaign Stats are still returned.
 func BuildDictionaryFlow(ctx context.Context, sim *Sim, u *Universe, workers int, ck *Checkpoint) (*Dictionary, Stats, error) {
 	defer obs.Span(ctx, "dictionary")()
 	camp := NewCampaign(sim, CampaignConfig{Workers: workers})

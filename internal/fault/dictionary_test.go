@@ -21,7 +21,7 @@ func dictFixture(t *testing.T) (*Sim, *Universe) {
 
 func TestBuildDictionary(t *testing.T) {
 	sim, u := dictFixture(t)
-	d := BuildDictionary(sim, u)
+	d := mustDictionary(t, sim, u, 0)
 	if len(d.Syndromes) != u.CountCollapsed() {
 		t.Fatalf("syndromes = %d, want %d", len(d.Syndromes), u.CountCollapsed())
 	}
@@ -39,7 +39,7 @@ func TestBuildDictionary(t *testing.T) {
 
 func TestDictionaryLookup(t *testing.T) {
 	sim, u := dictFixture(t)
-	d := BuildDictionary(sim, u)
+	d := mustDictionary(t, sim, u, 0)
 	// the true fault must always be among the diagnosis candidates
 	for i := range u.Collapsed {
 		if len(d.Syndromes[i]) == 0 {
@@ -64,7 +64,7 @@ func TestDictionaryLookup(t *testing.T) {
 
 func TestDictionaryCSVRoundTrip(t *testing.T) {
 	sim, u := dictFixture(t)
-	d := BuildDictionary(sim, u)
+	d := mustDictionary(t, sim, u, 0)
 	var sb strings.Builder
 	if err := d.WriteCSV(&sb); err != nil {
 		t.Fatal(err)

@@ -90,12 +90,3 @@ func (o *Oracle) RunWords(f netlist.Fault, maxFail, wLo, wHi int) Result {
 	}
 	return res
 }
-
-// DetectAll mirrors Sim.DetectAll on the oracle engine.
-func (o *Oracle) DetectAll(faults []netlist.Fault) []bool {
-	out := make([]bool, len(faults))
-	for i, f := range faults {
-		out[i] = o.Run(f, 1).Detected
-	}
-	return out
-}

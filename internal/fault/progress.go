@@ -31,20 +31,3 @@ func ProgressFromContext(ctx context.Context) ProgressFunc {
 	fn, _ := ctx.Value(progressKey{}).(ProgressFunc)
 	return fn
 }
-
-// combineProgress merges the config-level and context-level hooks. The
-// result is nil when both are unset, so the campaign hot loop keeps its
-// zero-overhead nil guard.
-func combineProgress(a, b ProgressFunc) ProgressFunc {
-	switch {
-	case a == nil:
-		return b
-	case b == nil:
-		return a
-	default:
-		return func(done, total int64) {
-			a(done, total)
-			b(done, total)
-		}
-	}
-}

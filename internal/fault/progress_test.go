@@ -7,53 +7,38 @@ import (
 	"testing"
 )
 
-// TestCampaignProgressHook pins the ProgressFunc contract: monotone
-// cumulative counts, a fixed total, a final call with done == total, and
-// identical results with the hook installed either on the config or on the
-// context.
+// TestCampaignProgressHook pins the ProgressFunc contract for a hook
+// attached with WithProgress: monotone cumulative counts, a fixed total,
+// and a final call with done == total.
 func TestCampaignProgressHook(t *testing.T) {
 	sim, u := rescueSim(t, 2, 7)
 	faults := u.Collapsed[:200]
 
-	for _, via := range []string{"config", "context", "both"} {
-		t.Run(via, func(t *testing.T) {
-			var mu sync.Mutex
-			var calls int
-			var last, lastTotal int64
-			hook := func(done, total int64) {
-				mu.Lock()
-				defer mu.Unlock()
-				calls++
-				if done < last {
-					t.Errorf("progress went backwards: %d after %d", done, last)
-				}
-				last, lastTotal = done, total
+	t.Run("context", func(t *testing.T) {
+		var mu sync.Mutex
+		var calls int
+		var last, lastTotal int64
+		ctx := WithProgress(context.Background(), func(done, total int64) {
+			mu.Lock()
+			defer mu.Unlock()
+			calls++
+			if done < last {
+				t.Errorf("progress went backwards: %d after %d", done, last)
 			}
-
-			cfg := CampaignConfig{Workers: 2}
-			ctx := context.Background()
-			switch via {
-			case "config":
-				cfg.Progress = hook
-			case "context":
-				ctx = WithProgress(ctx, hook)
-			case "both":
-				cfg.Progress = hook
-				ctx = WithProgress(ctx, hook)
-			}
-			camp := NewCampaign(sim, cfg)
-			if _, _, err := camp.Run(ctx, faults); err != nil {
-				t.Fatal(err)
-			}
-			if calls == 0 {
-				t.Fatal("progress hook never called")
-			}
-			want := int64(len(faults))
-			if last != want || lastTotal != want {
-				t.Fatalf("final progress = (%d, %d), want (%d, %d)", last, lastTotal, want, want)
-			}
+			last, lastTotal = done, total
 		})
-	}
+		camp := NewCampaign(sim, CampaignConfig{Workers: 2})
+		if _, _, err := camp.RunCheckpoint(ctx, nil, faults); err != nil {
+			t.Fatal(err)
+		}
+		if calls == 0 {
+			t.Fatal("progress hook never called")
+		}
+		want := int64(len(faults))
+		if last != want || lastTotal != want {
+			t.Fatalf("final progress = (%d, %d), want (%d, %d)", last, lastTotal, want, want)
+		}
+	})
 }
 
 // TestCampaignProgressRehydrated asserts that a resumed run reports its
@@ -110,11 +95,14 @@ func TestCampaignProgressUnsetIdentical(t *testing.T) {
 	sim, u := rescueSim(t, 2, 11)
 	faults := u.Collapsed[:150]
 
-	plain := NewCampaign(sim, CampaignConfig{Workers: 2})
-	ref, _ := mustRun(t, plain, faults)
+	camp := NewCampaign(sim, CampaignConfig{Workers: 2})
+	ref, _ := mustRun(t, camp, faults)
 
-	hooked := NewCampaign(sim, CampaignConfig{Workers: 2, Progress: func(done, total int64) {}})
-	got, _ := mustRun(t, hooked, faults)
+	ctx := WithProgress(context.Background(), func(done, total int64) {})
+	got, _, err := camp.RunCheckpoint(ctx, nil, faults)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range ref {
 		if len(got[i].FailObs) != len(ref[i].FailObs) || got[i].Detected != ref[i].Detected {
 			t.Fatalf("fault %d: hooked result differs from plain", i)

@@ -32,7 +32,7 @@ func TestShardWindowMatchesFullRun(t *testing.T) {
 	sim, u := rescueSim(t, 2, 61)
 	faults := u.Collapsed[:200]
 	full := NewCampaign(sim, CampaignConfig{Workers: 2})
-	want, _, err := full.Run(context.Background(), faults)
+	want, _, err := full.RunCheckpoint(context.Background(), nil, faults)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestShardWindowMatchesFullRun(t *testing.T) {
 
 	ctx, res := WithShardTarget(context.Background(), key, 50, 130)
 	worker := NewCampaign(sim, CampaignConfig{Workers: 3})
-	_, st, err := worker.Run(ctx, faults)
+	_, st, err := worker.RunCheckpoint(ctx, nil, faults)
 	if !errors.Is(err, ErrShardDone) {
 		t.Fatalf("window run returned %v, want ErrShardDone", err)
 	}
@@ -57,7 +57,7 @@ func TestShardWindowMatchesFullRun(t *testing.T) {
 	// A campaign with a different key must not claim the target.
 	other := NewCampaign(sim, CampaignConfig{Workers: 2})
 	octx, ores := WithShardTarget(context.Background(), key, 0, 10)
-	if _, _, err := other.Run(octx, faults[:150]); err != nil {
+	if _, _, err := other.RunCheckpoint(octx, nil, faults[:150]); err != nil {
 		t.Fatalf("non-matching campaign under a shard target failed: %v", err)
 	}
 	if ores.Digest != "" {
@@ -72,7 +72,7 @@ func TestShardPlanDispatch(t *testing.T) {
 	sim, u := rescueSim(t, 2, 61)
 	faults := u.Collapsed[:200]
 	serial := NewCampaign(sim, CampaignConfig{Workers: 1})
-	want, _, err := serial.Run(context.Background(), faults)
+	want, _, err := serial.RunCheckpoint(context.Background(), nil, faults)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestShardPlanDispatch(t *testing.T) {
 		Shards: 4,
 	}
 	coord := NewCampaign(sim, CampaignConfig{Workers: 2})
-	got, st, err := coord.Run(WithShardPlan(context.Background(), plan), faults)
+	got, st, err := coord.RunCheckpoint(WithShardPlan(context.Background(), plan), nil, faults)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestShardPlanFallback(t *testing.T) {
 	sim, u := rescueSim(t, 2, 61)
 	faults := u.Collapsed[:200]
 	serial := NewCampaign(sim, CampaignConfig{Workers: 1})
-	want, _, err := serial.Run(context.Background(), faults)
+	want, _, err := serial.RunCheckpoint(context.Background(), nil, faults)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestShardPlanFallback(t *testing.T) {
 			OnFallback: func(CampaignKey, int, int, error) { fellBack.Add(1) },
 		}
 		coord := NewCampaign(sim, CampaignConfig{Workers: 2})
-		got, _, err := coord.Run(WithShardPlan(context.Background(), plan), faults)
+		got, _, err := coord.RunCheckpoint(WithShardPlan(context.Background(), plan), nil, faults)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,7 +153,7 @@ func TestShardPlanFallback(t *testing.T) {
 			OnFallback: func(CampaignKey, int, int, error) { fellBack.Add(1) },
 		}
 		coord := NewCampaign(sim, CampaignConfig{Workers: 2})
-		got, st, err := coord.Run(WithShardPlan(context.Background(), plan), faults)
+		got, st, err := coord.RunCheckpoint(WithShardPlan(context.Background(), plan), nil, faults)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,7 +176,7 @@ func TestShardPlanRejectsCorruptResult(t *testing.T) {
 	sim, u := rescueSim(t, 2, 61)
 	faults := u.Collapsed[:120]
 	serial := NewCampaign(sim, CampaignConfig{Workers: 1})
-	want, _, err := serial.Run(context.Background(), faults)
+	want, _, err := serial.RunCheckpoint(context.Background(), nil, faults)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestShardPlanRejectsCorruptResult(t *testing.T) {
 				OnFallback: func(CampaignKey, int, int, error) { fellBack.Add(1) },
 			}
 			coord := NewCampaign(sim, CampaignConfig{Workers: 2})
-			got, _, err := coord.Run(WithShardPlan(context.Background(), plan), faults)
+			got, _, err := coord.RunCheckpoint(WithShardPlan(context.Background(), plan), nil, faults)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -267,13 +267,13 @@ func TestShardEligibility(t *testing.T) {
 
 	// Below MinFaults: local.
 	camp := NewCampaign(sim, CampaignConfig{Workers: 2})
-	if _, _, err := camp.Run(ctx, faults); err != nil {
+	if _, _, err := camp.RunCheckpoint(ctx, nil, faults); err != nil {
 		t.Fatal(err)
 	}
 	// Windowed run (not the full pattern span): local regardless of size.
 	plan.MinFaults = 1
 	wcamp := NewCampaign(sim, CampaignConfig{Workers: 2})
-	if _, _, err := wcamp.RunWords(ctx, faults, 1, 2); err != nil {
+	if _, _, err := wcamp.RunWordsCheckpoint(ctx, nil, faults, 1, 2); err != nil {
 		t.Fatal(err)
 	}
 	if n := dispatched.Load(); n != 0 {

@@ -21,19 +21,17 @@
 //
 // The typical flow:
 //
+//	ctx := context.Background()
 //	sys, _ := rescue.Build(rescue.DefaultConfig(), rescue.RescueDesign)
-//	tp := sys.GenerateTests(rescue.DefaultGenConfig())
-//	rep := sys.IsolateCampaign(tp, 1000, rescue.Stages(), 1, 0)
+//	tp, _ := sys.GenerateTestsFlow(ctx, rescue.DefaultGenConfig(), nil)
+//	rep, _ := sys.IsolateCampaignFlow(ctx, tp, 1000, rescue.Stages(), 1, 0, nil)
 //	degr, _ := rescue.MapOut([]string{"IQ0"})
-//	rows, _ := rescue.IPCStudy(nil, 100_000, 1_000_000)
-//
-// Campaign-shaped workloads (ATPG, isolation, dictionaries) additionally
-// offer *Flow variants threading a context.Context and an optional
-// crash-safe checkpoint journal: a killed run resumes at chunk granularity
-// and converges bit-identically to an uninterrupted one.
+//	rows, _ := rescue.IPCStudyFlow(ctx, nil, 100_000, 1_000_000, 0)
 package rescue
 
 import (
+	"context"
+
 	"rescue/internal/area"
 	"rescue/internal/atpg"
 	"rescue/internal/core"
@@ -162,9 +160,9 @@ func Benchmarks() []Profile { return workload.Benchmarks() }
 // BenchmarkByName finds a profile.
 func BenchmarkByName(name string) (Profile, error) { return workload.ByName(name) }
 
-// IPCStudy reproduces Figure 8.
-func IPCStudy(benchNames []string, warmup, commit int64) ([]IPCRow, error) {
-	return core.IPCStudy(benchNames, warmup, commit)
+// IPCStudyFlow reproduces Figure 8 (workers <= 0 = all cores).
+func IPCStudyFlow(ctx context.Context, benchNames []string, warmup, commit int64, workers int) ([]IPCRow, error) {
+	return core.IPCStudyFlow(ctx, benchNames, warmup, commit, workers)
 }
 
 // Yield analysis.
@@ -191,10 +189,10 @@ func BaselineArea() AreaModel { return area.BaselineWithScan() }
 // RescueArea returns the Rescue core area model.
 func RescueArea() AreaModel { return area.Rescue() }
 
-// BuildPerfModel simulates every (benchmark, degraded config) pair at a
-// node — the expensive input of the YAT study.
-func BuildPerfModel(node Scaling, benchNames []string, warmup, commit int64) (*PerfModel, error) {
-	return core.BuildPerfModel(node, benchNames, warmup, commit)
+// BuildPerfModelFlow simulates every (benchmark, degraded config) pair at
+// a node — the expensive input of the YAT study (workers <= 0 = all cores).
+func BuildPerfModelFlow(ctx context.Context, node Scaling, benchNames []string, warmup, commit int64, workers int) (*PerfModel, error) {
+	return core.BuildPerfModelFlow(ctx, node, benchNames, warmup, commit, workers)
 }
 
 // YATStudy reproduces one Figure 9 panel.
