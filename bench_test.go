@@ -457,6 +457,7 @@ func BenchmarkPodem(b *testing.B) {
 		b.Fatal(err)
 	}
 	u := fault.NewUniverse(d.N)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f := u.Collapsed[i%len(u.Collapsed)]

@@ -1,10 +1,22 @@
 package atpg
 
 import (
+	"slices"
+
 	"rescue/internal/netlist"
 )
 
 // podem is the working state of one PODEM run.
+//
+// Implication is event-driven. The good and faulty planes are a pure
+// function of the PI assignment, so imply only re-evaluates the fan-out of
+// PIs whose assignment changed since its last call — a new decision, a
+// backtrack flip, or a popped decision reset to X — through a
+// level-bucketed queue that stops wherever both planes are unchanged.
+// Even the starting state needs no full pass: with every PI at X, only tie
+// cells and the fault site can drive a non-X value, so the search starts
+// from all-X planes with just those gates queued. implyFull, the
+// full-netlist pass, is the reference the lockstep test holds imply to.
 type podem struct {
 	n     *netlist.Netlist
 	fault netlist.Fault
@@ -12,13 +24,37 @@ type podem struct {
 	// pis lists the controllable points: primary inputs then FF Q nets.
 	pis []netlist.NetID
 	// piIndex maps net -> index in pis, or -1.
-	piIndex []int
+	piIndex []int32
 	// assign holds the current PI decisions (X = unassigned).
 	assign []V3
+	// changed lists PI indices assigned since the last imply.
+	changed []int
 
 	good, bad []V3 // per-net planes
 
-	obsNets []netlist.NetID
+	isObs []bool // per net: sampled by an observation point
+
+	// Static structure shared with the netlist, and the event queue.
+	level   []int32
+	rdrOff  []int32
+	rdrs    []netlist.GateID
+	buckets [][]netlist.GateID // gates pending re-evaluation, by level
+	queued  []bool             // per gate: already in a bucket
+
+	// cone is the fault's forward cone in gate-ID order: the only gates
+	// whose output can differ between the planes. Gate-ID order keeps the
+	// D-frontier order, and so objective's choice, fixed. coneObs lists
+	// the observed nets that can carry an error: cone gate outputs, plus
+	// an FF-output fault's own Q.
+	cone     []netlist.GateID
+	coneObs  []netlist.NetID
+	frontier []netlist.GateID // dFrontier's reused result buffer
+	seen     []int32          // xPathExists visit marks (== seenEp)
+	seenEp   int32
+	stack    []netlist.GateID
+
+	// afterImply, when set, runs after every imply (the lockstep test hook).
+	afterImply func()
 
 	backtracks    int
 	maxBacktracks int
@@ -55,27 +91,7 @@ func (r PodemResult) String() string {
 // Podem attempts to generate a test for fault f on n. maxBacktracks bounds
 // the search (typical production values are 10-100).
 func Podem(n *netlist.Netlist, f netlist.Fault, maxBacktracks int) (Cube, PodemResult) {
-	p := &podem{n: n, fault: f, maxBacktracks: maxBacktracks}
-	p.pis = make([]netlist.NetID, 0, len(n.Inputs)+n.NumFFs())
-	p.pis = append(p.pis, n.Inputs...)
-	for i := range n.FFs {
-		p.pis = append(p.pis, n.FFs[i].Q)
-	}
-	p.piIndex = make([]int, n.NumNets())
-	for i := range p.piIndex {
-		p.piIndex[i] = -1
-	}
-	for i, net := range p.pis {
-		p.piIndex[net] = i
-	}
-	p.assign = make([]V3, len(p.pis))
-	p.good = make([]V3, n.NumNets())
-	p.bad = make([]V3, n.NumNets())
-	for fi := range n.FFs {
-		p.obsNets = append(p.obsNets, n.FFs[fi].D)
-	}
-	p.obsNets = append(p.obsNets, n.Outputs...)
-
+	p := newPodem(n, f, maxBacktracks)
 	ok, aborted := p.search()
 	cube := Cube{PI: make([]V3, len(n.Inputs)), FF: make([]V3, n.NumFFs())}
 	copy(cube.PI, p.assign[:len(n.Inputs)])
@@ -90,10 +106,75 @@ func Podem(n *netlist.Netlist, f netlist.Fault, maxBacktracks int) (Cube, PodemR
 	}
 }
 
+func newPodem(n *netlist.Netlist, f netlist.Fault, maxBacktracks int) *podem {
+	p := &podem{n: n, fault: f, maxBacktracks: maxBacktracks}
+	nNets, nGates := n.NumNets(), n.NumGates()
+	p.pis = make([]netlist.NetID, 0, len(n.Inputs)+n.NumFFs())
+	p.pis = append(p.pis, n.Inputs...)
+	for i := range n.FFs {
+		p.pis = append(p.pis, n.FFs[i].Q)
+	}
+	p.piIndex = make([]int32, nNets)
+	for i := range p.piIndex {
+		p.piIndex[i] = -1
+	}
+	for i, net := range p.pis {
+		p.piIndex[net] = int32(i)
+	}
+	p.assign = make([]V3, len(p.pis))
+	p.good = make([]V3, nNets)
+	p.bad = make([]V3, nNets)
+	p.isObs = make([]bool, nNets)
+	for fi := range n.FFs {
+		p.isObs[n.FFs[fi].D] = true
+	}
+	for _, net := range n.Outputs {
+		p.isObs[net] = true
+	}
+
+	var maxLevel int32
+	p.level, maxLevel = n.GateLevels()
+	p.rdrOff, p.rdrs = n.Readers()
+	p.buckets = make([][]netlist.GateID, maxLevel+1)
+	p.queued = make([]bool, nGates)
+	p.cone = n.ForwardCone(f)
+	slices.Sort(p.cone)
+	for _, gi := range p.cone {
+		if out := n.Gates[gi].Out; p.isObs[out] {
+			p.coneObs = append(p.coneObs, out)
+		}
+	}
+	if q, ok := p.forcedQ(); ok && p.isObs[q] {
+		p.coneObs = append(p.coneObs, q)
+	}
+	p.seen = make([]int32, nGates)
+
+	// The planes start all X (the zero V3); queue the gates that drive a
+	// value anyway, so the first imply yields the full-pass state.
+	for gi := range n.Gates {
+		if k := n.Gates[gi].Kind; k == netlist.Const0 || k == netlist.Const1 {
+			p.schedule(netlist.GateID(gi))
+		}
+	}
+	if f.Gate >= 0 {
+		p.schedule(f.Gate)
+	} else if q, ok := p.forcedQ(); ok {
+		p.bad[q] = saVal(f.StuckAt1)
+		p.scheduleReaders(q)
+	}
+	return p
+}
+
 type decision struct {
 	pi        int
 	value     V3
 	triedBoth bool
+}
+
+// setPI records a PI decision for the next imply.
+func (p *podem) setPI(pi int, v V3) {
+	p.assign[pi] = v
+	p.changed = append(p.changed, pi)
 }
 
 // search runs the PODEM decision loop. Returns (found, aborted).
@@ -101,6 +182,9 @@ func (p *podem) search() (bool, bool) {
 	var stack []decision
 	for {
 		p.imply()
+		if p.afterImply != nil {
+			p.afterImply()
+		}
 		if p.errorAtOutput() {
 			return true, false
 		}
@@ -111,7 +195,7 @@ func (p *podem) search() (bool, bool) {
 				pi, pv := p.backtrace(net, val)
 				if pi >= 0 {
 					stack = append(stack, decision{pi: pi, value: pv})
-					p.assign[pi] = pv
+					p.setPI(pi, pv)
 					continue
 				}
 			}
@@ -124,12 +208,12 @@ func (p *podem) search() (bool, bool) {
 			if !d.triedBoth {
 				d.triedBoth = true
 				d.value = not3(d.value)
-				p.assign[d.pi] = d.value
+				p.setPI(d.pi, d.value)
 				p.backtracks++
 				flipped = true
 				break
 			}
-			p.assign[d.pi] = X
+			p.setPI(d.pi, X)
 			stack = stack[:len(stack)-1]
 		}
 		if !flipped {
@@ -141,27 +225,86 @@ func (p *podem) search() (bool, bool) {
 	}
 }
 
-// imply performs full forward 5-valued implication from the current PI
-// assignments.
-func (p *podem) imply() {
+// implyFull performs full forward 5-valued implication from the current PI
+// assignments into the given planes — the reference imply must match.
+func (p *podem) implyFull(good, bad []V3) {
 	n := p.n
-	for i := range p.good {
-		p.good[i] = X
-		p.bad[i] = X
+	for i := range good {
+		good[i] = X
+		bad[i] = X
 	}
 	for i, net := range p.pis {
-		p.good[net] = p.assign[i]
-		p.bad[net] = p.assign[i]
+		good[net] = p.assign[i]
+		bad[net] = p.assign[i]
 	}
 	// FF-output fault: faulty plane of Q is forced
-	if p.fault.Gate < 0 && p.fault.FF >= 0 {
-		q := n.FFs[p.fault.FF].Q
-		p.bad[q] = saVal(p.fault.StuckAt1)
+	if q, ok := p.forcedQ(); ok {
+		bad[q] = saVal(p.fault.StuckAt1)
 	}
 	for _, gi := range n.TopoOrder() {
 		g := &n.Gates[gi]
-		p.good[g.Out] = evalPlane3(g, p.good, netlist.NoFault, gi)
-		p.bad[g.Out] = evalPlane3(g, p.bad, p.fault, gi)
+		good[g.Out] = evalPlane3(g, good, netlist.NoFault, gi)
+		bad[g.Out] = evalPlane3(g, bad, p.fault, gi)
+	}
+}
+
+// forcedQ returns the Q net of an FF-output fault, whose faulty-plane
+// value is pinned to the stuck value.
+func (p *podem) forcedQ() (netlist.NetID, bool) {
+	if p.fault.Gate < 0 && p.fault.FF >= 0 {
+		return p.n.FFs[p.fault.FF].Q, true
+	}
+	return netlist.InvalidNet, false
+}
+
+// imply brings both planes up to date with the PI assignments changed
+// since the last call, re-evaluating only their fan-out in level order.
+func (p *podem) imply() {
+	q, forced := p.forcedQ()
+	for _, i := range p.changed {
+		net := p.pis[i]
+		gv, bv := p.assign[i], p.assign[i]
+		if forced && net == q {
+			bv = p.bad[net]
+		}
+		if gv == p.good[net] && bv == p.bad[net] {
+			continue
+		}
+		p.good[net] = gv
+		p.bad[net] = bv
+		p.scheduleReaders(net)
+	}
+	p.changed = p.changed[:0]
+	for lv := range p.buckets {
+		for _, gi := range p.buckets[lv] {
+			p.queued[gi] = false
+			g := &p.n.Gates[gi]
+			gv := evalPlane3(g, p.good, netlist.NoFault, gi)
+			bv := evalPlane3(g, p.bad, p.fault, gi)
+			if gv == p.good[g.Out] && bv == p.bad[g.Out] {
+				continue
+			}
+			p.good[g.Out] = gv
+			p.bad[g.Out] = bv
+			p.scheduleReaders(g.Out)
+		}
+		p.buckets[lv] = p.buckets[lv][:0]
+	}
+}
+
+// scheduleReaders queues every gate reading net for re-evaluation. Readers
+// sit at strictly higher levels, so they land in buckets not yet drained.
+func (p *podem) scheduleReaders(net netlist.NetID) {
+	for _, r := range p.rdrs[p.rdrOff[net]:p.rdrOff[net+1]] {
+		p.schedule(r)
+	}
+}
+
+// schedule queues one gate for re-evaluation by the next imply.
+func (p *podem) schedule(g netlist.GateID) {
+	if !p.queued[g] {
+		p.queued[g] = true
+		p.buckets[p.level[g]] = append(p.buckets[p.level[g]], g)
 	}
 }
 
@@ -233,7 +376,7 @@ func (p *podem) isError(net netlist.NetID) bool {
 }
 
 func (p *podem) errorAtOutput() bool {
-	for _, net := range p.obsNets {
+	for _, net := range p.coneObs {
 		if p.isError(net) {
 			return true
 		}
@@ -261,24 +404,6 @@ func (p *podem) siteLine() netlist.NetID {
 	}
 }
 
-// activated reports whether the fault currently produces an error at its
-// site.
-func (p *podem) activated() bool {
-	f := p.fault
-	switch {
-	case f.Gate >= 0 && f.Pin >= 0:
-		// error appears at the gate output if the pin divergence propagates;
-		// activation condition: good value of pin line is opposite the stuck
-		// value — the output error is then up to propagation.
-		return p.good[p.siteLine()] == not3(saVal(f.StuckAt1)) && p.isError(p.n.Gates[f.Gate].Out)
-	case f.Gate >= 0:
-		return p.isError(p.n.Gates[f.Gate].Out)
-	default:
-		q := p.n.FFs[f.FF].Q
-		return p.isError(q) || p.good[q] == not3(saVal(f.StuckAt1))
-	}
-}
-
 // feasible checks whether the current partial assignment can still lead to
 // detection: the fault can still be activated, and if activated, an X-path
 // exists from the D-frontier to an observation point.
@@ -301,6 +426,9 @@ func (p *podem) feasible() bool {
 		if p.good[dNet] != X && p.good[dNet] != want {
 			// direct capture observation blocked; combinational path from Q
 			// may still work — fall through to frontier check
+			if p.good[p.n.FFs[f.FF].Q] == X {
+				return true // not yet activated at Q
+			}
 			if len(p.dFrontier()) == 0 && !p.errorAtOutput() {
 				return false
 			}
@@ -314,23 +442,27 @@ func (p *podem) feasible() bool {
 	return true
 }
 
+// anyError reports whether any net carries D or D'. Only the fault's
+// forward cone (and an FF-output fault's own Q) can.
 func (p *podem) anyError() bool {
-	for _, g := range p.n.Gates {
-		if p.isError(g.Out) {
+	for _, gi := range p.cone {
+		if p.isError(p.n.Gates[gi].Out) {
 			return true
 		}
 	}
-	if p.fault.Gate < 0 && p.fault.FF >= 0 && p.isError(p.n.FFs[p.fault.FF].Q) {
+	if q, ok := p.forcedQ(); ok && p.isError(q) {
 		return true
 	}
 	return false
 }
 
 // dFrontier returns gates with an error on some input and a non-error,
-// not-fully-determined output.
+// not-fully-determined output, in gate-ID order. Such a gate reads an
+// error net, so it lies in the forward cone. The slice is reused by the
+// next call.
 func (p *podem) dFrontier() []netlist.GateID {
-	var out []netlist.GateID
-	for gi := range p.n.Gates {
+	out := p.frontier[:0]
+	for _, gi := range p.cone {
 		g := &p.n.Gates[gi]
 		if p.isError(g.Out) {
 			continue
@@ -340,11 +472,12 @@ func (p *podem) dFrontier() []netlist.GateID {
 		}
 		for _, in := range g.In {
 			if p.isError(in) {
-				out = append(out, netlist.GateID(gi))
+				out = append(out, gi)
 				break
 			}
 		}
 	}
+	p.frontier = out
 	return out
 }
 
@@ -360,30 +493,24 @@ func (p *podem) xPathExists() bool {
 	if len(frontier) == 0 {
 		return false
 	}
-	obsSet := map[netlist.NetID]bool{}
-	for _, net := range p.obsNets {
-		obsSet[net] = true
-	}
 	fanout := p.n.GateFanout()
-	seen := make([]bool, p.n.NumGates())
-	stack := append([]netlist.GateID(nil), frontier...)
-	for len(stack) > 0 {
-		g := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[g] {
+	p.seenEp++
+	p.stack = append(p.stack[:0], frontier...)
+	for len(p.stack) > 0 {
+		g := p.stack[len(p.stack)-1]
+		p.stack = p.stack[:len(p.stack)-1]
+		if p.seen[g] == p.seenEp {
 			continue
 		}
-		seen[g] = true
+		p.seen[g] = p.seenEp
 		out := p.n.Gates[g].Out
-		if obsSet[out] {
+		if p.isObs[out] {
 			return true
 		}
 		if p.good[out] != X && p.bad[out] != X && !p.isError(out) {
 			continue // blocked: fully determined without error
 		}
-		for _, s := range fanout[g] {
-			stack = append(stack, s)
-		}
+		p.stack = append(p.stack, fanout[g]...)
 	}
 	return false
 }
@@ -403,6 +530,10 @@ func (p *podem) objective() (netlist.NetID, V3, bool) {
 		// propagate combinationally; capture goal is the simple one)
 		if p.good[line] == X {
 			return line, want, true
+		}
+		// capture blocked: activate at Q, then advance the D-frontier
+		if q := p.n.FFs[f.FF].Q; p.good[q] == X {
+			return q, want, true
 		}
 	}
 	// Input-pin faults: once the pin line is activated the divergence lives
@@ -481,7 +612,7 @@ func (p *podem) backtrace(net netlist.NetID, val V3) (int, V3) {
 			if p.assign[pi] != X {
 				return -1, X // already assigned; objective unreachable
 			}
-			return pi, val
+			return int(pi), val
 		}
 		gid := p.n.DriverGate(net)
 		if gid < 0 {

@@ -1,0 +1,194 @@
+package atpg
+
+import (
+	"context"
+	"slices"
+	"testing"
+
+	"rescue/internal/fault"
+	"rescue/internal/netlist"
+	"rescue/internal/rtl"
+	"rescue/internal/scan"
+)
+
+// runLockstep runs PODEM on f with the lockstep hook armed: after every
+// incremental imply, both planes must equal a from-scratch implyFull of
+// the same assignment. It returns the verdict and the number of implies
+// checked.
+func runLockstep(t *testing.T, n *netlist.Netlist, f netlist.Fault, maxBacktracks int) (PodemResult, int) {
+	t.Helper()
+	p := newPodem(n, f, maxBacktracks)
+	good := make([]V3, n.NumNets())
+	bad := make([]V3, n.NumNets())
+	checks, failed := 0, false
+	p.afterImply = func() {
+		checks++
+		if failed {
+			return
+		}
+		p.implyFull(good, bad)
+		for net := range good {
+			if good[net] != p.good[net] || bad[net] != p.bad[net] {
+				t.Errorf("fault %v, imply %d: net %d incremental good/bad %v/%v, full %v/%v",
+					f, checks, net, p.good[net], p.bad[net], good[net], bad[net])
+				failed = true
+				return
+			}
+		}
+	}
+	ok, aborted := p.search()
+	switch {
+	case ok:
+		return Detected, checks
+	case aborted:
+		return Aborted, checks
+	}
+	return Untestable, checks
+}
+
+// TestImplyLockstep pins event-driven implication to the full reference
+// pass at every PODEM decision: on random circuits (every collapsed fault)
+// and on a sample of the small Baseline and Rescue designs' faults.
+func TestImplyLockstep(t *testing.T) {
+	verdicts := map[PodemResult]int{}
+	implies := 0
+	for seed := uint64(0); seed < 40; seed++ {
+		n := netlist.Random(netlist.RandomConfig{Seed: seed, Gates: 20 + int(seed)*3, FFs: 1 + int(seed%6),
+			Inputs: 1 + int(seed%5), Outputs: 1 + int(seed%3), MaxFanIn: 2 + int(seed%4)})
+		for _, f := range fault.NewUniverse(n).Collapsed {
+			res, k := runLockstep(t, n, f, 30)
+			verdicts[res]++
+			implies += k
+		}
+		if t.Failed() {
+			return
+		}
+	}
+	for _, v := range []rtl.Variant{rtl.Baseline, rtl.RescueDesign} {
+		d, err := rtl.Build(rtl.Small(), v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		u := fault.NewUniverse(d.N)
+		for i := 0; i < len(u.Collapsed); i += 97 {
+			res, k := runLockstep(t, d.N, u.Collapsed[i], 20)
+			verdicts[res]++
+			implies += k
+		}
+		if t.Failed() {
+			return
+		}
+	}
+	// The check must have exercised backtracking, not just easy hits.
+	if verdicts[Detected] == 0 || verdicts[Untestable]+verdicts[Aborted] == 0 {
+		t.Fatalf("lockstep saw verdicts %v: want both detections and backtracked searches", verdicts)
+	}
+	t.Logf("%d implies checked, verdicts %v", implies, verdicts)
+}
+
+// TestGenerateFlowPinnedCounts pins the small Table 3 ATPG outcome on both
+// designs: the counts and a digest of the test set itself. Drift in
+// PODEM's decision order (objective, backtrace) moves them even when every
+// verdict stays sound.
+func TestGenerateFlowPinnedCounts(t *testing.T) {
+	want := map[rtl.Variant][4]int{ // vectors, detected, untestable, aborted
+		rtl.Baseline:     {2635, 13325, 419, 48},
+		rtl.RescueDesign: {3140, 17737, 1095, 34},
+	}
+	wantDigest := map[rtl.Variant]uint64{
+		rtl.Baseline:     0xc29665ba49da32cb,
+		rtl.RescueDesign: 0xf1060a1d79657cb8,
+	}
+	for _, v := range []rtl.Variant{rtl.Baseline, rtl.RescueDesign} {
+		d, err := rtl.Build(rtl.Small(), v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := scan.Insert(d.N, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := GenerateFlow(context.Background(), c, fault.NewUniverse(d.N), DefaultGenConfig(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := [4]int{g.Vectors, g.Detected, g.Untestable, g.Aborted}
+		if got != want[v] {
+			t.Errorf("%v: vectors/detected/untestable/aborted = %v, want %v", v, got, want[v])
+		}
+		if d := patternDigest(g.Sim.Patterns); d != wantDigest[v] {
+			t.Errorf("%v: test set digest %016x, want %016x", v, d, wantDigest[v])
+		}
+	}
+}
+
+// TestPodemFrontierOrder: objective advances the first D-frontier gate in
+// gate-ID order. Here the two frontier gates' ID order is the reverse of
+// their level (and topological) order, so the cube shows which was taken.
+func TestPodemFrontierOrder(t *testing.T) {
+	n := netlist.New("frontier")
+	a, b, c := n.Input("a"), n.Input("b"), n.Input("c")
+	s := n.Buf(a)                          // gate 0: fault site
+	hi := n.And(s, s)                      // gate 1: pin 1 rewired below
+	deep := n.Not(n.Not(n.Not(b)))         // gates 2-4
+	lo := n.And(s, c)                      // gate 5: level 1
+	n.Gates[n.DriverGate(hi)].In[1] = deep // gate 1 now sits at level 3
+	n.Output(hi, "hi")
+	n.Output(lo, "lo")
+	if err := n.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	cube, res := Podem(n, netlist.Fault{Gate: 0, FF: -1, Pin: -1}, 10)
+	if res != Detected {
+		t.Fatalf("Buf sa0 classified %v, want detected", res)
+	}
+	// Gate 1 first: sensitize it through b (three inversions), leave c X.
+	if want := []V3{One, Zero, X}; !slices.Equal(cube.PI, want) {
+		t.Fatalf("cube PI = %v, want %v (frontier advanced through gate 5, not gate 1)", cube.PI, want)
+	}
+}
+
+// patternDigest is an FNV-1a hash over every lane count and PI/FF word of
+// a pattern set: equal digests mean byte-identical test sets.
+func patternDigest(pats []*scan.Pattern) uint64 {
+	h := uint64(14695981039346656037)
+	mix := func(w uint64) {
+		for i := 0; i < 8; i++ {
+			h ^= w >> (8 * i) & 0xff
+			h *= 1099511628211
+		}
+	}
+	for _, p := range pats {
+		mix(uint64(p.Lanes))
+		for _, w := range p.PIVals {
+			mix(w)
+		}
+		for _, w := range p.FFVals {
+			mix(w)
+		}
+	}
+	return h
+}
+
+// TestPodemFFFaultBlockedCapture: an FF whose D is tied cannot expose its
+// own Q fault by capture, but the fault still propagates combinationally
+// from Q to a primary output. PODEM must activate it at Q rather than
+// declare it untestable once the capture objective dead-ends.
+func TestPodemFFFaultBlockedCapture(t *testing.T) {
+	n := netlist.New("tiedD")
+	a := n.Input("a")
+	q := n.AddFF(n.Const(true), "q")
+	n.Output(n.And(a, q), "o")
+	if err := n.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	c, _ := scan.Insert(n, 1)
+	f := netlist.Fault{Gate: -1, FF: 0, Pin: -1, StuckAt1: true}
+	cube, res := Podem(n, f, 50)
+	if res != Detected {
+		t.Fatalf("FF0/Q sa1 classified %v, want detected", res)
+	}
+	if !fault.NewSim(c, []*scan.Pattern{applyCube(c, cube)}).Run(f, 1).Detected {
+		t.Fatalf("cube PI=%v FF=%v does not detect FF0/Q sa1", cube.PI, cube.FF)
+	}
+}

@@ -24,7 +24,11 @@
 //	    forced full-walk engine (threshold 0), and a threshold-2 engine
 //	    where most cones overflow back to the full walk all produce
 //	    byte-identical full Results and agree on capped detection, for
-//	    every uncollapsed fault.
+//	    every uncollapsed fault;
+//	P8  PODEM's Untestable verdicts are true redundancies: on circuits with
+//	    at most exhaustiveMaxControls primary inputs plus flip-flops, PODEM
+//	    runs on every collapsed fault and each fault it calls untestable
+//	    must go undetected by the oracle over all 2^(PI+FF) patterns.
 //
 // A seed fully names a circuit and stimuli, so any reported failure is
 // replayable with `rescue-diffcheck -seed N` and shrinkable to a minimal
@@ -57,8 +61,8 @@ type Options struct {
 	// EquivCycles is the number of 64-lane random cycles P4 simulates
 	// (default 8).
 	EquivCycles int
-	// ATPGFaults bounds how many collapsed faults P5 runs PODEM on
-	// (default 8).
+	// ATPGFaults bounds how many detected PODEM cubes P5 re-checks under
+	// the oracle (default 8).
 	ATPGFaults int
 	// MaxBacktracks is the PODEM search budget (default 50).
 	MaxBacktracks int
@@ -242,21 +246,33 @@ func CheckConfig(ctx context.Context, cfg netlist.RandomConfig, opt Options) err
 	}
 
 	// P5: PODEM cubes detect their target fault under the oracle.
+	// P8: on circuits narrow enough to enumerate, every Untestable verdict
+	// is a true redundancy — no PI/FF pattern at all detects the fault.
+	narrow := len(n.Inputs)+n.NumFFs() <= exhaustiveMaxControls
+	var exhaustive *fault.Oracle // built on the first Untestable verdict
 	tried := 0
 	for _, f := range u.Collapsed {
-		if tried >= opt.ATPGFaults {
+		if tried >= opt.ATPGFaults && !narrow {
 			break
 		}
 		cube, res := atpg.Podem(n, f, opt.MaxBacktracks)
-		if res != atpg.Detected {
-			continue // untestable or aborted — nothing to cross-check
-		}
-		tried++
-		p := c.NewPattern(1)
-		cube.Apply(p, 0, nil) // zero-fill the don't-cares: a real test must survive any fill
-		if !fault.NewOracle(c, []*scan.Pattern{p}).Run(f, 1).Detected {
-			return fmt.Errorf("P5 atpg: PODEM cube for fault %v does not detect it under the oracle (cube PI=%v FF=%v)",
-				f, cube.PI, cube.FF)
+		switch {
+		case res == atpg.Untestable && narrow:
+			if exhaustive == nil {
+				exhaustive = fault.NewOracle(c, exhaustivePatterns(c))
+			}
+			if r := exhaustive.Run(f, 1); r.Detected {
+				return fmt.Errorf("P8 redundancy: PODEM calls fault %v untestable, but exhaustive pattern word %d lane %d detects it",
+					f, r.Fails[0].Word, r.Fails[0].Lane)
+			}
+		case res == atpg.Detected && tried < opt.ATPGFaults:
+			tried++
+			p := c.NewPattern(1)
+			cube.Apply(p, 0, nil) // zero-fill the don't-cares: a real test must survive any fill
+			if !fault.NewOracle(c, []*scan.Pattern{p}).Run(f, 1).Detected {
+				return fmt.Errorf("P5 atpg: PODEM cube for fault %v does not detect it under the oracle (cube PI=%v FF=%v)",
+					f, cube.PI, cube.FF)
+			}
 		}
 	}
 
@@ -306,6 +322,33 @@ func CheckConfig(ctx context.Context, cfg netlist.RandomConfig, opt Options) err
 	}
 
 	return nil
+}
+
+// exhaustiveMaxControls is the widest circuit (primary inputs plus
+// flip-flops) P8 enumerates: 2^16 patterns, 1024 pattern words.
+const exhaustiveMaxControls = 16
+
+// exhaustivePatterns returns every PI/FF assignment of the chain's
+// netlist, 64 to a word: lane bit i of pattern index v drives the i-th
+// control (primary inputs first, then scan cells).
+func exhaustivePatterns(c *scan.Chain) []*scan.Pattern {
+	nPI := len(c.N.Inputs)
+	total := 1 << uint(nPI+c.N.NumFFs())
+	pats := make([]*scan.Pattern, 0, (total+63)/64)
+	for base := 0; base < total; base += 64 {
+		p := c.NewPattern(min(64, total-base))
+		for lane := 0; lane < p.Lanes; lane++ {
+			v := base + lane
+			for i := range p.PIVals {
+				p.PIVals[i] |= uint64(v>>uint(i)&1) << uint(lane)
+			}
+			for i := range p.FFVals {
+				p.FFVals[i] |= uint64(v>>uint(nPI+i)&1) << uint(lane)
+			}
+		}
+		pats = append(pats, p)
+	}
+	return pats
 }
 
 // checkKillResume arms the chaos budget so a checkpointed campaign is

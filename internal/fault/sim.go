@@ -66,7 +66,8 @@ type simCore struct {
 	goodNets [][]uint64 // [word][net] post-EvalComb values (pre-capture)
 	masks    []uint64   // [word] cached Pattern.LaneMask()
 
-	// static structure (structure-of-arrays)
+	// static structure (structure-of-arrays); level, maxLevel, rdrOff and
+	// rdrs are the netlist's own arrays, shared read-only
 	level    []int32 // per-gate combinational level
 	maxLevel int32
 	kind     []netlist.GateKind // per-gate kind
@@ -210,9 +211,10 @@ func NewSim(c *scan.Chain, patterns []*scan.Pattern) *Sim {
 func NewSimCone(c *scan.Chain, patterns []*scan.Pattern, threshold int) *Sim {
 	n := c.N
 	s := &Sim{simCore: simCore{C: c, N: n}}
-	// levels + SoA gate arrays
+	// SoA gate arrays; levels and per-net readers (CSR) are the netlist's
 	nGates := n.NumGates()
-	s.level = make([]int32, nGates)
+	s.level, s.maxLevel = n.GateLevels()
+	s.rdrOff, s.rdrs = n.Readers()
 	s.kind = make([]netlist.GateKind, nGates)
 	s.gateOut = make([]netlist.NetID, nGates)
 	s.pinOff = make([]int32, nGates+1)
@@ -225,38 +227,8 @@ func NewSimCone(c *scan.Chain, patterns []*scan.Pattern, threshold int) *Sim {
 	for gi := range n.Gates {
 		copy(s.pins[s.pinOff[gi]:s.pinOff[gi+1]], n.Gates[gi].In)
 	}
-	for _, gi := range n.TopoOrder() {
-		var lv int32
-		for _, in := range s.pins[s.pinOff[gi]:s.pinOff[gi+1]] {
-			if d := n.DriverGate(in); d >= 0 {
-				if s.level[d]+1 > lv {
-					lv = s.level[d] + 1
-				}
-			}
-		}
-		s.level[gi] = lv
-		if lv > s.maxLevel {
-			s.maxLevel = lv
-		}
-	}
-	// per-net readers, CSR
-	nNets := n.NumNets()
-	s.rdrOff = make([]int32, nNets+1)
-	for _, in := range s.pins {
-		s.rdrOff[in+1]++
-	}
-	for i := 0; i < nNets; i++ {
-		s.rdrOff[i+1] += s.rdrOff[i]
-	}
-	s.rdrs = make([]netlist.GateID, len(s.pins))
-	fill := make([]int32, nNets)
-	for gi := range n.Gates {
-		for _, in := range s.pins[s.pinOff[gi]:s.pinOff[gi+1]] {
-			s.rdrs[s.rdrOff[in]+fill[in]] = netlist.GateID(gi)
-			fill[in]++
-		}
-	}
 	// observation chains per net
+	nNets := n.NumNets()
 	s.numObs = n.NumFFs() + len(n.Outputs)
 	s.obsHead = make([]int32, nNets)
 	for i := range s.obsHead {

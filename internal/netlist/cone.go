@@ -95,14 +95,7 @@ func (n *Netlist) ForwardCone(f Fault) []GateID {
 		seed = append(seed, f.Gate)
 	case f.FF >= 0:
 		q := n.FFs[f.FF].Q
-		for gi := range n.Gates {
-			for _, in := range n.Gates[gi].In {
-				if in == q {
-					seed = append(seed, GateID(gi))
-					break
-				}
-			}
-		}
+		seed = append(seed, n.rdrs[n.rdrOff[q]:n.rdrOff[q+1]]...)
 	}
 	stack := append([]GateID(nil), seed...)
 	for len(stack) > 0 {
@@ -125,21 +118,6 @@ func (n *Netlist) ForwardCone(f Fault) []GateID {
 		}
 	}
 	return cone
-}
-
-// readersOf is a cached map from net to reading gates, built on demand for
-// FF fan-out queries.
-func (n *Netlist) readersOf(net NetID) []GateID {
-	var out []GateID
-	for gi := range n.Gates {
-		for _, in := range n.Gates[gi].In {
-			if in == net {
-				out = append(out, GateID(gi))
-				break
-			}
-		}
-	}
-	return out
 }
 
 // ConeObsPoints returns the indices (into ObsPoints) of observation points

@@ -101,9 +101,13 @@ type Netlist struct {
 	curComp   CompID
 
 	// lazily computed
-	order   []GateID // topological order of gates
-	fanout  [][]GateID
-	levelOK bool
+	order    []GateID // topological order of gates
+	fanout   [][]GateID
+	level    []int32 // per-gate combinational level
+	maxLevel int32
+	rdrOff   []int32  // per-net offset into rdrs (len nets+1)
+	rdrs     []GateID // flattened per-net reading gates
+	levelOK  bool
 }
 
 // New returns an empty netlist with the given name. Component 0 is
@@ -350,8 +354,41 @@ func (n *Netlist) levelize() error {
 		}
 		return fmt.Errorf("netlist %s: combinational cycle", n.Name)
 	}
+	level := make([]int32, len(n.Gates))
+	var maxLevel int32
+	for _, gi := range order {
+		var lv int32
+		for _, in := range n.Gates[gi].In {
+			if d := n.nets[in].gate; d >= 0 && level[d]+1 > lv {
+				lv = level[d] + 1
+			}
+		}
+		level[gi] = lv
+		if lv > maxLevel {
+			maxLevel = lv
+		}
+	}
+	rdrOff := make([]int32, len(n.nets)+1)
+	for gi := range n.Gates {
+		for _, in := range n.Gates[gi].In {
+			rdrOff[in+1]++
+		}
+	}
+	for i := range n.nets {
+		rdrOff[i+1] += rdrOff[i]
+	}
+	rdrs := make([]GateID, rdrOff[len(n.nets)])
+	fill := make([]int32, len(n.nets))
+	for gi := range n.Gates {
+		for _, in := range n.Gates[gi].In {
+			rdrs[rdrOff[in]+fill[in]] = GateID(gi)
+			fill[in]++
+		}
+	}
 	n.order = order
 	n.fanout = fanout
+	n.level, n.maxLevel = level, maxLevel
+	n.rdrOff, n.rdrs = rdrOff, rdrs
 	n.levelOK = true
 	return nil
 }
@@ -362,6 +399,29 @@ func (n *Netlist) TopoOrder() []GateID {
 		panic(err)
 	}
 	return n.order
+}
+
+// GateLevels returns each gate's combinational level — 0 for gates fed
+// only by primary inputs, FF outputs or nothing, otherwise one past the
+// deepest gate-driven input — and the largest level. Every reader of a
+// gate's output sits at a strictly higher level, so level-bucketed event
+// queues evaluate in topological order. The slice is shared: read only.
+func (n *Netlist) GateLevels() ([]int32, int32) {
+	if err := n.levelize(); err != nil {
+		panic(err)
+	}
+	return n.level, n.maxLevel
+}
+
+// Readers returns the per-net reader lists in CSR form: the gates reading
+// net id are rdrs[off[id]:off[id+1]], in gate-ID order, a gate reading the
+// net on several pins appearing once per pin. The slices are shared: read
+// only.
+func (n *Netlist) Readers() (off []int32, rdrs []GateID) {
+	if err := n.levelize(); err != nil {
+		panic(err)
+	}
+	return n.rdrOff, n.rdrs
 }
 
 // GateFanout returns, for each gate, the gates that read its output.

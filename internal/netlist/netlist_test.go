@@ -2,6 +2,7 @@ package netlist
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -234,6 +235,55 @@ func TestForwardCone(t *testing.T) {
 		}
 	}
 	_ = z
+}
+
+// TestLevelsAndReaders pins the shared static structure against brute
+// force on random circuits: levels are one past the deepest gate-driven
+// input, readers list every (gate, pin) reading a net in gate-ID order,
+// and an FF fault's forward cone starts at its Q net's readers.
+func TestLevelsAndReaders(t *testing.T) {
+	for seed := uint64(0); seed < 20; seed++ {
+		n := Random(RandomConfig{Seed: seed, Gates: 60, FFs: 5})
+		level, maxLevel := n.GateLevels()
+		var wantMax int32
+		for _, gi := range n.TopoOrder() {
+			var want int32
+			for _, in := range n.Gates[gi].In {
+				if d := n.DriverGate(in); d >= 0 && level[d]+1 > want {
+					want = level[d] + 1
+				}
+			}
+			if level[gi] != want {
+				t.Fatalf("seed %d: gate %d level %d, want %d", seed, gi, level[gi], want)
+			}
+			wantMax = max(wantMax, want)
+		}
+		if maxLevel != wantMax {
+			t.Fatalf("seed %d: max level %d, want %d", seed, maxLevel, wantMax)
+		}
+		off, rdrs := n.Readers()
+		for net := 0; net < n.NumNets(); net++ {
+			var want []GateID
+			for gi, g := range n.Gates {
+				for _, in := range g.In {
+					if in == NetID(net) {
+						want = append(want, GateID(gi))
+					}
+				}
+			}
+			if got := rdrs[off[net]:off[net+1]]; !slices.Equal(got, want) {
+				t.Fatalf("seed %d: net %d readers %v, want %v", seed, net, got, want)
+			}
+		}
+		for fi, ff := range n.FFs {
+			cone := n.ForwardCone(Fault{Gate: -1, FF: FFID(fi), Pin: -1})
+			for _, r := range rdrs[off[ff.Q]:off[ff.Q+1]] {
+				if !slices.Contains(cone, r) {
+					t.Fatalf("seed %d: FF %d cone %v misses Q reader %d", seed, fi, cone, r)
+				}
+			}
+		}
+	}
 }
 
 // Property: evaluating the same netlist twice from the same state is
