@@ -493,7 +493,6 @@ func (p *podem) xPathExists() bool {
 	if len(frontier) == 0 {
 		return false
 	}
-	fanout := p.n.GateFanout()
 	p.seenEp++
 	p.stack = append(p.stack[:0], frontier...)
 	for len(p.stack) > 0 {
@@ -510,7 +509,7 @@ func (p *podem) xPathExists() bool {
 		if p.good[out] != X && p.bad[out] != X && !p.isError(out) {
 			continue // blocked: fully determined without error
 		}
-		p.stack = append(p.stack, fanout[g]...)
+		p.stack = append(p.stack, p.rdrs[p.rdrOff[out]:p.rdrOff[out+1]]...)
 	}
 	return false
 }

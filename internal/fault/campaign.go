@@ -178,16 +178,7 @@ func (c *Campaign) run(ctx context.Context, ck *Checkpoint, faults []netlist.Fau
 
 	start := time.Now()
 	out := make([]Result, len(faults))
-	workers := c.cfg.Workers
-	if workers > len(faults) {
-		workers = len(faults)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
-	var st Stats
-	st.Workers = workers
+	st := Stats{Workers: c.workersFor(len(faults))}
 
 	progress := ProgressFromContext(ctx)
 	total := int64(len(faults))
@@ -234,8 +225,6 @@ func (c *Campaign) run(ctx context.Context, ck *Checkpoint, faults []netlist.Fau
 		return out, st, context.Cause(ctx)
 	}
 
-	scrs := c.core.acquireScratch(workers)
-	defer c.core.releaseScratch(scrs)
 	// Coordinator path: fan this campaign's pending ranges out to remote
 	// workers first. Shards that fail to dispatch stay pending and the
 	// local worker pool below picks them up — local fallback is the default
@@ -251,12 +240,6 @@ func (c *Campaign) run(ctx context.Context, ck *Checkpoint, faults []netlist.Fau
 			return out, st, context.Cause(ctx)
 		}
 	}
-
-	q := newChunkQueue(len(faults), workers)
-	perWorker := make([]Stats, workers)
-
-	runCtx, cancel := context.WithCancelCause(ctx)
-	defer cancel(nil)
 
 	// Periodic crash-safety flush while the run is in flight: a hard kill
 	// loses at most the last flush interval of completed chunks.
@@ -276,6 +259,100 @@ func (c *Campaign) run(ctx context.Context, ck *Checkpoint, faults []netlist.Fau
 			}
 		}()
 	}
+
+	sims, err := c.pool(ctx, faults, out, done, 0, len(faults), wLo, wHi, func(lo, hi, fresh int) {
+		if sec != nil {
+			sec.record(lo, hi, out, done)
+		}
+		if progress != nil && fresh > 0 {
+			progress(progressDone.Add(int64(fresh)), total)
+		}
+	})
+	if flusherDone != nil {
+		close(flusherDone)
+	}
+	st.Add(sims)
+	st.Wall = time.Since(start)
+
+	if ck != nil {
+		// Flush even on error: an interrupted run's completed chunks are
+		// exactly what the resume rehydrates.
+		if ferr := ck.Flush(); err == nil {
+			err = ferr
+		}
+	}
+	return out, st, err
+}
+
+// runWindow is the shard-worker execution path entered from run when a
+// WithShardTarget assignment claims this campaign: simulate only fault
+// indices [res.Lo, res.Hi), seal them into the collector, and return
+// ErrShardDone so the surrounding flow stops instead of computing work the
+// coordinator never asked for. The window runs on the same scratch pool
+// and chunk queue as a full campaign, so its results are bit-identical to
+// the same indices of a local run at any worker count. Shard windows are
+// not journaled: a failed shard is retried wholesale, and idempotence
+// comes from the content digest, not from resume.
+func (c *Campaign) runWindow(ctx context.Context, res *ShardResult, faults []netlist.Fault,
+	wLo, wHi int, progress ProgressFunc, start time.Time) ([]Result, Stats, error) {
+
+	lo, hi := res.Lo, res.Hi
+	if lo < 0 || hi <= lo || hi > len(faults) {
+		return nil, Stats{}, fmt.Errorf("fault: shard window [%d,%d) out of range for %d faults", lo, hi, len(faults))
+	}
+	out := make([]Result, len(faults))
+	st := Stats{Workers: c.workersFor(hi - lo)}
+	if err := ctx.Err(); err != nil {
+		return out, st, context.Cause(ctx)
+	}
+
+	total := int64(hi - lo)
+	var progressDone atomic.Int64
+	sims, err := c.pool(ctx, faults, out, nil, lo, hi, wLo, wHi, func(_, _, fresh int) {
+		if progress != nil {
+			progress(progressDone.Add(int64(fresh)), total)
+		}
+	})
+	st.Add(sims)
+	st.Wall = time.Since(start)
+
+	if err != nil {
+		// A cancelled or panicking window is a real failure, never
+		// ErrShardDone: the coordinator must not merge a partial shard.
+		return out, st, err
+	}
+	res.Results = append([]Result(nil), out[lo:hi]...)
+	res.Stats = st
+	res.seal()
+	return out, st, ErrShardDone
+}
+
+// workersFor caps the configured concurrency at the n faults to simulate.
+func (c *Campaign) workersFor(n int) int {
+	return max(1, min(c.cfg.Workers, n))
+}
+
+// pool simulates fault indices [lo, hi) into out on the campaign's worker
+// pool — the one loop behind full runs and shard windows alike. Each
+// worker owns a pooled scratch and claims chunks from a work-stealing
+// queue until the range drains, the context is cancelled or the chaos
+// budget trips; a chunk in flight always completes, and then onChunk
+// (journaling, progress) runs on the worker with the chunk's range and
+// its count of freshly simulated faults. A worker panic cancels the pool
+// with a PanicError naming the offending fault index. pool returns the
+// merged per-worker simulation counts and the pool's cancellation cause
+// (nil when the range drained).
+func (c *Campaign) pool(ctx context.Context, faults []netlist.Fault, out []Result, done []bool,
+	lo, hi, wLo, wHi int, onChunk func(lo, hi, fresh int)) (Stats, error) {
+
+	workers := c.workersFor(hi - lo)
+	scrs := c.core.acquireScratch(workers)
+	defer c.core.releaseScratch(scrs)
+	q := newChunkQueue(hi-lo, workers)
+	perWorker := make([]Stats, workers)
+
+	runCtx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -302,143 +379,25 @@ func (c *Campaign) run(ctx context.Context, ck *Checkpoint, faults []netlist.Fau
 					cancel(ErrChaosCancel)
 					break
 				}
-				lo, hi, ok := q.next(w)
+				clo, chi, ok := q.next(w)
 				if !ok {
 					break
 				}
-				fresh := c.simChunk(scr, faults, out, done, lo, hi, wLo, wHi, wst, &cur)
-				if sec != nil {
-					sec.record(lo, hi, out, done)
-				}
-				if progress != nil && fresh > 0 {
-					progress(progressDone.Add(int64(fresh)), total)
-				}
+				clo, chi = lo+clo, lo+chi
+				fresh := c.simChunk(scr, faults, out, done, clo, chi, wLo, wHi, wst, &cur)
+				onChunk(clo, chi, fresh)
 			}
 			wst.Words = scr.words - words0
 			wst.Events = scr.events - events0
 		}(w)
 	}
 	wg.Wait()
-	if flusherDone != nil {
-		close(flusherDone)
-	}
 
-	for i := range perWorker {
-		st.Faults += perWorker[i].Faults
-		st.Detected += perWorker[i].Detected
-		st.Dropped += perWorker[i].Dropped
-		st.Words += perWorker[i].Words
-		st.Events += perWorker[i].Events
-	}
-	st.Wall = time.Since(start)
-
-	err := context.Cause(runCtx)
-	if ck != nil {
-		// Flush even on error: an interrupted run's completed chunks are
-		// exactly what the resume rehydrates.
-		if ferr := ck.Flush(); err == nil {
-			err = ferr
-		}
-	}
-	return out, st, err
-}
-
-// runWindow is the shard-worker execution path entered from run when a
-// WithShardTarget assignment claims this campaign: simulate only fault
-// indices [res.Lo, res.Hi), seal them into the collector, and return
-// ErrShardDone so the surrounding flow stops instead of computing work the
-// coordinator never asked for. The window runs on the same scratch pool
-// and chunk queue as a full campaign, so its results are bit-identical to
-// the same indices of a local run at any worker count. Shard windows are
-// not journaled: a failed shard is retried wholesale, and idempotence
-// comes from the content digest, not from resume.
-func (c *Campaign) runWindow(ctx context.Context, res *ShardResult, faults []netlist.Fault,
-	wLo, wHi int, progress ProgressFunc, start time.Time) ([]Result, Stats, error) {
-
-	lo, hi := res.Lo, res.Hi
 	var st Stats
-	if lo < 0 || hi <= lo || hi > len(faults) {
-		return nil, st, fmt.Errorf("fault: shard window [%d,%d) out of range for %d faults", lo, hi, len(faults))
-	}
-	n := hi - lo
-	out := make([]Result, len(faults))
-	workers := c.cfg.Workers
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	st.Workers = workers
-	total := int64(n)
-	var progressDone atomic.Int64
-
-	if err := ctx.Err(); err != nil {
-		return out, st, context.Cause(ctx)
-	}
-	scrs := c.core.acquireScratch(workers)
-	defer c.core.releaseScratch(scrs)
-	q := newChunkQueue(n, workers)
-	perWorker := make([]Stats, workers)
-
-	runCtx, cancel := context.WithCancelCause(ctx)
-	defer cancel(nil)
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			cur := -1
-			defer func() {
-				if r := recover(); r != nil {
-					cancel(&PanicError{FaultIndex: cur, Value: r, Stack: debug.Stack()})
-				}
-			}()
-			scr := scrs[w]
-			wst := &perWorker[w]
-			words0, events0 := scr.words, scr.events
-			for {
-				if runCtx.Err() != nil {
-					break
-				}
-				if chaosTripped() {
-					cancel(ErrChaosCancel)
-					break
-				}
-				wlo, whi, ok := q.next(w)
-				if !ok {
-					break
-				}
-				c.simChunk(scr, faults, out, nil, lo+wlo, lo+whi, wLo, wHi, wst, &cur)
-				if progress != nil {
-					progress(progressDone.Add(int64(whi-wlo)), total)
-				}
-			}
-			wst.Words = scr.words - words0
-			wst.Events = scr.events - events0
-		}(w)
-	}
-	wg.Wait()
-
 	for i := range perWorker {
-		st.Faults += perWorker[i].Faults
-		st.Detected += perWorker[i].Detected
-		st.Dropped += perWorker[i].Dropped
-		st.Words += perWorker[i].Words
-		st.Events += perWorker[i].Events
+		st.Add(perWorker[i])
 	}
-	st.Wall = time.Since(start)
-
-	if err := context.Cause(runCtx); err != nil {
-		// A cancelled or panicking window is a real failure, never
-		// ErrShardDone: the coordinator must not merge a partial shard.
-		return out, st, err
-	}
-	res.Results = append([]Result(nil), out[lo:hi]...)
-	res.Stats = st
-	res.seal()
-	return out, st, ErrShardDone
+	return st, context.Cause(runCtx)
 }
 
 // tileState carries one fault's accumulated result across the word tiles

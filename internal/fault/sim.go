@@ -427,9 +427,6 @@ func (s *simCore) growGoodT(stride int) {
 	s.gtStride = stride
 }
 
-// GoodResponse returns the good-machine response words of pattern word w.
-func (s *simCore) GoodResponse(w int) []uint64 { return s.goodResp[w] }
-
 // Run simulates fault f against every pattern. If maxFail > 0, simulation
 // stops after collecting that many failing bits (fast detection mode);
 // isolation uses maxFail = 0 to gather every failing observation point.

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"sync"
 	"testing"
+
+	"rescue/internal/rtl"
 )
 
 // TestStoreSingleflight: concurrent requesters of one key run one build and
@@ -68,15 +70,23 @@ func TestStoreErrorNotRetained(t *testing.T) {
 // TestDigestDeterministic: equal keys address equal artifacts; different
 // kinds or fields do not collide.
 func TestDigestDeterministic(t *testing.T) {
-	a := digest("testprogram", tpKey{Small: true, Variant: "rescue", Seed: 1})
-	b := digest("testprogram", tpKey{Small: true, Variant: "rescue", Seed: 1})
+	key := func(seed int64) tpKey {
+		return tpKey{Sys: sysKey{rtl.Small(), 1, rtl.RescueDesign.String()}, Seed: seed}
+	}
+	a := digest("testprogram", key(1))
+	b := digest("testprogram", key(1))
 	if a != b {
 		t.Fatalf("equal keys digest differently: %s vs %s", a, b)
 	}
-	if a == digest("testprogram", tpKey{Small: true, Variant: "rescue", Seed: 2}) {
+	if a == digest("testprogram", key(2)) {
 		t.Fatal("different seeds collide")
 	}
-	if a == digest("system", tpKey{Small: true, Variant: "rescue", Seed: 1}) {
+	if a == digest("dictionary", key(1)) {
 		t.Fatal("different kinds collide")
+	}
+	split := key(1)
+	split.Sys.Chains = 4
+	if a == digest("testprogram", split) {
+		t.Fatal("different scan splits collide")
 	}
 }

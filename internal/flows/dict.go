@@ -34,20 +34,20 @@ type DictResult struct {
 // infoW (pass io.Discard to get the bare artifact, as the daemon does).
 func DictBuild(ctx context.Context, infoW, csvW io.Writer, o DictOpts, env Env) (DictResult, error) {
 	var res DictResult
-	sys, err := env.System(o.Small, rtl.RescueDesign)
+	sys, err := env.System(cfgFor(o.Small), 1, rtl.RescueDesign)
 	if err != nil {
 		return res, fmt.Errorf("build: %w", err)
 	}
 	gen := atpg.DefaultGenConfig()
 	gen.Workers = o.Workers
-	tp, err := env.TestProgram(ctx, sys, o.Small, rtl.RescueDesign, gen)
+	tp, err := env.TestProgram(ctx, sys, gen)
 	if err != nil {
 		res.Stats = tp.Gen.Stats
 		return res, err
 	}
 	fmt.Fprintf(infoW, "building dictionary over %d collapsed faults, %d vectors...\n",
 		tp.Universe.CountCollapsed(), tp.Gen.Vectors)
-	d, st, err := env.Dictionary(ctx, tp, testProgramKey(o.Small, rtl.RescueDesign, gen), o.Workers)
+	d, st, err := env.Dictionary(ctx, sys, tp, gen, o.Workers)
 	if err != nil {
 		res.Stats = st
 		return res, err
@@ -68,13 +68,13 @@ func DictBuild(ctx context.Context, infoW, csvW io.Writer, o DictOpts, env Env) 
 // subcommand needs — shared with the build path so both see identical
 // artifacts.
 func DictSystem(ctx context.Context, small bool, workers int, env Env) (*core.System, *core.TestProgram, error) {
-	sys, err := env.System(small, rtl.RescueDesign)
+	sys, err := env.System(cfgFor(small), 1, rtl.RescueDesign)
 	if err != nil {
 		return nil, nil, fmt.Errorf("build: %w", err)
 	}
 	gen := atpg.DefaultGenConfig()
 	gen.Workers = workers
-	tp, err := env.TestProgram(ctx, sys, small, rtl.RescueDesign, gen)
+	tp, err := env.TestProgram(ctx, sys, gen)
 	if err != nil {
 		return nil, tp, err
 	}

@@ -17,6 +17,11 @@ import (
 // cached sections — journal sections are bound by content identity, so a
 // flow that skips a campaign entirely on a warm hit still resumes its
 // remaining campaigns correctly.
+//
+// Each artifact has exactly one accessor, keyed by a digest of the inputs
+// that determine it. The fixed paper flows and the design-space sweep go
+// through the same accessors, so a sweep point whose knobs equal the
+// paper's configuration shares every artifact with the fixed flows.
 type Env struct {
 	Store *Store
 	Ck    *fault.Checkpoint
@@ -30,33 +35,42 @@ func cfgFor(small bool) rtl.Config {
 	return rtl.Default()
 }
 
-type sysKey struct {
-	Small   bool   `json:"small"`
-	Variant string `json:"variant"`
-}
-
-// System returns the built, scan-inserted, ICI-audited system for a
-// configuration, from the store when possible. Systems are read-only
-// after construction, so one instance serves concurrent jobs.
-func (e Env) System(small bool, v rtl.Variant) (*core.System, error) {
-	build := func() (any, error) { return core.Build(cfgFor(small), v) }
+// cached returns the artifact of the given kind and key from e's store,
+// building it on a miss, and whether it was a store hit; with no store it
+// always builds. A build error is returned with whatever value the build
+// produced (a partial result on interrupt); a failed build is not retained.
+func cached[T any](e Env, kind string, key any, build func() (T, error)) (T, bool, error) {
 	if e.Store == nil {
-		s, err := build()
-		if err != nil {
-			return nil, err
-		}
-		return s.(*core.System), nil
+		val, err := build()
+		return val, false, err
 	}
-	val, _, err := e.Store.do(digest("system", sysKey{small, v.String()}), build)
-	if err != nil {
-		return nil, err
-	}
-	return val.(*core.System), nil
+	v, hit, err := e.Store.do(digest(kind, key), func() (any, error) { return build() })
+	val, _ := v.(T)
+	return val, hit, err
 }
 
+// sysKey is everything that determines a built system.
+type sysKey struct {
+	Cfg     rtl.Config `json:"cfg"`
+	Chains  int        `json:"chains"`
+	Variant string     `json:"variant"`
+}
+
+// System returns the built, scan-inserted, ICI-audited system for an RTL
+// configuration, scan-chain split and design variant, from the store when
+// possible. Systems are read-only after construction, so one instance
+// serves concurrent jobs.
+func (e Env) System(cfg rtl.Config, chains int, v rtl.Variant) (*core.System, error) {
+	s, _, err := cached(e, "system", sysKey{cfg, chains, v.String()}, func() (*core.System, error) {
+		return core.BuildChains(cfg, v, chains)
+	})
+	return s, err
+}
+
+// tpKey is everything that determines a generated test program: the
+// system's key plus the generation knobs.
 type tpKey struct {
-	Small          bool   `json:"small"`
-	Variant        string `json:"variant"`
+	Sys            sysKey `json:"sys"`
 	Seed           int64  `json:"seed"`
 	MaxRandomWords int    `json:"maxRandomWords"`
 	UselessLimit   int    `json:"uselessLimit"`
@@ -65,10 +79,9 @@ type tpKey struct {
 	// is bit-identical at any campaign concurrency.
 }
 
-func testProgramKey(small bool, v rtl.Variant, gen atpg.GenConfig) tpKey {
+func testProgramKey(sys *core.System, gen atpg.GenConfig) tpKey {
 	return tpKey{
-		Small:          small,
-		Variant:        v.String(),
+		Sys:            sysKey{sys.Design.Cfg, sys.Chain.NumChains, sys.Design.Variant.String()},
 		Seed:           gen.Seed,
 		MaxRandomWords: gen.MaxRandomWords,
 		UselessLimit:   gen.UselessLimit,
@@ -76,27 +89,16 @@ func testProgramKey(small bool, v rtl.Variant, gen atpg.GenConfig) tpKey {
 	}
 }
 
-// TestProgram returns the generated ATPG test set for (system, config),
-// from the store when possible. On a cold build the returned TestProgram
-// carries the generation campaign's Stats; on an interrupt the partial
-// program (with its stats so far) is returned alongside the error and
-// nothing is cached.
-func (e Env) TestProgram(ctx context.Context, sys *core.System, small bool, v rtl.Variant, gen atpg.GenConfig) (*core.TestProgram, error) {
-	build := func() (any, error) { return sys.GenerateTestsFlow(ctx, gen, e.Ck) }
-	if e.Store == nil {
-		tp, err := build()
-		return tp.(*core.TestProgram), err
-	}
-	val, _, err := e.Store.do(digest("testprogram", testProgramKey(small, v, gen)), build)
-	if val == nil {
-		// A waiter joined a build whose value was dropped on error.
-		return &core.TestProgram{Gen: &atpg.GenResult{}}, err
-	}
-	return val.(*core.TestProgram), err
-}
-
-type dictKey struct {
-	TP tpKey `json:"tp"`
+// TestProgram returns the generated ATPG test set for (system, generation
+// config), from the store when possible. On a cold build the returned
+// TestProgram carries the generation campaign's Stats; on an interrupt the
+// partial program (with its stats so far) is returned alongside the error
+// and nothing is cached.
+func (e Env) TestProgram(ctx context.Context, sys *core.System, gen atpg.GenConfig) (*core.TestProgram, error) {
+	tp, _, err := cached(e, "testprogram", testProgramKey(sys, gen), func() (*core.TestProgram, error) {
+		return sys.GenerateTestsFlow(ctx, gen, e.Ck)
+	})
+	return tp, err
 }
 
 // dictArtifact pairs a dictionary with the campaign stats of its cold
@@ -107,181 +109,41 @@ type dictArtifact struct {
 }
 
 // Dictionary returns the full fault dictionary over tp's pattern set, from
-// the store when possible. The returned stats are those of the build that
-// actually ran (zero-valued Faults on a warm hit means no simulation
-// happened in this call).
-func (e Env) Dictionary(ctx context.Context, tp *core.TestProgram, key tpKey, workers int) (*fault.Dictionary, fault.Stats, error) {
-	build := func() (any, error) {
+// the store when possible; tp must be the test program generated for sys
+// under gen, whose key the dictionary shares. The returned stats are those
+// of the build that actually ran (zero-valued Faults on a warm hit means no
+// simulation happened in this call).
+func (e Env) Dictionary(ctx context.Context, sys *core.System, tp *core.TestProgram, gen atpg.GenConfig, workers int) (*fault.Dictionary, fault.Stats, error) {
+	a, hit, err := cached(e, "dictionary", testProgramKey(sys, gen), func() (dictArtifact, error) {
 		d, st, err := fault.BuildDictionaryFlow(ctx, tp.Gen.Sim, tp.Universe, workers, e.Ck)
 		return dictArtifact{d, st}, err
-	}
-	if e.Store == nil {
-		val, err := build()
-		a := val.(dictArtifact)
-		return a.d, a.st, err
-	}
-	val, hit, err := e.Store.do(digest("dictionary", dictKey{key}), build)
-	if val == nil {
-		return nil, fault.Stats{}, err
-	}
-	a := val.(dictArtifact)
+	})
 	if hit {
 		// The work happened in some earlier job; this call simulated nothing.
-		return a.d, fault.Stats{}, err
+		a.st = fault.Stats{}
 	}
 	return a.d, a.st, err
 }
 
-// Variant-keyed accessors: the design-space sweep builds systems, test
-// programs, dictionaries, and perf models for arbitrary parameterized
-// variants. The caller (internal/sweep) computes canonical content
-// digests over the knobs that determine each artifact — the netlist
-// digest covers the RTL configuration and scan-chain split, the perf
-// digest covers the simulator parameters — and two sweep points whose
-// digests match share the artifact. Worker count stays out of every key,
-// as for the fixed-configuration accessors above.
-
-type sysAtKey struct {
-	Net string `json:"net"`
-}
-
-// SystemAt returns the built, scan-inserted, ICI-audited system for an
-// explicit netlist configuration and scan-chain split, cached under the
-// caller's netlist digest.
-func (e Env) SystemAt(netKey string, cfg rtl.Config, chains int, v rtl.Variant) (*core.System, error) {
-	build := func() (any, error) { return core.BuildChains(cfg, v, chains) }
-	if e.Store == nil {
-		s, err := build()
-		if err != nil {
-			return nil, err
-		}
-		return s.(*core.System), nil
-	}
-	val, _, err := e.Store.do(digest("system", sysAtKey{netKey}), build)
-	if err != nil {
-		return nil, err
-	}
-	return val.(*core.System), nil
-}
-
-type tpAtKey struct {
-	Net            string `json:"net"`
-	Seed           int64  `json:"seed"`
-	MaxRandomWords int    `json:"maxRandomWords"`
-	UselessLimit   int    `json:"uselessLimit"`
-	MaxBacktracks  int    `json:"maxBacktracks"`
-}
-
-// testProgramAtKey is exported logic kept in one place: the cache key for
-// a variant test program is the netlist digest plus the generation knobs.
-func testProgramAtKey(netKey string, gen atpg.GenConfig) tpAtKey {
-	return tpAtKey{
-		Net:            netKey,
-		Seed:           gen.Seed,
-		MaxRandomWords: gen.MaxRandomWords,
-		UselessLimit:   gen.UselessLimit,
-		MaxBacktracks:  gen.MaxBacktracks,
-	}
-}
-
-// TestProgramAt returns the generated ATPG test set for a variant system,
-// cached under (netlist digest, generation config). Two sweep points that
-// share a netlist — same variant at different nodes — build it once.
-func (e Env) TestProgramAt(ctx context.Context, netKey string, sys *core.System, gen atpg.GenConfig) (*core.TestProgram, error) {
-	build := func() (any, error) { return sys.GenerateTestsFlow(ctx, gen, e.Ck) }
-	if e.Store == nil {
-		tp, err := build()
-		return tp.(*core.TestProgram), err
-	}
-	val, _, err := e.Store.do(digest("testprogram", testProgramAtKey(netKey, gen)), build)
-	if val == nil {
-		return &core.TestProgram{Gen: &atpg.GenResult{}}, err
-	}
-	return val.(*core.TestProgram), err
-}
-
-type dictAtKey struct {
-	TP tpAtKey `json:"tp"`
-}
-
-// DictionaryAt returns the full fault dictionary over a variant test
-// program, cached under the test program's key. Stats follow the same
-// warm-hit convention as Dictionary.
-func (e Env) DictionaryAt(ctx context.Context, netKey string, tp *core.TestProgram, gen atpg.GenConfig, workers int) (*fault.Dictionary, fault.Stats, error) {
-	build := func() (any, error) {
-		d, st, err := fault.BuildDictionaryFlow(ctx, tp.Gen.Sim, tp.Universe, workers, e.Ck)
-		return dictArtifact{d, st}, err
-	}
-	if e.Store == nil {
-		val, err := build()
-		a := val.(dictArtifact)
-		return a.d, a.st, err
-	}
-	val, hit, err := e.Store.do(digest("dictionary", dictAtKey{testProgramAtKey(netKey, gen)}), build)
-	if val == nil {
-		return nil, fault.Stats{}, err
-	}
-	a := val.(dictArtifact)
-	if hit {
-		return a.d, fault.Stats{}, err
-	}
-	return a.d, a.st, err
-}
-
-type pmAtKey struct {
-	Perf    string   `json:"perf"`
-	NodeNM  int      `json:"nodeNM"`
-	Benches []string `json:"benches"`
-	Warmup  int64    `json:"warmup"`
-	Commit  int64    `json:"commit"`
-}
-
-// PerfModelAt returns the per-(benchmark, degraded-configuration) IPC
-// table for an explicit (baseline, Rescue) parameter pair at a node,
-// cached under the caller's perf digest plus the node and measurement
-// knobs. The netlist digest is deliberately absent: perf simulation never
-// reads the netlist, so variants differing only in RTL knobs share it.
-func (e Env) PerfModelAt(ctx context.Context, perfKey string, node int, benches []string, warmup, commit int64, workers int, base, resc uarch.Params) (*core.PerfModel, error) {
-	build := func() (any, error) {
-		return core.BuildPerfModelFlowParams(ctx, area.Node(node), base, resc, benches, warmup, commit, workers)
-	}
-	if e.Store == nil {
-		pm, err := build()
-		if err != nil {
-			return nil, err
-		}
-		return pm.(*core.PerfModel), nil
-	}
-	val, _, err := e.Store.do(digest("perfmodel", pmAtKey{perfKey, node, benches, warmup, commit}), build)
-	if err != nil {
-		return nil, err
-	}
-	return val.(*core.PerfModel), nil
-}
-
+// pmKey is everything that determines a perf model. The netlist is
+// deliberately absent: perf simulation never reads it, so variants that
+// differ only in RTL knobs share the model.
 type pmKey struct {
-	NodeNM  int      `json:"nodeNM"`
-	Benches []string `json:"benches"`
-	Warmup  int64    `json:"warmup"`
-	Commit  int64    `json:"commit"`
+	Base    uarch.Params `json:"base"`
+	Resc    uarch.Params `json:"resc"`
+	NodeNM  int          `json:"nodeNM"`
+	Benches []string     `json:"benches"`
+	Warmup  int64        `json:"warmup"`
+	Commit  int64        `json:"commit"`
 }
 
 // PerfModel returns the per-(benchmark, degraded-configuration) IPC table
-// for a node, from the store when possible.
-func (e Env) PerfModel(ctx context.Context, node int, benches []string, warmup, commit int64, workers int) (*core.PerfModel, error) {
-	build := func() (any, error) {
-		return core.BuildPerfModelFlow(ctx, area.Node(node), benches, warmup, commit, workers)
-	}
-	if e.Store == nil {
-		pm, err := build()
-		if err != nil {
-			return nil, err
-		}
-		return pm.(*core.PerfModel), nil
-	}
-	val, _, err := e.Store.do(digest("perfmodel", pmKey{node, benches, warmup, commit}), build)
-	if err != nil {
-		return nil, err
-	}
-	return val.(*core.PerfModel), nil
+// for a (baseline, Rescue) simulator parameter pair at a node, from the
+// store when possible.
+func (e Env) PerfModel(ctx context.Context, node int, base, resc uarch.Params, benches []string, warmup, commit int64, workers int) (*core.PerfModel, error) {
+	key := pmKey{base, resc, node, benches, warmup, commit}
+	pm, _, err := cached(e, "perfmodel", key, func() (*core.PerfModel, error) {
+		return core.BuildPerfModelFlowParams(ctx, area.Node(node), base, resc, benches, warmup, commit, workers)
+	})
+	return pm, err
 }

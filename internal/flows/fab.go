@@ -12,6 +12,7 @@ import (
 	"rescue/internal/fab"
 	"rescue/internal/fault"
 	"rescue/internal/rtl"
+	"rescue/internal/uarch"
 )
 
 // FabOpts parameterizes the Monte Carlo die-lifecycle fleet — the
@@ -96,7 +97,7 @@ func Fab(ctx context.Context, w io.Writer, o FabOpts, env Env) (FabResult, error
 	}
 
 	start := time.Now()
-	s, err := env.System(o.Small, rtl.RescueDesign)
+	s, err := env.System(cfgFor(o.Small), 1, rtl.RescueDesign)
 	if err != nil {
 		return res, fmt.Errorf("build: %w", err)
 	}
@@ -108,7 +109,7 @@ func Fab(ctx context.Context, w io.Writer, o FabOpts, env Env) (FabResult, error
 
 	gen := atpg.DefaultGenConfig()
 	gen.Workers = o.Workers
-	tp, err := env.TestProgram(ctx, s, o.Small, rtl.RescueDesign, gen)
+	tp, err := env.TestProgram(ctx, s, gen)
 	if err != nil {
 		res.Stats = tp.Gen.Stats
 		return res, err
@@ -119,7 +120,7 @@ func Fab(ctx context.Context, w io.Writer, o FabOpts, env Env) (FabResult, error
 	if o.Bench != "" {
 		names = strings.Split(o.Bench, ",")
 	}
-	pm, err := env.PerfModel(ctx, o.NodeNM, names, o.Warmup, o.Commit, o.Workers)
+	pm, err := env.PerfModel(ctx, o.NodeNM, uarch.DefaultParams(), uarch.RescueParams(), names, o.Warmup, o.Commit, o.Workers)
 	if err != nil {
 		return res, err
 	}

@@ -49,7 +49,7 @@ func Isolation(ctx context.Context, w io.Writer, o IsolationOpts, env Env) (Isol
 	var res IsolationResult
 
 	start := time.Now()
-	s, err := env.System(o.Small, rtl.RescueDesign)
+	s, err := env.System(cfgFor(o.Small), 1, rtl.RescueDesign)
 	if err != nil {
 		return res, fmt.Errorf("build: %w", err)
 	}
@@ -61,7 +61,7 @@ func Isolation(ctx context.Context, w io.Writer, o IsolationOpts, env Env) (Isol
 
 	gen := atpg.DefaultGenConfig()
 	gen.Workers = o.Workers
-	tp, err := env.TestProgram(ctx, s, o.Small, rtl.RescueDesign, gen)
+	tp, err := env.TestProgram(ctx, s, gen)
 	if err != nil {
 		res.Stats = tp.Gen.Stats
 		return res, err

@@ -65,11 +65,11 @@ func Table3(ctx context.Context, w io.Writer, o Table3Opts, env Env) (Table3Resu
 
 	for _, v := range []rtl.Variant{rtl.Baseline, rtl.RescueDesign} {
 		start := time.Now()
-		s, err := env.System(o.Small, v)
+		s, err := env.System(cfgFor(o.Small), 1, v)
 		if err != nil {
 			return res, fmt.Errorf("build: %w", err)
 		}
-		tp, err := env.TestProgram(ctx, s, o.Small, v, gen)
+		tp, err := env.TestProgram(ctx, s, gen)
 		if err != nil {
 			res.Stats = tp.Gen.Stats
 			return res, err

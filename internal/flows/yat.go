@@ -9,6 +9,7 @@ import (
 
 	"rescue/internal/area"
 	"rescue/internal/core"
+	"rescue/internal/uarch"
 )
 
 // YATOpts parameterizes the Figure 9 yield-adjusted-throughput study — the
@@ -55,7 +56,7 @@ func YAT(ctx context.Context, w io.Writer, o YATOpts, env Env) (YATResult, error
 	models := map[int]*core.PerfModel{}
 	for _, node := range area.Nodes() {
 		start := time.Now()
-		pm, err := env.PerfModel(ctx, node.NodeNM, names, o.Warmup, o.Commit, o.Workers)
+		pm, err := env.PerfModel(ctx, node.NodeNM, uarch.DefaultParams(), uarch.RescueParams(), names, o.Warmup, o.Commit, o.Workers)
 		if err != nil {
 			return res, err
 		}

@@ -105,7 +105,8 @@ func (n *Netlist) ForwardCone(f Fault) []GateID {
 			continue
 		}
 		inCone[g] = true
-		for _, s := range n.fanout[g] {
+		out := n.Gates[g].Out
+		for _, s := range n.rdrs[n.rdrOff[out]:n.rdrOff[out+1]] {
 			if !inCone[s] {
 				stack = append(stack, s)
 			}
@@ -118,28 +119,4 @@ func (n *Netlist) ForwardCone(f Fault) []GateID {
 		}
 	}
 	return cone
-}
-
-// ConeObsPoints returns the indices (into ObsPoints) of observation points
-// whose sampled net is driven by a gate in cone, plus — for FF faults — the
-// FF's own observation point (a stuck FF output is observed directly when
-// the chain is shifted out). obsIndexOfNet must map net->obs index or -1.
-func (n *Netlist) ConeObsPoints(cone []GateID, f Fault) []int {
-	// map gate output nets in cone
-	inCone := map[NetID]bool{}
-	for _, g := range cone {
-		inCone[n.Gates[g].Out] = true
-	}
-	var idxs []int
-	pts := n.ObsPoints()
-	for pi, p := range pts {
-		if inCone[n.ObsNet(p)] {
-			idxs = append(idxs, pi)
-		}
-	}
-	if f.Gate < 0 && f.FF >= 0 {
-		// The faulty FF is itself observed on scan-out.
-		idxs = append(idxs, int(f.FF))
-	}
-	return idxs
 }

@@ -57,9 +57,6 @@ type Fault struct {
 // NoFault is the zero-cost "no fault injected" sentinel.
 var NoFault = Fault{Gate: -1, FF: -1, Pin: -1}
 
-// IsValid reports whether f names a real fault site.
-func (f Fault) IsValid() bool { return f.Gate >= 0 || f.FF >= 0 }
-
 func (f Fault) String() string {
 	sa := 0
 	if f.StuckAt1 {

@@ -102,8 +102,7 @@ type Netlist struct {
 
 	// lazily computed
 	order    []GateID // topological order of gates
-	fanout   [][]GateID
-	level    []int32 // per-gate combinational level
+	level    []int32  // per-gate combinational level
 	maxLevel int32
 	rdrOff   []int32  // per-net offset into rdrs (len nets+1)
 	rdrs     []GateID // flattened per-net reading gates
@@ -275,9 +274,6 @@ func (n *Netlist) DriverGate(id NetID) GateID { return n.nets[id].gate }
 // DriverFF returns the flip-flop driving net id, or -1.
 func (n *Netlist) DriverFF(id NetID) FFID { return n.nets[id].ff }
 
-// IsInput reports whether net id is a primary input.
-func (n *Netlist) IsInput(id NetID) bool { return n.nets[id].input }
-
 // Validate checks structural sanity: every gate input driven, no
 // combinational cycles, no floating FF D inputs. It returns the first
 // problem found.
@@ -314,14 +310,25 @@ func (n *Netlist) levelize() error {
 	if n.levelOK {
 		return nil
 	}
-	indeg := make([]int32, len(n.Gates))
-	// fanout from gate -> gates reading its output
-	fanout := make([][]GateID, len(n.Gates))
+	// Per-net reader CSR: the gates reading net id are
+	// rdrs[rdrOff[id]:rdrOff[id+1]], in gate-ID order, once per pin.
+	rdrOff := make([]int32, len(n.nets)+1)
 	for gi := range n.Gates {
-		g := &n.Gates[gi]
-		for _, in := range g.In {
-			if d := n.nets[in].gate; d >= 0 {
-				fanout[d] = append(fanout[d], GateID(gi))
+		for _, in := range n.Gates[gi].In {
+			rdrOff[in+1]++
+		}
+	}
+	for i := range n.nets {
+		rdrOff[i+1] += rdrOff[i]
+	}
+	rdrs := make([]GateID, rdrOff[len(n.nets)])
+	fill := make([]int32, len(n.nets))
+	indeg := make([]int32, len(n.Gates))
+	for gi := range n.Gates {
+		for _, in := range n.Gates[gi].In {
+			rdrs[rdrOff[in]+fill[in]] = GateID(gi)
+			fill[in]++
+			if n.nets[in].gate >= 0 {
 				indeg[gi]++
 			}
 		}
@@ -337,7 +344,8 @@ func (n *Netlist) levelize() error {
 		g := queue[0]
 		queue = queue[1:]
 		order = append(order, g)
-		for _, s := range fanout[g] {
+		out := n.Gates[g].Out
+		for _, s := range rdrs[rdrOff[out]:rdrOff[out+1]] {
 			indeg[s]--
 			if indeg[s] == 0 {
 				queue = append(queue, s)
@@ -368,25 +376,7 @@ func (n *Netlist) levelize() error {
 			maxLevel = lv
 		}
 	}
-	rdrOff := make([]int32, len(n.nets)+1)
-	for gi := range n.Gates {
-		for _, in := range n.Gates[gi].In {
-			rdrOff[in+1]++
-		}
-	}
-	for i := range n.nets {
-		rdrOff[i+1] += rdrOff[i]
-	}
-	rdrs := make([]GateID, rdrOff[len(n.nets)])
-	fill := make([]int32, len(n.nets))
-	for gi := range n.Gates {
-		for _, in := range n.Gates[gi].In {
-			rdrs[rdrOff[in]+fill[in]] = GateID(gi)
-			fill[in]++
-		}
-	}
 	n.order = order
-	n.fanout = fanout
 	n.level, n.maxLevel = level, maxLevel
 	n.rdrOff, n.rdrs = rdrOff, rdrs
 	n.levelOK = true
@@ -422,14 +412,6 @@ func (n *Netlist) Readers() (off []int32, rdrs []GateID) {
 		panic(err)
 	}
 	return n.rdrOff, n.rdrs
-}
-
-// GateFanout returns, for each gate, the gates that read its output.
-func (n *Netlist) GateFanout() [][]GateID {
-	if err := n.levelize(); err != nil {
-		panic(err)
-	}
-	return n.fanout
 }
 
 // Stats summarizes netlist size.

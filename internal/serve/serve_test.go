@@ -36,7 +36,7 @@ func testKinds(release chan struct{}) map[string]serve.Runner {
 		}
 	}
 	kinds["system"] = func(ctx context.Context, rc serve.RunContext, _ json.RawMessage) ([]byte, error) {
-		s, err := rc.Env.System(true, rtl.RescueDesign)
+		s, err := rc.Env.System(rtl.Small(), 1, rtl.RescueDesign)
 		if err != nil {
 			return nil, err
 		}

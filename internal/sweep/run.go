@@ -446,9 +446,8 @@ func runPointRemote(ctx context.Context, spec Spec, pt Point, o Options) (PointR
 func runPointLocal(ctx context.Context, spec Spec, pt Point, env flows.Env, ck *fault.Checkpoint, workers int) (PointResult, error) {
 	env.Ck = ck
 	v := pt.Variant
-	netKey := v.NetlistKey()
 
-	sys, err := env.SystemAt(netKey, v.Netlist, v.ScanChains, rtl.RescueDesign)
+	sys, err := env.System(v.Netlist, v.ScanChains, rtl.RescueDesign)
 	if err != nil {
 		return PointResult{}, fmt.Errorf("build: %w", err)
 	}
@@ -458,7 +457,7 @@ func runPointLocal(ctx context.Context, spec Spec, pt Point, env flows.Env, ck *
 
 	gen := atpg.DefaultGenConfig()
 	gen.Workers = workers
-	tp, err := env.TestProgramAt(ctx, netKey, sys, gen)
+	tp, err := env.TestProgram(ctx, sys, gen)
 	if err != nil {
 		return PointResult{}, err
 	}
@@ -472,7 +471,7 @@ func runPointLocal(ctx context.Context, spec Spec, pt Point, env flows.Env, ck *
 	if err != nil {
 		return PointResult{}, err
 	}
-	pm, err := env.PerfModelAt(ctx, v.PerfKey(), pt.NodeNM, names, spec.Warmup, spec.Commit, workers, base, resc)
+	pm, err := env.PerfModel(ctx, pt.NodeNM, base, resc, names, spec.Warmup, spec.Commit, workers)
 	if err != nil {
 		return PointResult{}, err
 	}

@@ -286,23 +286,20 @@ func TestStoreSharing(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := pts[0].Variant
-	s1, err := env.SystemAt(v.NetlistKey(), v.Netlist, v.ScanChains, rtl.RescueDesign)
+	s1, err := env.System(v.Netlist, v.ScanChains, rtl.RescueDesign)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, _ := env.SystemAt(v.NetlistKey(), v.Netlist, v.ScanChains, rtl.RescueDesign)
+	s2, _ := env.System(v.Netlist, v.ScanChains, rtl.RescueDesign)
 	if s1 != s2 {
-		t.Fatal("same netlist key built twice")
+		t.Fatal("same build inputs built twice")
 	}
 	if got := store.Builds(); got != 4 {
-		t.Errorf("warm SystemAt calls triggered builds: %d", got)
+		t.Errorf("warm System calls triggered builds: %d", got)
 	}
 	split := v
 	split.ScanChains = 4
-	if split.NetlistKey() == v.NetlistKey() {
-		t.Fatal("different scan split must change the netlist key")
-	}
-	s3, err := env.SystemAt(split.NetlistKey(), split.Netlist, split.ScanChains, rtl.RescueDesign)
+	s3, err := env.System(split.Netlist, split.ScanChains, rtl.RescueDesign)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,6 +308,9 @@ func TestStoreSharing(t *testing.T) {
 	}
 	if s3.Chain.NumChains != 4 {
 		t.Fatalf("variant build ignored the scan split: %d chains", s3.Chain.NumChains)
+	}
+	if got := store.Builds(); got != 5 {
+		t.Errorf("scan-split system: store builds = %d, want 5", got)
 	}
 }
 
@@ -428,18 +428,21 @@ func TestRunRemote(t *testing.T) {
 
 // TestPaperPointMatchesFab pins the acceptance criterion that the paper
 // preset reproduces the existing fab flow's numbers exactly: same fleet
-// knobs, same yield, same YAT.
+// knobs, same yield, same YAT. It then pins that the two share artifacts:
+// the fab flow run on the sweep's store builds nothing and prints the same
+// bytes, because every artifact is keyed by its build inputs, not by which
+// caller asked.
 func TestPaperPointMatchesFab(t *testing.T) {
-	var buf bytes.Buffer
-	res, err := flows.Fab(context.Background(), &buf, flows.FabOpts{
-		Dies: 60, Small: true, Warmup: 200, Commit: 1000,
-	}, flows.Env{})
+	opts := flows.FabOpts{Dies: 60, Small: true, Warmup: 200, Commit: 1000}
+	var fresh bytes.Buffer
+	res, err := flows.Fab(context.Background(), &fresh, opts, flows.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
+	store := flows.NewStore()
 	spec := Spec{Presets: []string{"paper"}, Small: true, Dies: 60, Warmup: 200, Commit: 1000}
-	fr, err := Run(context.Background(), spec, Options{Env: flows.Env{Store: flows.NewStore()}})
+	fr, err := Run(context.Background(), spec, Options{Env: flows.Env{Store: store}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,6 +455,18 @@ func TestPaperPointMatchesFab(t *testing.T) {
 	}
 	if p.CoreArea != rep.CoreArea || p.Cores != rep.Cores {
 		t.Fatalf("paper point area diverges: sweep %v/%d, fab %v/%d", p.CoreArea, p.Cores, rep.CoreArea, rep.Cores)
+	}
+
+	builds := store.Builds()
+	var warm bytes.Buffer
+	if _, err := flows.Fab(context.Background(), &warm, opts, flows.Env{Store: store}); err != nil {
+		t.Fatal(err)
+	}
+	if got := store.Builds(); got != builds {
+		t.Errorf("fab flow after the paper point built %d artifacts, want 0", got-builds)
+	}
+	if !bytes.Equal(warm.Bytes(), fresh.Bytes()) {
+		t.Fatalf("fab output on the sweep's store differs:\n-- fresh --\n%s\n-- shared --\n%s", fresh.Bytes(), warm.Bytes())
 	}
 }
 

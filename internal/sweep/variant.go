@@ -7,9 +7,11 @@
 // paper's Table 1 machine: the RTL configuration and scan-chain split, the
 // performance-simulator shape (queue sizes, pipeline depth, replay
 // policy, compaction-buffer depth), and the area model's chipkill share.
-// Variants serialize canonically and digest stably, so the artifact store
-// shares netlists, test programs, dictionaries, and perf models between
-// any two sweep points whose relevant knobs coincide.
+// Variants serialize canonically and digest stably. The artifact store
+// keys netlists, test programs, dictionaries, and perf models by the
+// build inputs themselves, so any two sweep points whose relevant knobs
+// coincide share them — and the paper preset shares them with the fixed
+// paper flows.
 package sweep
 
 import (
@@ -149,34 +151,6 @@ func canonDigest(kind string, v any) string {
 	}
 	sum := sha256.Sum256(append([]byte(kind+"\x00"), b...))
 	return hex.EncodeToString(sum[:6])
-}
-
-type netlistKey struct {
-	Netlist    rtl.Config `json:"netlist"`
-	ScanChains int        `json:"scanChains"`
-	Variant    string     `json:"variant"`
-}
-
-// NetlistKey is the canonical digest of everything that determines the
-// built system and its test program: the RTL configuration, the
-// scan-chain split, and the design variant (always Rescue here, but kept
-// in the key so the namespace can never collide with a baseline build).
-// Two sweep points with equal NetlistKeys share netlist, ATPG, and
-// dictionary artifacts.
-func (v Variant) NetlistKey() string {
-	return canonDigest("net", netlistKey{v.Netlist, v.ScanChains, rtl.RescueDesign.String()})
-}
-
-// PerfKey is the canonical digest of the simulator shape — the part of
-// the variant the perf model depends on. RTL-only variants (different
-// scan split, say) share perf models.
-func (v Variant) PerfKey() string {
-	return canonDigest("perf", v.Perf)
-}
-
-// Digest is the canonical digest of the whole variant.
-func (v Variant) Digest() string {
-	return canonDigest("variant", v)
 }
 
 // paperPerf is the Table 1 machine as a PerfConfig.
