@@ -226,61 +226,3 @@ func GenerateFlow(ctx context.Context, c *scan.Chain, u *fault.Universe, cfg Gen
 	}
 	return partial(), nil
 }
-
-// CompactReverseContext performs reverse-order static compaction: vectors
-// are dropped greedily (newest first) when the remaining set still detects
-// every originally-detected fault. It returns the compacted vector count.
-// The paper's vector counts come from a commercial tool with compaction;
-// this pass approximates it. Each trial detection sweep is a parallel
-// campaign with fault dropping (detection-only, workers <= 0 = all cores)
-// that aborts at chunk granularity when ctx is cancelled; the error then
-// carries the cancellation cause.
-func CompactReverseContext(ctx context.Context, c *scan.Chain, u *fault.Universe, g *GenResult, workers int) (int, error) {
-	// Build per-vector detection sets lazily is expensive; approximate by
-	// word granularity: try dropping whole 64-lane words from the end.
-	kept := make([]bool, len(g.Sim.Patterns))
-	for i := range kept {
-		kept[i] = true
-	}
-	detectedBy := func(words []bool) (int, error) {
-		sim := fault.NewSim(c, nil)
-		for w, k := range words {
-			if k {
-				sim.AddPattern(g.Sim.Patterns[w])
-			}
-		}
-		camp := fault.NewCampaign(sim, fault.CampaignConfig{Workers: workers, Drop: true})
-		results, _, err := camp.RunCheckpoint(ctx, nil, u.Collapsed)
-		if err != nil {
-			return 0, err
-		}
-		n := 0
-		for _, res := range results {
-			if res.Detected {
-				n++
-			}
-		}
-		return n, nil
-	}
-	full, err := detectedBy(kept)
-	if err != nil {
-		return 0, err
-	}
-	for w := len(kept) - 1; w >= 0; w-- {
-		kept[w] = false
-		d, err := detectedBy(kept)
-		if err != nil {
-			return 0, err
-		}
-		if d < full {
-			kept[w] = true
-		}
-	}
-	vectors := 0
-	for w, k := range kept {
-		if k {
-			vectors += g.Sim.Patterns[w].Lanes
-		}
-	}
-	return vectors, nil
-}

@@ -19,6 +19,7 @@ import (
 // full-netlist pass, is the reference the lockstep test holds imply to.
 type podem struct {
 	n     *netlist.Netlist
+	fl    netlist.Flat // n's compiled form, held by value
 	fault netlist.Fault
 
 	// pis lists the controllable points: primary inputs then FF Q nets.
@@ -32,12 +33,7 @@ type podem struct {
 
 	good, bad []V3 // per-net planes
 
-	isObs []bool // per net: sampled by an observation point
-
-	// Static structure shared with the netlist, and the event queue.
-	level   []int32
-	rdrOff  []int32
-	rdrs    []netlist.GateID
+	// The event queue, over fl's levels and readers.
 	buckets [][]netlist.GateID // gates pending re-evaluation, by level
 	queued  []bool             // per gate: already in a bucket
 
@@ -107,7 +103,7 @@ func Podem(n *netlist.Netlist, f netlist.Fault, maxBacktracks int) (Cube, PodemR
 }
 
 func newPodem(n *netlist.Netlist, f netlist.Fault, maxBacktracks int) *podem {
-	p := &podem{n: n, fault: f, maxBacktracks: maxBacktracks}
+	p := &podem{n: n, fl: *n.Flat(), fault: f, maxBacktracks: maxBacktracks}
 	nNets, nGates := n.NumNets(), n.NumGates()
 	p.pis = make([]netlist.NetID, 0, len(n.Inputs)+n.NumFFs())
 	p.pis = append(p.pis, n.Inputs...)
@@ -124,35 +120,25 @@ func newPodem(n *netlist.Netlist, f netlist.Fault, maxBacktracks int) *podem {
 	p.assign = make([]V3, len(p.pis))
 	p.good = make([]V3, nNets)
 	p.bad = make([]V3, nNets)
-	p.isObs = make([]bool, nNets)
-	for fi := range n.FFs {
-		p.isObs[n.FFs[fi].D] = true
-	}
-	for _, net := range n.Outputs {
-		p.isObs[net] = true
-	}
 
-	var maxLevel int32
-	p.level, maxLevel = n.GateLevels()
-	p.rdrOff, p.rdrs = n.Readers()
-	p.buckets = make([][]netlist.GateID, maxLevel+1)
+	p.buckets = make([][]netlist.GateID, p.fl.MaxLevel+1)
 	p.queued = make([]bool, nGates)
 	p.cone = n.ForwardCone(f)
 	slices.Sort(p.cone)
 	for _, gi := range p.cone {
-		if out := n.Gates[gi].Out; p.isObs[out] {
+		if out := p.fl.Out[gi]; p.fl.ObsHead[out] >= 0 {
 			p.coneObs = append(p.coneObs, out)
 		}
 	}
-	if q, ok := p.forcedQ(); ok && p.isObs[q] {
+	if q, ok := p.forcedQ(); ok && p.fl.ObsHead[q] >= 0 {
 		p.coneObs = append(p.coneObs, q)
 	}
 	p.seen = make([]int32, nGates)
 
 	// The planes start all X (the zero V3); queue the gates that drive a
 	// value anyway, so the first imply yields the full-pass state.
-	for gi := range n.Gates {
-		if k := n.Gates[gi].Kind; k == netlist.Const0 || k == netlist.Const1 {
+	for gi, k := range p.fl.Kind {
+		if k == netlist.Const0 || k == netlist.Const1 {
 			p.schedule(netlist.GateID(gi))
 		}
 	}
@@ -228,7 +214,6 @@ func (p *podem) search() (bool, bool) {
 // implyFull performs full forward 5-valued implication from the current PI
 // assignments into the given planes — the reference imply must match.
 func (p *podem) implyFull(good, bad []V3) {
-	n := p.n
 	for i := range good {
 		good[i] = X
 		bad[i] = X
@@ -241,10 +226,9 @@ func (p *podem) implyFull(good, bad []V3) {
 	if q, ok := p.forcedQ(); ok {
 		bad[q] = saVal(p.fault.StuckAt1)
 	}
-	for _, gi := range n.TopoOrder() {
-		g := &n.Gates[gi]
-		good[g.Out] = evalPlane3(g, good, netlist.NoFault, gi)
-		bad[g.Out] = evalPlane3(g, bad, p.fault, gi)
+	for _, gi := range p.fl.Order {
+		out := p.fl.Out[gi]
+		good[out], bad[out] = p.eval(gi, good, bad)
 	}
 }
 
@@ -278,15 +262,14 @@ func (p *podem) imply() {
 	for lv := range p.buckets {
 		for _, gi := range p.buckets[lv] {
 			p.queued[gi] = false
-			g := &p.n.Gates[gi]
-			gv := evalPlane3(g, p.good, netlist.NoFault, gi)
-			bv := evalPlane3(g, p.bad, p.fault, gi)
-			if gv == p.good[g.Out] && bv == p.bad[g.Out] {
+			gv, bv := p.eval(gi, p.good, p.bad)
+			out := p.fl.Out[gi]
+			if gv == p.good[out] && bv == p.bad[out] {
 				continue
 			}
-			p.good[g.Out] = gv
-			p.bad[g.Out] = bv
-			p.scheduleReaders(g.Out)
+			p.good[out] = gv
+			p.bad[out] = bv
+			p.scheduleReaders(out)
 		}
 		p.buckets[lv] = p.buckets[lv][:0]
 	}
@@ -295,7 +278,7 @@ func (p *podem) imply() {
 // scheduleReaders queues every gate reading net for re-evaluation. Readers
 // sit at strictly higher levels, so they land in buckets not yet drained.
 func (p *podem) scheduleReaders(net netlist.NetID) {
-	for _, r := range p.rdrs[p.rdrOff[net]:p.rdrOff[net+1]] {
+	for _, r := range p.fl.Rdrs[p.fl.RdrOff[net]:p.fl.RdrOff[net+1]] {
 		p.schedule(r)
 	}
 }
@@ -304,7 +287,7 @@ func (p *podem) scheduleReaders(net netlist.NetID) {
 func (p *podem) schedule(g netlist.GateID) {
 	if !p.queued[g] {
 		p.queued[g] = true
-		p.buckets[p.level[g]] = append(p.buckets[p.level[g]], g)
+		p.buckets[p.fl.Level[g]] = append(p.buckets[p.fl.Level[g]], g)
 	}
 }
 
@@ -315,58 +298,70 @@ func saVal(sa1 bool) V3 {
 	return Zero
 }
 
-// evalPlane3 evaluates one gate in one plane, honoring fault injection if f
-// targets this gate.
-func evalPlane3(g *netlist.Gate, plane []V3, f netlist.Fault, gi netlist.GateID) V3 {
-	var buf [8]V3
-	ins := buf[:0]
-	for _, in := range g.In {
-		ins = append(ins, plane[in])
+// eval evaluates gate gi in the given good and faulty planes from one
+// fetch of its kind and pins, injecting the fault into the faulty plane
+// when it sits on gi.
+func (p *podem) eval(gi netlist.GateID, good, bad []V3) (V3, V3) {
+	var gbuf, bbuf [8]V3
+	gin, bin := gbuf[:0], bbuf[:0]
+	for _, in := range p.fl.In(gi) {
+		gin = append(gin, good[in])
+		bin = append(bin, bad[in])
 	}
+	f := p.fault
 	if f.Gate == gi && f.Pin >= 0 {
-		ins[f.Pin] = saVal(f.StuckAt1)
+		bin[f.Pin] = saVal(f.StuckAt1)
 	}
-	var v V3
-	switch g.Kind {
-	case netlist.And, netlist.Nand:
-		v = One
-		for _, x := range ins {
-			v = and3(v, x)
-		}
-		if g.Kind == netlist.Nand {
-			v = not3(v)
-		}
-	case netlist.Or, netlist.Nor:
-		v = Zero
-		for _, x := range ins {
-			v = or3(v, x)
-		}
-		if g.Kind == netlist.Nor {
-			v = not3(v)
-		}
-	case netlist.Xor, netlist.Xnor:
-		v = Zero
-		for _, x := range ins {
-			v = xor3(v, x)
-		}
-		if g.Kind == netlist.Xnor {
-			v = not3(v)
-		}
-	case netlist.Not:
-		v = not3(ins[0])
-	case netlist.Buf:
-		v = ins[0]
-	case netlist.Mux2:
-		v = mux3(ins[0], ins[1], ins[2])
-	case netlist.Const0:
-		v = Zero
-	case netlist.Const1:
-		v = One
-	}
+	gv, bv := eval3(p.fl.Kind[gi], gin, bin)
 	if f.Gate == gi && f.Pin < 0 {
-		v = saVal(f.StuckAt1)
+		bv = saVal(f.StuckAt1)
 	}
-	return v
+	return gv, bv
+}
+
+// eval3 evaluates a gate of kind k over its input values in both planes
+// (g and b, in pin order) with one dispatch on the kind.
+func eval3(k netlist.GateKind, g, b []V3) (V3, V3) {
+	switch k {
+	case netlist.And, netlist.Nand:
+		gv, bv := One, One
+		for i := range g {
+			gv, bv = and3(gv, g[i]), and3(bv, b[i])
+		}
+		if k == netlist.Nand {
+			return not3(gv), not3(bv)
+		}
+		return gv, bv
+	case netlist.Or, netlist.Nor:
+		gv, bv := Zero, Zero
+		for i := range g {
+			gv, bv = or3(gv, g[i]), or3(bv, b[i])
+		}
+		if k == netlist.Nor {
+			return not3(gv), not3(bv)
+		}
+		return gv, bv
+	case netlist.Xor, netlist.Xnor:
+		gv, bv := Zero, Zero
+		for i := range g {
+			gv, bv = xor3(gv, g[i]), xor3(bv, b[i])
+		}
+		if k == netlist.Xnor {
+			return not3(gv), not3(bv)
+		}
+		return gv, bv
+	case netlist.Not:
+		return not3(g[0]), not3(b[0])
+	case netlist.Buf:
+		return g[0], b[0]
+	case netlist.Mux2:
+		return mux3(g[0], g[1], g[2]), mux3(b[0], b[1], b[2])
+	case netlist.Const0:
+		return Zero, Zero
+	case netlist.Const1:
+		return One, One
+	}
+	return X, X
 }
 
 // isError reports whether net carries D or D'.
@@ -396,9 +391,9 @@ func (p *podem) siteLine() netlist.NetID {
 	f := p.fault
 	switch {
 	case f.Gate >= 0 && f.Pin >= 0:
-		return p.n.Gates[f.Gate].In[f.Pin]
+		return p.fl.In(f.Gate)[f.Pin]
 	case f.Gate >= 0:
-		return p.n.Gates[f.Gate].Out
+		return p.fl.Out[f.Gate]
 	default:
 		return p.n.FFs[f.FF].D // activation for FF faults: capture opposite value
 	}
@@ -446,7 +441,7 @@ func (p *podem) feasible() bool {
 // forward cone (and an FF-output fault's own Q) can.
 func (p *podem) anyError() bool {
 	for _, gi := range p.cone {
-		if p.isError(p.n.Gates[gi].Out) {
+		if p.isError(p.fl.Out[gi]) {
 			return true
 		}
 	}
@@ -463,14 +458,14 @@ func (p *podem) anyError() bool {
 func (p *podem) dFrontier() []netlist.GateID {
 	out := p.frontier[:0]
 	for _, gi := range p.cone {
-		g := &p.n.Gates[gi]
-		if p.isError(g.Out) {
+		o := p.fl.Out[gi]
+		if p.isError(o) {
 			continue
 		}
-		if p.good[g.Out] != X && p.bad[g.Out] != X {
+		if p.good[o] != X && p.bad[o] != X {
 			continue // fully determined, error cannot appear anymore
 		}
-		for _, in := range g.In {
+		for _, in := range p.fl.In(gi) {
 			if p.isError(in) {
 				out = append(out, gi)
 				break
@@ -502,14 +497,14 @@ func (p *podem) xPathExists() bool {
 			continue
 		}
 		p.seen[g] = p.seenEp
-		out := p.n.Gates[g].Out
-		if p.isObs[out] {
+		out := p.fl.Out[g]
+		if p.fl.ObsHead[out] >= 0 {
 			return true
 		}
 		if p.good[out] != X && p.bad[out] != X && !p.isError(out) {
 			continue // blocked: fully determined without error
 		}
-		p.stack = append(p.stack, p.rdrs[p.rdrOff[out]:p.rdrOff[out+1]]...)
+		p.stack = append(p.stack, p.fl.Rdrs[p.fl.RdrOff[out]:p.fl.RdrOff[out+1]]...)
 	}
 	return false
 }
@@ -540,15 +535,14 @@ func (p *podem) objective() (netlist.NetID, V3, bool) {
 	// cannot see. Sensitize the faulty gate by setting its other X inputs
 	// to non-controlling values.
 	if f.Gate >= 0 && f.Pin >= 0 && p.good[line] == want {
-		g := &p.n.Gates[f.Gate]
-		out := g.Out
+		k, out := p.fl.Kind[f.Gate], p.fl.Out[f.Gate]
 		if !p.isError(out) && (p.good[out] == X || p.bad[out] == X) {
-			nc, has := nonControlling(g.Kind)
-			for pin, in := range g.In {
+			nc, has := nonControlling(k)
+			for pin, in := range p.fl.In(f.Gate) {
 				if pin == f.Pin || p.good[in] != X {
 					continue
 				}
-				if g.Kind == netlist.Mux2 && pin == 0 {
+				if k == netlist.Mux2 && pin == 0 {
 					// route the faulty data pin through the mux
 					if f.Pin == 1 {
 						return in, Zero, true
@@ -564,15 +558,15 @@ func (p *podem) objective() (netlist.NetID, V3, bool) {
 	}
 	frontier := p.dFrontier()
 	for _, gi := range frontier {
-		g := &p.n.Gates[gi]
+		k, ins := p.fl.Kind[gi], p.fl.In(gi)
 		// set an X input to the gate's non-controlling value
-		nc, has := nonControlling(g.Kind)
-		for pin, in := range g.In {
+		nc, has := nonControlling(k)
+		for pin, in := range ins {
 			if p.good[in] == X {
-				if g.Kind == netlist.Mux2 && pin == 0 {
+				if k == netlist.Mux2 && pin == 0 {
 					// select the data input carrying the error
 					for di := 1; di <= 2; di++ {
-						if p.isError(g.In[di]) {
+						if p.isError(ins[di]) {
 							if di == 1 {
 								return in, Zero, true
 							}
@@ -617,14 +611,14 @@ func (p *podem) backtrace(net netlist.NetID, val V3) (int, V3) {
 		if gid < 0 {
 			return -1, X // FF D as objective shouldn't occur outside obs
 		}
-		g := &p.n.Gates[gid]
-		switch g.Kind {
+		k, ins := p.fl.Kind[gid], p.fl.In(gid)
+		switch k {
 		case netlist.Not:
-			net, val = g.In[0], not3(val)
+			net, val = ins[0], not3(val)
 		case netlist.Buf:
-			net = g.In[0]
+			net = ins[0]
 		case netlist.And, netlist.Nand, netlist.Or, netlist.Nor:
-			inv := g.Kind == netlist.Nand || g.Kind == netlist.Nor
+			inv := k == netlist.Nand || k == netlist.Nor
 			target := val
 			if inv {
 				target = not3(val)
@@ -633,7 +627,7 @@ func (p *podem) backtrace(net netlist.NetID, val V3) (int, V3) {
 			// input suffices; otherwise all inputs need the non-controlling
 			// value — either way descending into the first X input works.
 			next := netlist.InvalidNet
-			for _, in := range g.In {
+			for _, in := range ins {
 				if p.good[in] == X {
 					next = in
 					break
@@ -645,13 +639,13 @@ func (p *podem) backtrace(net netlist.NetID, val V3) (int, V3) {
 			net, val = next, target
 		case netlist.Xor, netlist.Xnor:
 			target := val
-			if g.Kind == netlist.Xnor {
+			if k == netlist.Xnor {
 				target = not3(val)
 			}
 			// parity of known inputs
 			parity := Zero
 			next := netlist.InvalidNet
-			for _, in := range g.In {
+			for _, in := range ins {
 				if p.good[in] == X {
 					if next == netlist.InvalidNet {
 						next = in
@@ -665,7 +659,7 @@ func (p *podem) backtrace(net netlist.NetID, val V3) (int, V3) {
 			}
 			net, val = next, xor3(target, parity)
 		case netlist.Mux2:
-			sel, a, b := g.In[0], g.In[1], g.In[2]
+			sel, a, b := ins[0], ins[1], ins[2]
 			switch {
 			case p.good[sel] == Zero:
 				net = a

@@ -119,7 +119,7 @@ type CampaignConfig struct {
 }
 
 // Campaign shards a fault list across workers that share one read-only
-// simCore (good-machine images, cones, SoA gate arrays, obs map) while
+// simCore (good-machine images, cones, the netlist's Flat form) while
 // each owns a private simScratch, so no synchronization touches the hot
 // loop. Results are always ordered by fault index and bit-identical to
 // the serial path regardless of worker count.

@@ -46,8 +46,8 @@ func (c *simCore) buildCones(threshold int) {
 		gbuf = gbuf[:0]
 		stack = stack[:0]
 		overflow := false
-		for j := c.rdrOff[net]; j < c.rdrOff[net+1]; j++ {
-			g := c.rdrs[j]
+		for j := c.fl.RdrOff[net]; j < c.fl.RdrOff[net+1]; j++ {
+			g := c.fl.Rdrs[j]
 			if mark[g] != int32(net) {
 				mark[g] = int32(net)
 				stack = append(stack, g)
@@ -61,9 +61,9 @@ func (c *simCore) buildCones(threshold int) {
 				overflow = true
 				break
 			}
-			out := c.gateOut[g]
-			for j := c.rdrOff[out]; j < c.rdrOff[out+1]; j++ {
-				r := c.rdrs[j]
+			out := c.fl.Out[g]
+			for j := c.fl.RdrOff[out]; j < c.fl.RdrOff[out+1]; j++ {
+				r := c.fl.Rdrs[j]
 				if mark[r] != int32(net) {
 					mark[r] = int32(net)
 					stack = append(stack, r)
@@ -79,8 +79,8 @@ func (c *simCore) buildCones(threshold int) {
 		// Level-major order makes the stored cone a valid evaluation
 		// schedule: every gate appears after all cone gates feeding it.
 		sort.Slice(gbuf, func(i, j int) bool {
-			if c.level[gbuf[i]] != c.level[gbuf[j]] {
-				return c.level[gbuf[i]] < c.level[gbuf[j]]
+			if c.fl.Level[gbuf[i]] != c.fl.Level[gbuf[j]] {
+				return c.fl.Level[gbuf[i]] < c.fl.Level[gbuf[j]]
 			}
 			return gbuf[i] < gbuf[j]
 		})
@@ -92,12 +92,12 @@ func (c *simCore) buildCones(threshold int) {
 		// the points by sampled net and the netlist is acyclic with one
 		// driver per net, so no point can appear twice.
 		obuf = obuf[:0]
-		for oi := c.obsHead[net]; oi >= 0; oi = c.obsNext[oi] {
+		for oi := c.fl.ObsHead[net]; oi >= 0; oi = c.fl.ObsNext[oi] {
 			obuf = append(obuf, oi)
 		}
 		down := false
 		for _, g := range gbuf {
-			for oi := c.obsHead[c.gateOut[g]]; oi >= 0; oi = c.obsNext[oi] {
+			for oi := c.fl.ObsHead[c.fl.Out[g]]; oi >= 0; oi = c.fl.ObsNext[oi] {
 				obuf = append(obuf, oi)
 				down = true
 			}

@@ -81,7 +81,7 @@ func checkConesAgainstBrute(t testing.TB, s *Sim, n *netlist.Netlist, threshold 
 		// The stored order must be a valid evaluation schedule: levels
 		// non-decreasing, so every gate follows the cone gates feeding it.
 		for i := 1; i < len(cone); i++ {
-			if s.level[cone[i-1]] > s.level[cone[i]] {
+			if s.fl.Level[cone[i-1]] > s.fl.Level[cone[i]] {
 				t.Fatalf("net %d: cone not level-sorted at %d: %v", net, i, cone)
 			}
 		}

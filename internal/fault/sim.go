@@ -52,11 +52,6 @@ const DefaultConeThreshold = 1024
 // structure. Once the pattern set stops growing, a simCore is safe to
 // share across any number of concurrent workers — everything mutable
 // lives in simScratch, and the scratch pool below hands one to each.
-//
-// The gate structure is stored structure-of-arrays (kind/out/pin arrays
-// indexed by GateID, flattened pin and reader lists in CSR form) so the
-// event loop streams through dense int arrays instead of chasing
-// netlist.Gate records.
 type simCore struct {
 	C        *scan.Chain
 	N        *netlist.Netlist
@@ -66,25 +61,10 @@ type simCore struct {
 	goodNets [][]uint64 // [word][net] post-EvalComb values (pre-capture)
 	masks    []uint64   // [word] cached Pattern.LaneMask()
 
-	// static structure (structure-of-arrays); level, maxLevel, rdrOff and
-	// rdrs are the netlist's own arrays, shared read-only
-	level    []int32 // per-gate combinational level
-	maxLevel int32
-	kind     []netlist.GateKind // per-gate kind
-	gateOut  []netlist.NetID    // per-gate output net
-	pinOff   []int32            // per-gate offset into pins (len gates+1)
-	pins     []netlist.NetID    // flattened gate input nets
-	rdrOff   []int32            // per-net offset into rdrs (len nets+1)
-	rdrs     []netlist.GateID   // flattened per-net reading gates
-
-	// Observation points per net, as intrusive chains: a net can be the D
-	// input of several FFs and a primary output at the same time, and every
-	// such point must report a failing bit. obsHead[net] is the first obs
-	// index reading the net (-1 = unobserved); obsNext[obs] links to the
-	// next obs index sharing the same net.
-	obsHead []int32
-	obsNext []int32
-	numObs  int
+	// fl is the netlist's compiled form (gate arrays, pin and reader CSR,
+	// levels, observation chains), held by value so the event loops read
+	// its arrays one field deep.
+	fl netlist.Flat
 
 	// Fan-out cones, CSR per net: coneGates[coneOff[net]:coneOff[net+1]]
 	// is the transitive fan-out gate set of the net, sorted by (level,
@@ -209,43 +189,7 @@ func NewSim(c *scan.Chain, patterns []*scan.Pattern) *Sim {
 // full-netlist event walk (the reference path the differential harness
 // pins the clipped path against).
 func NewSimCone(c *scan.Chain, patterns []*scan.Pattern, threshold int) *Sim {
-	n := c.N
-	s := &Sim{simCore: simCore{C: c, N: n}}
-	// SoA gate arrays; levels and per-net readers (CSR) are the netlist's
-	nGates := n.NumGates()
-	s.level, s.maxLevel = n.GateLevels()
-	s.rdrOff, s.rdrs = n.Readers()
-	s.kind = make([]netlist.GateKind, nGates)
-	s.gateOut = make([]netlist.NetID, nGates)
-	s.pinOff = make([]int32, nGates+1)
-	for gi := range n.Gates {
-		s.kind[gi] = n.Gates[gi].Kind
-		s.gateOut[gi] = n.Gates[gi].Out
-		s.pinOff[gi+1] = s.pinOff[gi] + int32(len(n.Gates[gi].In))
-	}
-	s.pins = make([]netlist.NetID, s.pinOff[nGates])
-	for gi := range n.Gates {
-		copy(s.pins[s.pinOff[gi]:s.pinOff[gi+1]], n.Gates[gi].In)
-	}
-	// observation chains per net
-	nNets := n.NumNets()
-	s.numObs = n.NumFFs() + len(n.Outputs)
-	s.obsHead = make([]int32, nNets)
-	for i := range s.obsHead {
-		s.obsHead[i] = -1
-	}
-	s.obsNext = make([]int32, s.numObs)
-	addObs := func(net netlist.NetID, oi int32) {
-		s.obsNext[oi] = s.obsHead[net]
-		s.obsHead[net] = oi
-	}
-	// Insert in reverse so each chain reads out in ascending obs order.
-	for oi := len(n.Outputs) - 1; oi >= 0; oi-- {
-		addObs(n.Outputs[oi], int32(n.NumFFs()+oi))
-	}
-	for fi := n.NumFFs() - 1; fi >= 0; fi-- {
-		addObs(n.FFs[fi].D, int32(fi))
-	}
+	s := &Sim{simCore: simCore{C: c, N: c.N, fl: *c.N.Flat()}}
 	s.buildCones(threshold)
 	s.scr.init(&s.simCore)
 	for _, p := range patterns {
@@ -260,11 +204,11 @@ func (scr *simScratch) init(c *simCore) {
 	scr.scratch = make([]uint64, n.NumNets())
 	// One arena allocation backs all three epoch-cleared marker arrays.
 	nNets, nGates := n.NumNets(), n.NumGates()
-	scr.slab = make([]int32, nNets+nGates+c.numObs)
+	scr.slab = make([]int32, nNets+nGates+len(c.fl.ObsNext))
 	scr.epoch = scr.slab[:nNets:nNets]
 	scr.schedEp = scr.slab[nNets : nNets+nGates : nNets+nGates]
 	scr.obsEp = scr.slab[nNets+nGates:]
-	scr.buckets = make([][]netlist.GateID, c.maxLevel+1)
+	scr.buckets = make([][]netlist.GateID, c.fl.MaxLevel+1)
 	scr.resetEpochs()
 }
 
@@ -313,8 +257,7 @@ func (s *simCore) AddPattern(p *scan.Pattern) {
 	st := s.N.NewState()
 	s.C.Load(st, p)
 	st.EvalComb(netlist.NoFault)
-	nets := make([]uint64, len(st.Vals))
-	copy(nets, st.Vals)
+	nets := st.Vals
 	s.goodNets = append(s.goodNets, nets)
 	resp := make([]uint64, s.N.NumFFs()+len(s.N.Outputs))
 	for fi := 0; fi < s.N.NumFFs(); fi++ {
@@ -365,25 +308,25 @@ func (s *simCore) AddPattern(p *scan.Pattern) {
 	var pbuf [8]uint64
 	var pspill []uint64
 	for gi := 0; gi < s.N.NumGates(); gi++ {
-		lo, hi := s.pinOff[gi], s.pinOff[gi+1]
+		lo, hi := s.fl.PinOff[gi], s.fl.PinOff[gi+1]
 		ins := pbuf[:0]
 		if int(hi-lo) > len(pbuf) {
 			pspill = append(pspill[:0], make([]uint64, hi-lo)...)
 			ins = pspill[:0]
 		}
-		for _, in := range s.pins[lo:hi] {
+		for _, in := range s.fl.Pins[lo:hi] {
 			ins = append(ins, nets[in])
 		}
-		gv := nets[s.gateOut[gi]]
-		k := s.kind[gi]
+		gv := nets[s.fl.Out[gi]]
+		k := s.fl.Kind[gi]
 		for j := range ins {
 			sv := ins[j]
 			ins[j] = 0
-			if (evalGate(k, ins)^gv)&m != 0 {
+			if (netlist.EvalWord(k, ins)^gv)&m != 0 {
 				s.exPinFlip0[(int(lo)+j)*s.exStride+blk] |= 1 << bit
 			}
 			ins[j] = ^uint64(0)
-			if (evalGate(k, ins)^gv)&m != 0 {
+			if (netlist.EvalWord(k, ins)^gv)&m != 0 {
 				s.exPinFlip1[(int(lo)+j)*s.exStride+blk] |= 1 << bit
 			}
 			ins[j] = sv
@@ -404,10 +347,11 @@ func (s *simCore) growExcite(stride int) {
 	nNets := s.N.NumNets()
 	s.exNetHas0 = grow(s.exNetHas0, nNets)
 	s.exNetHas1 = grow(s.exNetHas1, nNets)
-	s.exObsHas0 = grow(s.exObsHas0, s.numObs)
-	s.exObsHas1 = grow(s.exObsHas1, s.numObs)
-	s.exPinFlip0 = grow(s.exPinFlip0, len(s.pins))
-	s.exPinFlip1 = grow(s.exPinFlip1, len(s.pins))
+	nObs := len(s.fl.ObsNext)
+	s.exObsHas0 = grow(s.exObsHas0, nObs)
+	s.exObsHas1 = grow(s.exObsHas1, nObs)
+	s.exPinFlip0 = grow(s.exPinFlip0, len(s.fl.Pins))
+	s.exPinFlip1 = grow(s.exPinFlip1, len(s.fl.Pins))
 	s.exStride = stride
 }
 
@@ -423,7 +367,7 @@ func (s *simCore) growGoodT(stride int) {
 		return nw
 	}
 	s.goodT = grow(s.goodT, s.N.NumNets())
-	s.goodRespT = grow(s.goodRespT, s.numObs)
+	s.goodRespT = grow(s.goodRespT, len(s.fl.ObsNext))
 	s.gtStride = stride
 }
 
@@ -434,8 +378,9 @@ func (s *Sim) Run(f netlist.Fault, maxFail int) Result {
 	return s.simCore.run(&s.scr, f, maxFail, 0, len(s.Patterns))
 }
 
-// RunWord simulates fault f against pattern word w only — the ATPG
-// fault-dropping inner loop.
+// RunWord simulates fault f against pattern word w only: the serial
+// reference that campaign tests compare Campaign.RunWordsCheckpoint
+// against.
 func (s *Sim) RunWord(f netlist.Fault, w, maxFail int) Result {
 	return s.simCore.run(&s.scr, f, maxFail, w, w+1)
 }
@@ -447,7 +392,7 @@ func (c *simCore) schedule(scr *simScratch, g netlist.GateID) {
 		return
 	}
 	scr.schedEp[g] = scr.curEp
-	lv := c.level[g]
+	lv := c.fl.Level[g]
 	scr.buckets[lv] = append(scr.buckets[lv], g)
 }
 
@@ -485,7 +430,7 @@ func (c *simCore) simWords(scr *simScratch, f netlist.Fault, res *Result, maxFai
 	// appears on, and whether its stored cone clips this fault's walk.
 	var seedNet netlist.NetID
 	if f.Gate >= 0 {
-		seedNet = c.gateOut[f.Gate]
+		seedNet = c.fl.Out[f.Gate]
 	} else {
 		seedNet = c.N.FFs[f.FF].Q
 	}
@@ -502,7 +447,7 @@ func (c *simCore) simWords(scr *simScratch, f netlist.Fault, res *Result, maxFai
 	var exRow, exOwnRow []uint64
 	if clipped {
 		if f.Gate >= 0 && f.Pin >= 0 {
-			pi := int(c.pinOff[f.Gate]) + f.Pin
+			pi := int(c.fl.PinOff[f.Gate]) + f.Pin
 			if f.StuckAt1 {
 				exRow = c.exPinFlip1[pi*c.exStride : (pi+1)*c.exStride]
 			} else {
@@ -626,7 +571,7 @@ func (c *simCore) coneWalkWord(scr *simScratch, f netlist.Fault, res *Result,
 	}
 	scr.scratch[seedNet] = v
 	scr.epoch[seedNet] = scr.curEp
-	if c.obsHead[seedNet] >= 0 && c.observeNetT(scr, res, f, seedNet, v, mask, maxFail, w) {
+	if c.fl.ObsHead[seedNet] >= 0 && c.observeNetT(scr, res, f, seedNet, v, mask, maxFail, w) {
 		capped = true
 	}
 	if capped {
@@ -641,8 +586,8 @@ func (c *simCore) coneWalkWord(scr *simScratch, f netlist.Fault, res *Result,
 	// marked-but-unvisited gates so the sweep exits as soon as the effect
 	// dies, without touching the rest of the cone.
 	pending := 0
-	for j := c.rdrOff[seedNet]; j < c.rdrOff[seedNet+1]; j++ {
-		g := c.rdrs[j]
+	for j := c.fl.RdrOff[seedNet]; j < c.fl.RdrOff[seedNet+1]; j++ {
+		g := c.fl.Rdrs[j]
 		if scr.schedEp[g] != scr.curEp {
 			scr.schedEp[g] = scr.curEp
 			pending++
@@ -657,17 +602,17 @@ func (c *simCore) coneWalkWord(scr *simScratch, f netlist.Fault, res *Result,
 		pending--
 		scr.events++
 		v := c.evalGateAtT(scr, w, gi)
-		out := c.gateOut[gi]
+		out := c.fl.Out[gi]
 		if (v^c.goodT[int(out)*st+w])&mask == 0 {
 			continue // effect died here
 		}
 		scr.scratch[out] = v
 		scr.epoch[out] = scr.curEp
-		if c.obsHead[out] >= 0 && c.observeNetT(scr, res, f, out, v, mask, maxFail, w) {
+		if c.fl.ObsHead[out] >= 0 && c.observeNetT(scr, res, f, out, v, mask, maxFail, w) {
 			return
 		}
-		for j := c.rdrOff[out]; j < c.rdrOff[out+1]; j++ {
-			g := c.rdrs[j]
+		for j := c.fl.RdrOff[out]; j < c.fl.RdrOff[out+1]; j++ {
+			g := c.fl.Rdrs[j]
 			if scr.schedEp[g] != scr.curEp {
 				scr.schedEp[g] = scr.curEp
 				pending++
@@ -704,8 +649,8 @@ func (c *simCore) fullWalkWord(scr *simScratch, f netlist.Fault, res *Result,
 		if (stuckWord^good[q])&mask != 0 {
 			scr.scratch[q] = stuckWord
 			scr.epoch[q] = scr.curEp
-			for j := c.rdrOff[q]; j < c.rdrOff[q+1]; j++ {
-				c.schedule(scr, c.rdrs[j])
+			for j := c.fl.RdrOff[q]; j < c.fl.RdrOff[q+1]; j++ {
+				c.schedule(scr, c.fl.Rdrs[j])
 			}
 			// q itself may be observed directly — as another FF's D net
 			// or as a primary output — with no gate in between.
@@ -716,7 +661,7 @@ func (c *simCore) fullWalkWord(scr *simScratch, f netlist.Fault, res *Result,
 	}
 
 	// event-driven propagation in level order
-	for lv := int32(0); lv <= c.maxLevel && !capped; lv++ {
+	for lv := int32(0); lv <= c.fl.MaxLevel && !capped; lv++ {
 		for bi := 0; bi < len(scr.buckets[lv]); bi++ {
 			gi := scr.buckets[lv][bi]
 			var v uint64
@@ -729,18 +674,18 @@ func (c *simCore) fullWalkWord(scr *simScratch, f netlist.Fault, res *Result,
 			if f.Gate == gi && f.Pin < 0 {
 				v = stuckWord
 			}
-			out := c.gateOut[gi]
+			out := c.fl.Out[gi]
 			if (v^good[out])&mask == 0 {
 				continue // effect died here
 			}
 			scr.scratch[out] = v
 			scr.epoch[out] = scr.curEp
-			if c.obsHead[out] >= 0 && c.observeNet(scr, res, f, out, v, mask, maxFail, w) {
+			if c.fl.ObsHead[out] >= 0 && c.observeNet(scr, res, f, out, v, mask, maxFail, w) {
 				capped = true
 				break
 			}
-			for j := c.rdrOff[out]; j < c.rdrOff[out+1]; j++ {
-				c.schedule(scr, c.rdrs[j])
+			for j := c.fl.RdrOff[out]; j < c.fl.RdrOff[out+1]; j++ {
+				c.schedule(scr, c.fl.Rdrs[j])
 			}
 		}
 	}
@@ -808,7 +753,7 @@ func (c *simCore) observeNet(scr *simScratch, res *Result, f netlist.Fault,
 	net netlist.NetID, faulty, mask uint64, maxFail, w int) bool {
 
 	goodResp := c.goodResp[w]
-	for oi := c.obsHead[net]; oi >= 0; oi = c.obsNext[oi] {
+	for oi := c.fl.ObsHead[net]; oi >= 0; oi = c.fl.ObsNext[oi] {
 		if f.Gate < 0 && oi == int32(f.FF) {
 			// The faulty FF's own scan cell shifts out the stuck value no
 			// matter what its D net carries (the capture is overridden by
@@ -829,7 +774,7 @@ func (c *simCore) observeNetT(scr *simScratch, res *Result, f netlist.Fault,
 	net netlist.NetID, faulty, mask uint64, maxFail, w int) bool {
 
 	st := c.gtStride
-	for oi := c.obsHead[net]; oi >= 0; oi = c.obsNext[oi] {
+	for oi := c.fl.ObsHead[net]; oi >= 0; oi = c.fl.ObsNext[oi] {
 		if f.Gate < 0 && oi == int32(f.FF) {
 			continue // own scan cell: recorded at seeding, see observeNet
 		}
@@ -853,14 +798,14 @@ func (c *simCore) netValT(scr *simScratch, st, w int, in netlist.NetID) uint64 {
 // evalGateAtT / evalGateForcedT are the clipped path's gate evaluators,
 // reading good-machine inputs from the transposed (net-major) image.
 // The common arities (1-, 2-input, 3-input mux) are dispatched without
-// building an input slice; anything else falls through to evalGate.
+// building an input slice; anything else falls through to EvalWord.
 func (c *simCore) evalGateAtT(scr *simScratch, w int, gi netlist.GateID) uint64 {
 	st := c.gtStride
-	lo := c.pinOff[gi]
-	k := c.kind[gi]
-	switch c.pinOff[gi+1] - lo {
+	lo := c.fl.PinOff[gi]
+	k := c.fl.Kind[gi]
+	switch c.fl.PinOff[gi+1] - lo {
 	case 1:
-		a := c.netValT(scr, st, w, c.pins[lo])
+		a := c.netValT(scr, st, w, c.fl.Pins[lo])
 		switch k {
 		case netlist.And, netlist.Or, netlist.Xor, netlist.Buf:
 			return a
@@ -868,8 +813,8 @@ func (c *simCore) evalGateAtT(scr *simScratch, w int, gi netlist.GateID) uint64 
 			return ^a
 		}
 	case 2:
-		a := c.netValT(scr, st, w, c.pins[lo])
-		b := c.netValT(scr, st, w, c.pins[lo+1])
+		a := c.netValT(scr, st, w, c.fl.Pins[lo])
+		b := c.netValT(scr, st, w, c.fl.Pins[lo+1])
 		switch k {
 		case netlist.And:
 			return a & b
@@ -886,33 +831,33 @@ func (c *simCore) evalGateAtT(scr *simScratch, w int, gi netlist.GateID) uint64 
 		}
 	case 3:
 		if k == netlist.Mux2 {
-			sel := c.netValT(scr, st, w, c.pins[lo])
-			a := c.netValT(scr, st, w, c.pins[lo+1])
-			b := c.netValT(scr, st, w, c.pins[lo+2])
+			sel := c.netValT(scr, st, w, c.fl.Pins[lo])
+			a := c.netValT(scr, st, w, c.fl.Pins[lo+1])
+			b := c.netValT(scr, st, w, c.fl.Pins[lo+2])
 			return (a &^ sel) | (b & sel)
 		}
 	}
 	var buf [8]uint64
 	ins := buf[:0]
-	for _, in := range c.pins[lo:c.pinOff[gi+1]] {
+	for _, in := range c.fl.In(gi) {
 		ins = append(ins, c.netValT(scr, st, w, in))
 	}
-	return evalGate(k, ins)
+	return netlist.EvalWord(k, ins)
 }
 
 func (c *simCore) evalGateForcedT(scr *simScratch, w int, gi netlist.GateID,
 	pin int32, stuckWord uint64) uint64 {
 
 	st := c.gtStride
-	lo := c.pinOff[gi]
-	k := c.kind[gi]
-	if c.pinOff[gi+1]-lo == 2 {
+	lo := c.fl.PinOff[gi]
+	k := c.fl.Kind[gi]
+	if c.fl.PinOff[gi+1]-lo == 2 {
 		a := stuckWord
 		b := stuckWord
 		if pin == 0 {
-			b = c.netValT(scr, st, w, c.pins[lo+1])
+			b = c.netValT(scr, st, w, c.fl.Pins[lo+1])
 		} else {
-			a = c.netValT(scr, st, w, c.pins[lo])
+			a = c.netValT(scr, st, w, c.fl.Pins[lo])
 		}
 		switch k {
 		case netlist.And:
@@ -931,11 +876,11 @@ func (c *simCore) evalGateForcedT(scr *simScratch, w int, gi netlist.GateID,
 	}
 	var buf [8]uint64
 	ins := buf[:0]
-	for _, in := range c.pins[lo:c.pinOff[gi+1]] {
+	for _, in := range c.fl.In(gi) {
 		ins = append(ins, c.netValT(scr, st, w, in))
 	}
 	ins[pin] = stuckWord
-	return evalGate(k, ins)
+	return netlist.EvalWord(k, ins)
 }
 
 // evalGateAt evaluates one gate against the current overlay: inputs inside
@@ -944,14 +889,14 @@ func (c *simCore) evalGateForcedT(scr *simScratch, w int, gi netlist.GateID,
 func (c *simCore) evalGateAt(scr *simScratch, good []uint64, gi netlist.GateID) uint64 {
 	var buf [8]uint64
 	ins := buf[:0]
-	for _, in := range c.pins[c.pinOff[gi]:c.pinOff[gi+1]] {
+	for _, in := range c.fl.In(gi) {
 		if scr.epoch[in] == scr.curEp {
 			ins = append(ins, scr.scratch[in])
 		} else {
 			ins = append(ins, good[in])
 		}
 	}
-	return evalGate(c.kind[gi], ins)
+	return netlist.EvalWord(c.fl.Kind[gi], ins)
 }
 
 // evalGateForced is evalGateAt with one input pin forced to the stuck
@@ -961,7 +906,7 @@ func (c *simCore) evalGateForced(scr *simScratch, good []uint64, gi netlist.Gate
 
 	var buf [8]uint64
 	ins := buf[:0]
-	for _, in := range c.pins[c.pinOff[gi]:c.pinOff[gi+1]] {
+	for _, in := range c.fl.In(gi) {
 		if scr.epoch[in] == scr.curEp {
 			ins = append(ins, scr.scratch[in])
 		} else {
@@ -969,7 +914,7 @@ func (c *simCore) evalGateForced(scr *simScratch, good []uint64, gi netlist.Gate
 		}
 	}
 	ins[pin] = stuckWord
-	return evalGate(c.kind[gi], ins)
+	return netlist.EvalWord(c.fl.Kind[gi], ins)
 }
 
 // finalizeWord normalizes the bits one pattern word appended to res into
@@ -1013,60 +958,4 @@ func (s *Sim) Coverage(faults []netlist.Fault) float64 {
 		}
 	}
 	return float64(n) / float64(len(faults))
-}
-
-// evalGate mirrors netlist's gate semantics (duplicated to keep the hot
-// loop free of cross-package calls; netlist's own tests pin the truth
-// tables, and TestSimMatchesFullEval pins this copy against them).
-func evalGate(k netlist.GateKind, ins []uint64) uint64 {
-	switch k {
-	case netlist.And:
-		v := ^uint64(0)
-		for _, x := range ins {
-			v &= x
-		}
-		return v
-	case netlist.Or:
-		v := uint64(0)
-		for _, x := range ins {
-			v |= x
-		}
-		return v
-	case netlist.Nand:
-		v := ^uint64(0)
-		for _, x := range ins {
-			v &= x
-		}
-		return ^v
-	case netlist.Nor:
-		v := uint64(0)
-		for _, x := range ins {
-			v |= x
-		}
-		return ^v
-	case netlist.Xor:
-		v := uint64(0)
-		for _, x := range ins {
-			v ^= x
-		}
-		return v
-	case netlist.Xnor:
-		v := uint64(0)
-		for _, x := range ins {
-			v ^= x
-		}
-		return ^v
-	case netlist.Not:
-		return ^ins[0]
-	case netlist.Buf:
-		return ins[0]
-	case netlist.Mux2:
-		sel, a, b := ins[0], ins[1], ins[2]
-		return (a &^ sel) | (b & sel)
-	case netlist.Const0:
-		return 0
-	case netlist.Const1:
-		return ^uint64(0)
-	}
-	panic("fault: unknown gate kind")
 }

@@ -85,9 +85,7 @@ func (n *Netlist) FanInComps() [][]CompID {
 // event-restricted fault simulator. For FF-output faults, the cone starts
 // at the gates reading the FF's Q net.
 func (n *Netlist) ForwardCone(f Fault) []GateID {
-	if err := n.levelize(); err != nil {
-		panic(err)
-	}
+	fl := n.Flat()
 	inCone := make([]bool, len(n.Gates))
 	var seed []GateID
 	switch {
@@ -95,7 +93,7 @@ func (n *Netlist) ForwardCone(f Fault) []GateID {
 		seed = append(seed, f.Gate)
 	case f.FF >= 0:
 		q := n.FFs[f.FF].Q
-		seed = append(seed, n.rdrs[n.rdrOff[q]:n.rdrOff[q+1]]...)
+		seed = append(seed, fl.Rdrs[fl.RdrOff[q]:fl.RdrOff[q+1]]...)
 	}
 	stack := append([]GateID(nil), seed...)
 	for len(stack) > 0 {
@@ -105,15 +103,15 @@ func (n *Netlist) ForwardCone(f Fault) []GateID {
 			continue
 		}
 		inCone[g] = true
-		out := n.Gates[g].Out
-		for _, s := range n.rdrs[n.rdrOff[out]:n.rdrOff[out+1]] {
+		out := fl.Out[g]
+		for _, s := range fl.Rdrs[fl.RdrOff[out]:fl.RdrOff[out+1]] {
 			if !inCone[s] {
 				stack = append(stack, s)
 			}
 		}
 	}
 	cone := make([]GateID, 0, 64)
-	for _, g := range n.order {
+	for _, g := range fl.Order {
 		if inCone[g] {
 			cone = append(cone, g)
 		}

@@ -13,9 +13,7 @@ type State struct {
 
 // NewState allocates a zeroed simulation state for n.
 func (n *Netlist) NewState() *State {
-	if err := n.levelize(); err != nil {
-		panic(err)
-	}
+	n.Flat() // a combinational cycle panics here, not mid-evaluation
 	return &State{n: n, Vals: make([]uint64, len(n.nets))}
 }
 
@@ -71,7 +69,9 @@ func (f Fault) String() string {
 	return fmt.Sprintf("G%d/in%d sa%d", f.Gate, f.Pin, sa)
 }
 
-func evalGate(k GateKind, ins []uint64) uint64 {
+// EvalWord evaluates a gate of kind k over 64 pattern lanes: ins holds one
+// word per input pin, in pin order (for Mux2: sel, a, b).
+func EvalWord(k GateKind, ins []uint64) uint64 {
 	switch k {
 	case And:
 		v := ^uint64(0)
@@ -124,7 +124,9 @@ func evalGate(k GateKind, ins []uint64) uint64 {
 	panic("netlist: unknown gate kind")
 }
 
-// evalOne evaluates a single gate into s, honoring an injected fault.
+// evalOne evaluates a single gate into s, honoring an injected fault. It
+// reads the Gate record, not Flat, so State stays a reference independent
+// of the compiled form that PODEM and the fault simulator evaluate over.
 func (s *State) evalOne(gi GateID, f Fault) {
 	g := &s.n.Gates[gi]
 	var buf [8]uint64
@@ -139,7 +141,7 @@ func (s *State) evalOne(gi GateID, f Fault) {
 			ins[f.Pin] = 0
 		}
 	}
-	v := evalGate(g.Kind, ins)
+	v := EvalWord(g.Kind, ins)
 	if f.Gate == gi && f.Pin < 0 {
 		if f.StuckAt1 {
 			v = ^uint64(0)
@@ -162,7 +164,7 @@ func (s *State) EvalComb(f Fault) {
 			s.Vals[q] = 0
 		}
 	}
-	for _, gi := range s.n.order {
+	for _, gi := range s.n.Flat().Order {
 		s.evalOne(gi, f)
 	}
 }

@@ -50,7 +50,7 @@ func (n *Netlist) rewire(r reader, to NetID) {
 	} else {
 		n.FFs[r.ff].D = to
 	}
-	n.levelOK = false
+	n.flat = nil
 }
 
 // EquivTransform returns a clone of n rewritten by k random
@@ -129,7 +129,7 @@ func (t *Netlist) bufferOne(r *randRNG) {
 			in := t.Gates[gi].In[pick]
 			buf := t.AddGate(Buf, in)
 			t.Gates[gi].In[pick] = buf
-			t.levelOK = false
+			t.flat = nil
 			return
 		}
 	}

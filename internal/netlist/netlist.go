@@ -90,7 +90,10 @@ type netInfo struct {
 type Netlist struct {
 	Name string
 
-	nets  []netInfo
+	nets []netInfo
+	// Gates may be edited in place only before the netlist is first
+	// compiled (by Validate, Flat, NewState or ForwardCone) or on a Clone:
+	// Flat is a snapshot, and only the builder methods invalidate it.
 	Gates []Gate
 	FFs   []FF
 
@@ -100,13 +103,7 @@ type Netlist struct {
 	compNames []string
 	curComp   CompID
 
-	// lazily computed
-	order    []GateID // topological order of gates
-	level    []int32  // per-gate combinational level
-	maxLevel int32
-	rdrOff   []int32  // per-net offset into rdrs (len nets+1)
-	rdrs     []GateID // flattened per-net reading gates
-	levelOK  bool
+	flat *Flat // compiled form, nil until levelize (and after any edit)
 }
 
 // New returns an empty netlist with the given name. Component 0 is
@@ -155,7 +152,7 @@ func (n *Netlist) SetCurrentComp(c CompID) { n.curComp = c }
 
 func (n *Netlist) newNet(name string) NetID {
 	n.nets = append(n.nets, netInfo{name: name, gate: -1, ff: -1})
-	n.levelOK = false
+	n.flat = nil
 	return NetID(len(n.nets) - 1)
 }
 
@@ -173,6 +170,7 @@ func (n *Netlist) Output(id NetID, name string) {
 		n.nets[id].name = name
 	}
 	n.Outputs = append(n.Outputs, id)
+	n.flat = nil
 }
 
 // AddGate appends a gate of kind k reading ins, returning its output net.
@@ -264,7 +262,7 @@ func (n *Netlist) DeclFF(name string) (FFID, NetID) {
 // BindFFD connects a declared flip-flop's D input to net d.
 func (n *Netlist) BindFFD(ff FFID, d NetID) {
 	n.FFs[ff].D = d
-	n.levelOK = false
+	n.flat = nil
 }
 
 // DriverGate returns the gate driving net id, or -1 if it is driven by a
@@ -304,37 +302,97 @@ func (n *Netlist) Validate() error {
 	return nil
 }
 
-// levelize computes a topological order of the gates. FF Q nets and primary
-// inputs are sources; a cycle among gates is a combinational loop error.
+// Flat is the compiled, read-only form of a netlist that PODEM and the
+// fault simulator both evaluate over: per-gate arrays indexed by GateID,
+// pins and readers in CSR form, a topological order with levels, and
+// per-net observation chains. A Flat is a snapshot: after an edit through
+// the builder methods the next Flat call compiles a fresh one, and earlier
+// ones stay intact.
+type Flat struct {
+	Kind []GateKind // per gate
+	Out  []NetID    // per gate: output net
+	// The input nets of gate g (for Mux2: sel, a, b) are
+	// Pins[PinOff[g]:PinOff[g+1]]; see In.
+	PinOff []int32
+	Pins   []NetID
+
+	// Order lists the gates in topological (evaluation) order. Level is
+	// each gate's combinational level: 0 for gates fed only by primary
+	// inputs, FF outputs or nothing, otherwise one past the deepest
+	// gate-driven input. Every reader of a gate's output sits at a strictly
+	// higher level, so level-bucketed event queues evaluate in topological
+	// order.
+	Order    []GateID
+	Level    []int32
+	MaxLevel int32
+
+	// The gates reading net id are Rdrs[RdrOff[id]:RdrOff[id+1]], in
+	// gate-ID order, a gate reading the net on several pins appearing once
+	// per pin.
+	RdrOff []int32
+	Rdrs   []GateID
+
+	// Observation points (ObsPoints indices) per net, as intrusive chains:
+	// a net can be the D input of several FFs and a primary output at once.
+	// ObsHead[net] is the lowest obs index sampling the net (-1 = none);
+	// ObsNext[obs] is the next higher one sampling the same net (-1 = end).
+	ObsHead []int32
+	ObsNext []int32
+}
+
+// In returns gate g's input nets. The slice is shared: read only.
+func (f *Flat) In(g GateID) []NetID { return f.Pins[f.PinOff[g]:f.PinOff[g+1]] }
+
+// Flat returns the netlist's compiled form, compiling it on first use. The
+// arrays are shared: read only. It panics on a combinational cycle, which
+// Validate reports as an error.
+func (n *Netlist) Flat() *Flat {
+	if err := n.levelize(); err != nil {
+		panic(err)
+	}
+	return n.flat
+}
+
+// levelize compiles n.flat. FF Q nets and primary inputs are sources; a
+// cycle among gates is a combinational loop error.
 func (n *Netlist) levelize() error {
-	if n.levelOK {
+	if n.flat != nil {
 		return nil
 	}
-	// Per-net reader CSR: the gates reading net id are
-	// rdrs[rdrOff[id]:rdrOff[id+1]], in gate-ID order, once per pin.
-	rdrOff := make([]int32, len(n.nets)+1)
+	nNets, nGates := len(n.nets), len(n.Gates)
+	f := &Flat{
+		Kind:   make([]GateKind, nGates),
+		Out:    make([]NetID, nGates),
+		PinOff: make([]int32, nGates+1),
+		RdrOff: make([]int32, nNets+1),
+	}
 	for gi := range n.Gates {
-		for _, in := range n.Gates[gi].In {
-			rdrOff[in+1]++
+		g := &n.Gates[gi]
+		f.Kind[gi] = g.Kind
+		f.Out[gi] = g.Out
+		f.Pins = append(f.Pins, g.In...)
+		f.PinOff[gi+1] = int32(len(f.Pins))
+		for _, in := range g.In {
+			f.RdrOff[in+1]++
 		}
 	}
 	for i := range n.nets {
-		rdrOff[i+1] += rdrOff[i]
+		f.RdrOff[i+1] += f.RdrOff[i]
 	}
-	rdrs := make([]GateID, rdrOff[len(n.nets)])
-	fill := make([]int32, len(n.nets))
-	indeg := make([]int32, len(n.Gates))
+	f.Rdrs = make([]GateID, f.RdrOff[nNets])
+	fill := make([]int32, nNets)
+	indeg := make([]int32, nGates)
 	for gi := range n.Gates {
-		for _, in := range n.Gates[gi].In {
-			rdrs[rdrOff[in]+fill[in]] = GateID(gi)
+		for _, in := range f.In(GateID(gi)) {
+			f.Rdrs[f.RdrOff[in]+fill[in]] = GateID(gi)
 			fill[in]++
 			if n.nets[in].gate >= 0 {
 				indeg[gi]++
 			}
 		}
 	}
-	order := make([]GateID, 0, len(n.Gates))
-	queue := make([]GateID, 0, len(n.Gates))
+	f.Order = make([]GateID, 0, nGates)
+	queue := make([]GateID, 0, nGates)
 	for gi := range n.Gates {
 		if indeg[gi] == 0 {
 			queue = append(queue, GateID(gi))
@@ -343,16 +401,16 @@ func (n *Netlist) levelize() error {
 	for len(queue) > 0 {
 		g := queue[0]
 		queue = queue[1:]
-		order = append(order, g)
-		out := n.Gates[g].Out
-		for _, s := range rdrs[rdrOff[out]:rdrOff[out+1]] {
+		f.Order = append(f.Order, g)
+		out := f.Out[g]
+		for _, s := range f.Rdrs[f.RdrOff[out]:f.RdrOff[out+1]] {
 			indeg[s]--
 			if indeg[s] == 0 {
 				queue = append(queue, s)
 			}
 		}
 	}
-	if len(order) != len(n.Gates) {
+	if len(f.Order) != nGates {
 		// find one gate on a cycle for the error message
 		for gi := range n.Gates {
 			if indeg[gi] > 0 {
@@ -362,56 +420,38 @@ func (n *Netlist) levelize() error {
 		}
 		return fmt.Errorf("netlist %s: combinational cycle", n.Name)
 	}
-	level := make([]int32, len(n.Gates))
-	var maxLevel int32
-	for _, gi := range order {
+	f.Level = make([]int32, nGates)
+	for _, gi := range f.Order {
 		var lv int32
-		for _, in := range n.Gates[gi].In {
-			if d := n.nets[in].gate; d >= 0 && level[d]+1 > lv {
-				lv = level[d] + 1
+		for _, in := range f.In(gi) {
+			if d := n.nets[in].gate; d >= 0 && f.Level[d]+1 > lv {
+				lv = f.Level[d] + 1
 			}
 		}
-		level[gi] = lv
-		if lv > maxLevel {
-			maxLevel = lv
+		f.Level[gi] = lv
+		f.MaxLevel = max(f.MaxLevel, lv)
+	}
+	f.ObsHead = make([]int32, nNets)
+	for i := range f.ObsHead {
+		f.ObsHead[i] = -1
+	}
+	f.ObsNext = make([]int32, len(n.FFs)+len(n.Outputs))
+	link := func(net NetID, oi int) {
+		f.ObsNext[oi] = -1
+		if net >= 0 { // an unbound DeclFF samples nothing yet
+			f.ObsNext[oi] = f.ObsHead[net]
+			f.ObsHead[net] = int32(oi)
 		}
 	}
-	n.order = order
-	n.level, n.maxLevel = level, maxLevel
-	n.rdrOff, n.rdrs = rdrOff, rdrs
-	n.levelOK = true
+	// Link in reverse so each chain reads out in ascending obs order.
+	for oi := len(n.Outputs) - 1; oi >= 0; oi-- {
+		link(n.Outputs[oi], len(n.FFs)+oi)
+	}
+	for fi := len(n.FFs) - 1; fi >= 0; fi-- {
+		link(n.FFs[fi].D, fi)
+	}
+	n.flat = f
 	return nil
-}
-
-// TopoOrder returns the gates in topological (evaluation) order.
-func (n *Netlist) TopoOrder() []GateID {
-	if err := n.levelize(); err != nil {
-		panic(err)
-	}
-	return n.order
-}
-
-// GateLevels returns each gate's combinational level — 0 for gates fed
-// only by primary inputs, FF outputs or nothing, otherwise one past the
-// deepest gate-driven input — and the largest level. Every reader of a
-// gate's output sits at a strictly higher level, so level-bucketed event
-// queues evaluate in topological order. The slice is shared: read only.
-func (n *Netlist) GateLevels() ([]int32, int32) {
-	if err := n.levelize(); err != nil {
-		panic(err)
-	}
-	return n.level, n.maxLevel
-}
-
-// Readers returns the per-net reader lists in CSR form: the gates reading
-// net id are rdrs[off[id]:off[id+1]], in gate-ID order, a gate reading the
-// net on several pins appearing once per pin. The slices are shared: read
-// only.
-func (n *Netlist) Readers() (off []int32, rdrs []GateID) {
-	if err := n.levelize(); err != nil {
-		panic(err)
-	}
-	return n.rdrOff, n.rdrs
 }
 
 // Stats summarizes netlist size.

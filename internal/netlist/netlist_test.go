@@ -27,7 +27,7 @@ func TestGateTruthTables(t *testing.T) {
 		{Const1, nil, ^uint64(0)},
 	}
 	for _, c := range cases {
-		if got := evalGate(c.kind, c.ins); got != c.want {
+		if got := EvalWord(c.kind, c.ins); got != c.want {
 			t.Errorf("%v(%b) = %b, want %b", c.kind, c.ins, got, c.want)
 		}
 	}
@@ -237,31 +237,41 @@ func TestForwardCone(t *testing.T) {
 	_ = z
 }
 
-// TestLevelsAndReaders pins the shared static structure against brute
-// force on random circuits: levels are one past the deepest gate-driven
-// input, readers list every (gate, pin) reading a net in gate-ID order,
-// and an FF fault's forward cone starts at its Q net's readers.
+// TestLevelsAndReaders pins the compiled Flat form against the builder on
+// random circuits: per-gate kind, output and pins; levels one past the
+// deepest gate-driven input; readers listing every (gate, pin) reading a
+// net in gate-ID order; observation chains listing exactly the points that
+// sample each net, ascending; and an FF fault's forward cone starting at
+// its Q net's readers. Then, on a hand-built circuit: Flat tolerates an
+// unbound DeclFF, and an AddGate, BindFFD or Output after an earlier Flat
+// call is reflected in the next one while the earlier snapshot stays as
+// it was.
 func TestLevelsAndReaders(t *testing.T) {
 	for seed := uint64(0); seed < 20; seed++ {
 		n := Random(RandomConfig{Seed: seed, Gates: 60, FFs: 5})
-		level, maxLevel := n.GateLevels()
+		fl := n.Flat()
+		for gi, g := range n.Gates {
+			if fl.Kind[gi] != g.Kind || fl.Out[gi] != g.Out || !slices.Equal(fl.In(GateID(gi)), g.In) {
+				t.Fatalf("seed %d: gate %d compiled %v %v -> %d, want %v %v -> %d",
+					seed, gi, fl.Kind[gi], fl.In(GateID(gi)), fl.Out[gi], g.Kind, g.In, g.Out)
+			}
+		}
 		var wantMax int32
-		for _, gi := range n.TopoOrder() {
+		for _, gi := range fl.Order {
 			var want int32
 			for _, in := range n.Gates[gi].In {
-				if d := n.DriverGate(in); d >= 0 && level[d]+1 > want {
-					want = level[d] + 1
+				if d := n.DriverGate(in); d >= 0 && fl.Level[d]+1 > want {
+					want = fl.Level[d] + 1
 				}
 			}
-			if level[gi] != want {
-				t.Fatalf("seed %d: gate %d level %d, want %d", seed, gi, level[gi], want)
+			if fl.Level[gi] != want {
+				t.Fatalf("seed %d: gate %d level %d, want %d", seed, gi, fl.Level[gi], want)
 			}
 			wantMax = max(wantMax, want)
 		}
-		if maxLevel != wantMax {
-			t.Fatalf("seed %d: max level %d, want %d", seed, maxLevel, wantMax)
+		if fl.MaxLevel != wantMax {
+			t.Fatalf("seed %d: max level %d, want %d", seed, fl.MaxLevel, wantMax)
 		}
-		off, rdrs := n.Readers()
 		for net := 0; net < n.NumNets(); net++ {
 			var want []GateID
 			for gi, g := range n.Gates {
@@ -271,18 +281,52 @@ func TestLevelsAndReaders(t *testing.T) {
 					}
 				}
 			}
-			if got := rdrs[off[net]:off[net+1]]; !slices.Equal(got, want) {
+			if got := fl.Rdrs[fl.RdrOff[net]:fl.RdrOff[net+1]]; !slices.Equal(got, want) {
 				t.Fatalf("seed %d: net %d readers %v, want %v", seed, net, got, want)
+			}
+			var wantObs, gotObs []int32
+			for oi, p := range n.ObsPoints() {
+				if n.ObsNet(p) == NetID(net) {
+					wantObs = append(wantObs, int32(oi))
+				}
+			}
+			for oi := fl.ObsHead[net]; oi >= 0; oi = fl.ObsNext[oi] {
+				gotObs = append(gotObs, oi)
+			}
+			if !slices.Equal(gotObs, wantObs) {
+				t.Fatalf("seed %d: net %d obs chain %v, want %v", seed, net, gotObs, wantObs)
 			}
 		}
 		for fi, ff := range n.FFs {
 			cone := n.ForwardCone(Fault{Gate: -1, FF: FFID(fi), Pin: -1})
-			for _, r := range rdrs[off[ff.Q]:off[ff.Q+1]] {
+			for _, r := range fl.Rdrs[fl.RdrOff[ff.Q]:fl.RdrOff[ff.Q+1]] {
 				if !slices.Contains(cone, r) {
 					t.Fatalf("seed %d: FF %d cone %v misses Q reader %d", seed, fi, cone, r)
 				}
 			}
 		}
+	}
+
+	n := New("recompile")
+	a := n.Input("a")
+	ff, q := n.DeclFF("q")
+	old := n.Flat()
+	if old.ObsHead[a] != -1 || old.ObsNext[ff] != -1 {
+		t.Fatalf("unbound FF linked into an obs chain: head %v next %v", old.ObsHead, old.ObsNext)
+	}
+	x := n.And(a, q)
+	fl := n.Flat()
+	if len(old.Kind) != 0 || len(fl.Kind) != 1 || fl.Kind[0] != And || fl.Out[0] != x ||
+		!slices.Equal(fl.Rdrs[fl.RdrOff[q]:fl.RdrOff[q+1]], []GateID{0}) {
+		t.Fatalf("AddGate not compiled: old %v, new %v -> %v, readers %v", old.Kind, fl.Kind, fl.Out, fl.Rdrs)
+	}
+	n.BindFFD(ff, x)
+	if fl := n.Flat(); fl.ObsHead[x] != int32(ff) || fl.ObsNext[ff] != -1 {
+		t.Fatalf("BindFFD not compiled: obs head %v next %v", fl.ObsHead, fl.ObsNext)
+	}
+	n.Output(x, "o")
+	if fl := n.Flat(); fl.ObsHead[x] != int32(ff) || fl.ObsNext[ff] != 1 {
+		t.Fatalf("Output not compiled: obs head %v next %v", fl.ObsHead, fl.ObsNext)
 	}
 }
 

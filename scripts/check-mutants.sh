@@ -2,13 +2,13 @@
 # Mutation check for the verification net: inject hand-picked single-line
 # mutants into the simulator hot path — the cone builder, the clipped and
 # full event walks, the excitation-skip index, the epoch arena, and the
-# campaign word tiler — and into PODEM's event-driven implication, and
-# require that the differential harness or the targeted unit tests catch
-# every one. A surviving mutant means the net has a blind spot — the build
+# campaign word tiler — into PODEM's event-driven implication, and into
+# the netlist's compiled Flat form both read, and require that the
+# differential harness or the targeted unit tests catch every one. A surviving mutant means the net has a blind spot — the build
 # fails.
 #
 # Each mutant is a sed substitution against one source file (internal/fault
-# unless marked atpg), chosen to break a distinct mechanism:
+# unless marked atpg or netlist), chosen to break a distinct mechanism:
 #    1 sim.go      off-by-one: drop the last level bucket from the full walk
 #    2 sim.go      inverted obs-epoch guard: FailObs dedup records nothing
 #    3 sim.go      inverted lane mask: clipped path observes only padding lanes
@@ -35,6 +35,7 @@
 #   18 atpg podem.go "changed?" test compares only the good plane
 #   19 atpg podem.go D-frontier walked in level order, not gate-ID order
 #   20 atpg podem.go faulty plane not updated for a changed PI
+#   21 netlist netlist.go Flat compiles AND gates as OR
 #
 # Catchers, in order: the differential harness (fast, runs first: sim vs
 # oracle, PODEM cubes P5, untestable verdicts P8), then the mutated
@@ -44,29 +45,33 @@
 # lockstep, the pinned Table 3 counts and test-set digests, and the
 # frontier-order test (19 leaves both small designs' test sets unchanged,
 # so only a circuit whose gate-ID and level orders disagree exposes it).
+# Mutant 21 should fall to the differential harness: its oracle evaluates
+# the netlist's Gate records, not Flat, so a bad compile shows up as a
+# simulator/oracle disagreement.
 #
 # Usage: scripts/check-mutants.sh [seed range, default 0:40]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 range="${1:-0:40}"
-files=(internal/fault/sim.go internal/fault/cone.go internal/fault/campaign.go internal/atpg/podem.go)
+files=(internal/fault/sim.go internal/fault/cone.go internal/fault/campaign.go internal/atpg/podem.go internal/netlist/netlist.go)
 declare -A unit_run=(
   [internal/fault]='Cone|Epoch|Tiling|Excitation|Drop|Overflow|Determinism'
   [internal/atpg]='Lockstep|PinnedCounts|FrontierOrder'
+  [internal/netlist]='LevelsAndReaders|TruthTables|Equiv'
 )
 
 # target file|sed substitution
 mutants=(
-  'internal/fault/sim.go|s/for lv := int32(0); lv <= c.maxLevel \&\& !capped; lv++/for lv := int32(0); lv < c.maxLevel \&\& !capped; lv++/'
+  'internal/fault/sim.go|s/for lv := int32(0); lv <= c.fl.MaxLevel \&\& !capped; lv++/for lv := int32(0); lv < c.fl.MaxLevel \&\& !capped; lv++/'
   'internal/fault/sim.go|s/if scr.obsEp\[oi\] != scr.runEp {/if scr.obsEp[oi] == scr.runEp {/'
   'internal/fault/sim.go|s/(faulty ^ c.goodRespT\[int(oi)\*st+w\]) \& mask/(faulty ^ c.goodRespT[int(oi)*st+w]) \&^ mask/'
   'internal/fault/sim.go|s/if (v^good\[out\])\&mask == 0 {/if (v^good[out])\&mask != 0 {/'
   'internal/fault/sim.go|s/stuckWord = \^uint64(0)/stuckWord = 1/'
   'internal/fault/cone.go|s/if len(gbuf) > threshold {/if len(gbuf) >= threshold {/'
-  'internal/fault/cone.go|s/return c.level\[gbuf\[i\]\] < c.level\[gbuf\[j\]\]/return c.level[gbuf[i]] > c.level[gbuf[j]]/'
+  'internal/fault/cone.go|s/return c.fl.Level\[gbuf\[i\]\] < c.fl.Level\[gbuf\[j\]\]/return c.fl.Level[gbuf[i]] > c.fl.Level[gbuf[j]]/'
   'internal/fault/cone.go|s/c.coneDownObs\[net\] = down/c.coneDownObs[net] = down \&\& false/'
-  'internal/fault/sim.go|s/for j := c.rdrOff\[seedNet\]; j < c.rdrOff\[seedNet+1\]; j++ {/for j := c.rdrOff[seedNet] + 1; j < c.rdrOff[seedNet+1]; j++ {/'
+  'internal/fault/sim.go|s/for j := c.fl.RdrOff\[seedNet\]; j < c.fl.RdrOff\[seedNet+1\]; j++ {/for j := c.fl.RdrOff[seedNet] + 1; j < c.fl.RdrOff[seedNet+1]; j++ {/'
   'internal/fault/sim.go|s/return c.goodT\[int(in)\*st+w\]/return c.goodT[int(in)+st*w]/'
   'internal/fault/sim.go|s/exRow = c.exNetHas0\[/exRow = c.exNetHas1[/'
   'internal/fault/sim.go|s/exRow = c.exPinFlip1\[/exRow = c.exPinFlip0[/'
@@ -74,10 +79,11 @@ mutants=(
   'internal/fault/sim.go|s/for i := range scr.slab {/for i := range scr.slab[:0] {/'
   'internal/fault/campaign.go|s/c.core.beginFault(scr)/scr.runEp += 0/'
   'internal/fault/campaign.go|s/keep = append(keep, \*t)/_ = t/'
-  'internal/atpg/podem.go|s/p.scheduleReaders(g.Out)/_ = g.Out/'
-  'internal/atpg/podem.go|s/if gv == p.good\[g.Out\] \&\& bv == p.bad\[g.Out\] {/if gv == p.good[g.Out] {/'
-  'internal/atpg/podem.go|s/slices.Sort(p.cone)/slices.SortStableFunc(p.cone, func(a, b netlist.GateID) int { return int(p.level[a] - p.level[b]) })/'
+  'internal/atpg/podem.go|s/p.scheduleReaders(out)/_ = out/'
+  'internal/atpg/podem.go|s/if gv == p.good\[out\] \&\& bv == p.bad\[out\] {/if gv == p.good[out] {/'
+  'internal/atpg/podem.go|s/slices.Sort(p.cone)/slices.SortStableFunc(p.cone, func(a, b netlist.GateID) int { return int(p.fl.Level[a] - p.fl.Level[b]) })/'
   'internal/atpg/podem.go|s/p.bad\[net\] = bv/_ = bv/'
+  'internal/netlist/netlist.go|s/f.Kind\[gi\] = g.Kind/f.Kind[gi] = max(g.Kind, Or)/'
 )
 
 tmp=$(mktemp -d)
