@@ -465,16 +465,27 @@ func BenchmarkPodem(b *testing.B) {
 	}
 }
 
-// BenchmarkUarchCycles measures simulated instructions per second.
+// BenchmarkUarchCycles measures simulated instructions per second (one
+// committed instruction per op) on the Rescue core at 90 nm and at 18 nm,
+// where core.ScaleFor's longer memory latency and misprediction penalty
+// leave most cycles idle. The steady state should not allocate.
 func BenchmarkUarchCycles(b *testing.B) {
 	prof, _ := workload.ByName("gzip")
-	s, err := uarch.New(uarch.RescueParams(), prof)
-	if err != nil {
-		b.Fatal(err)
+	for _, nm := range []int{90, 18} {
+		b.Run(fmt.Sprintf("%dnm", nm), func(b *testing.B) {
+			ns := core.ScaleFor(area.Node(nm))
+			p := uarch.RescueParams()
+			p.MemLatencyScale = ns.MemLatencyScale
+			p.FrontendDepth += ns.ExtraMispred
+			s, err := uarch.New(p, prof)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			s.Run(0, int64(b.N))
+		})
 	}
-	b.ResetTimer()
-	st := s.Run(0, int64(b.N))
-	_ = st
 }
 
 // BenchmarkNetlistEval measures 64-lane full-netlist evaluation.

@@ -64,7 +64,7 @@ func record(args []string) {
 		cli.ExitErr(err)
 	}
 	defer f.Close()
-	tw, err := trace.Record(&cli.CtxWriter{Ctx: ctx, W: f}, workload.New(prof), *n)
+	tw, err := trace.Record(&cli.CtxWriter{Ctx: ctx, W: f}, workload.Compile(prof).Gen(), *n)
 	if err != nil {
 		cli.ExitErr(err)
 	}

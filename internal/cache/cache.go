@@ -13,13 +13,16 @@ type Config struct {
 	Latency   int // access latency in cycles (hit)
 }
 
-// Cache is a single set-associative, write-allocate, LRU cache.
+// Cache is a single set-associative, write-allocate, LRU cache. Tags,
+// valid bits and LRU stamps live in one flat array each, way-major within
+// a set (set s, way w at s*Assoc+w), so building a cache is three
+// allocations whatever its size.
 type Cache struct {
 	cfg  Config
 	sets int
-	tag  [][]uint64
-	val  [][]bool
-	lru  [][]uint32
+	tag  []uint64
+	val  []bool
+	lru  []uint32
 	tick uint32
 
 	Accesses, Misses int64
@@ -31,16 +34,14 @@ func New(cfg Config) *Cache {
 	if sets < 1 {
 		sets = 1
 	}
-	c := &Cache{cfg: cfg, sets: sets}
-	c.tag = make([][]uint64, sets)
-	c.val = make([][]bool, sets)
-	c.lru = make([][]uint32, sets)
-	for s := 0; s < sets; s++ {
-		c.tag[s] = make([]uint64, cfg.Assoc)
-		c.val[s] = make([]bool, cfg.Assoc)
-		c.lru[s] = make([]uint32, cfg.Assoc)
+	n := sets * cfg.Assoc
+	return &Cache{
+		cfg:  cfg,
+		sets: sets,
+		tag:  make([]uint64, n),
+		val:  make([]bool, n),
+		lru:  make([]uint32, n),
 	}
-	return c
 }
 
 // Latency returns the hit latency.
@@ -53,29 +54,31 @@ func (c *Cache) Access(addr uint64) bool {
 	block := addr / uint64(c.cfg.BlockSize)
 	set := int(block % uint64(c.sets))
 	tag := block / uint64(c.sets)
-	for w := 0; w < c.cfg.Assoc; w++ {
-		if c.val[set][w] && c.tag[set][w] == tag {
-			c.lru[set][w] = c.tick
+	lo := set * c.cfg.Assoc
+	val, tags, lru := c.val[lo:lo+c.cfg.Assoc], c.tag[lo:lo+c.cfg.Assoc], c.lru[lo:lo+c.cfg.Assoc]
+	for w := range val {
+		if val[w] && tags[w] == tag {
+			lru[w] = c.tick
 			return true
 		}
 	}
 	c.Misses++
 	// LRU replace
 	victim := 0
-	oldest := c.lru[set][0]
-	for w := 1; w < c.cfg.Assoc; w++ {
-		if !c.val[set][w] {
+	oldest := lru[0]
+	for w := 1; w < len(val); w++ {
+		if !val[w] {
 			victim = w
 			break
 		}
-		if c.lru[set][w] < oldest {
-			oldest = c.lru[set][w]
+		if lru[w] < oldest {
+			oldest = lru[w]
 			victim = w
 		}
 	}
-	c.val[set][victim] = true
-	c.tag[set][victim] = tag
-	c.lru[set][victim] = c.tick
+	val[victim] = true
+	tags[victim] = tag
+	lru[victim] = c.tick
 	return false
 }
 

@@ -46,15 +46,6 @@ type IPCRow struct {
 	DegradationPct float64
 }
 
-// runIPC simulates one configuration of one benchmark.
-func runIPC(p uarch.Params, prof workload.Profile, warmup, commit int64) (float64, error) {
-	s, err := uarch.New(p, prof)
-	if err != nil {
-		return 0, err
-	}
-	return s.Run(warmup, commit).IPC(), nil
-}
-
 // parallelMapCtx runs jobs across workers goroutines (<= 0 = all CPUs)
 // with cooperative cancellation at job granularity: once ctx is done no new
 // jobs are dispatched, in-flight jobs finish, and the context's cause is
@@ -110,20 +101,23 @@ func IPCStudyFlow(ctx context.Context, benchNames []string, warmup, commit int64
 	progress := fault.ProgressFromContext(ctx)
 	var done atomic.Int64
 	cerr := parallelMapCtx(ctx, len(profs), workers, func(i int) {
-		base, err1 := runIPC(uarch.DefaultParams(), profs[i], warmup, commit)
-		resc, err2 := runIPC(uarch.RescueParams(), profs[i], warmup, commit)
-		if err1 != nil {
-			errs[i] = err1
-		} else if err2 != nil {
-			errs[i] = err2
+		prog := workload.Compile(profs[i])
+		var ipc [2]float64 // baseline, Rescue
+		for k, p := range [2]uarch.Params{uarch.DefaultParams(), uarch.RescueParams()} {
+			s, err := uarch.NewFromSource(p, prog.Gen())
+			if err != nil {
+				errs[i] = err
+				continue
+			}
+			ipc[k] = s.Run(warmup, commit).IPC()
 		}
 		rows[i] = IPCRow{
 			Benchmark: profs[i].Name,
-			Baseline:  base,
-			Rescue:    resc,
+			Baseline:  ipc[0],
+			Rescue:    ipc[1],
 		}
-		if base > 0 {
-			rows[i].DegradationPct = (1 - resc/base) * 100
+		if ipc[0] > 0 {
+			rows[i].DegradationPct = (1 - ipc[1]/ipc[0]) * 100
 		}
 		if progress != nil {
 			progress(done.Add(1), int64(len(profs)))
@@ -201,6 +195,12 @@ func BuildPerfModelFlowParams(ctx context.Context, node area.Scaling, baseParams
 	if err != nil {
 		return nil, err
 	}
+	// each benchmark's program is compiled once, by its first simulation,
+	// and walked afresh by every simulation
+	progs := make([]func() *workload.Program, len(profs))
+	for b, prof := range profs {
+		progs[b] = sync.OnceValue(func() *workload.Program { return workload.Compile(prof) })
+	}
 	ns := ScaleFor(node)
 	cfgs := yield.Configs()
 	pm := &PerfModel{
@@ -232,7 +232,11 @@ func BuildPerfModelFlowParams(ctx context.Context, node area.Scaling, baseParams
 			p = ns.apply(rescParams)
 			p.Degr = toDegraded(cfgs[j.cfg])
 		}
-		results[i], errs[i] = runIPC(p, profs[j.bench], warmup, commit)
+		s, err := uarch.NewFromSource(p, progs[j.bench]().Gen())
+		if err == nil {
+			results[i] = s.Run(warmup, commit).IPC()
+		}
+		errs[i] = err
 		if progress != nil {
 			progress(done.Add(1), int64(len(jobs)))
 		}

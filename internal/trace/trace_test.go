@@ -14,7 +14,7 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen := workload.New(prof)
+	gen := workload.Compile(prof).Gen()
 	var ref []isa.Inst
 	for i := 0; i < 20000; i++ {
 		ref = append(ref, gen.Next())
@@ -89,7 +89,7 @@ func TestSimulatorOnTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := Record(&buf, workload.New(prof), 120000); err != nil {
+	if _, err := Record(&buf, workload.Compile(prof).Gen(), 120000); err != nil {
 		t.Fatal(err)
 	}
 	tr, err := NewReader(bytes.NewReader(buf.Bytes()))
@@ -119,7 +119,7 @@ func TestCompactness(t *testing.T) {
 	prof, _ := workload.ByName("mcf")
 	var buf bytes.Buffer
 	const n = 50000
-	if _, err := Record(&buf, workload.New(prof), n); err != nil {
+	if _, err := Record(&buf, workload.Compile(prof).Gen(), n); err != nil {
 		t.Fatal(err)
 	}
 	perInst := float64(buf.Len()) / n

@@ -175,7 +175,24 @@ func RescueParams() Params {
 	return p
 }
 
-// Validate checks parameter sanity.
+// ParamError is the typed validation failure for a machine that could
+// never commit an instruction: a width or structure size that leaves some
+// stage no slot to move an instruction through, which would otherwise
+// spin the simulator for ever. Callers match it with errors.As to learn
+// which knob was out of range.
+type ParamError struct {
+	Field string // the Params field name
+	Value int    // the rejected value
+	Want  string // the legal range, such as ">= 1" or "in [1,17]"
+}
+
+func (e *ParamError) Error() string {
+	return fmt.Sprintf("uarch: %s = %d, want %s (the pipeline could never commit)", e.Field, e.Value, e.Want)
+}
+
+// Validate checks parameter sanity: even widths and queue sizes, a
+// machine that can make progress (see ParamError), and a legal degraded
+// shape.
 func (p Params) Validate() error {
 	if p.Ways < 2 || p.Ways%2 != 0 {
 		return fmt.Errorf("uarch: Ways must be even >= 2")
@@ -183,8 +200,27 @@ func (p Params) Validate() error {
 	if p.IntIQSize%2 != 0 || p.FPIQSize%2 != 0 || p.LSQSize%2 != 0 {
 		return fmt.Errorf("uarch: queue sizes must be even (two halves)")
 	}
-	if p.Rescue && (p.CompBufSlots < 1 || p.CompBufSlots > p.IntIQSize/2) {
-		return fmt.Errorf("uarch: CompBufSlots out of range")
+	for _, f := range []struct {
+		name   string
+		v, min int
+	}{
+		{"IssueWidth", p.IssueWidth, 1},
+		{"CommitWidth", p.CommitWidth, 1},
+		{"IntIQSize", p.IntIQSize, 2},
+		{"FPIQSize", p.FPIQSize, 2},
+		{"LSQSize", p.LSQSize, 2},
+		{"ROBSize", p.ROBSize, 1},
+		{"FrontendDepth", p.FrontendDepth, 0},
+		{"SquashWindow", p.SquashWindow, 0},
+	} {
+		if f.v < f.min {
+			return &ParamError{Field: f.name, Value: f.v, Want: fmt.Sprintf(">= %d", f.min)}
+		}
+	}
+	// the compaction buffer comes out of the new half of each issue
+	// queue, which must keep at least one slot
+	if maxBuf := min(p.IntIQSize, p.FPIQSize)/2 - 1; p.Rescue && (p.CompBufSlots < 1 || p.CompBufSlots > maxBuf) {
+		return &ParamError{Field: "CompBufSlots", Value: p.CompBufSlots, Want: fmt.Sprintf("in [1,%d]", maxBuf)}
 	}
 	if err := p.Degr.Validate(); err != nil {
 		return err
@@ -192,11 +228,16 @@ func (p Params) Validate() error {
 	if !p.Rescue && (p.Degr != Degraded{}) {
 		return fmt.Errorf("uarch: degraded operation requires the Rescue design")
 	}
+	// one group down must leave the frontend and each backend a way (two
+	// down is a dead shape, which New rejects on its own)
+	if max(p.Degr.FEGroupsDisabled, p.Degr.IntGroupsDisabled, p.Degr.FPGroupsDisabled) == 1 && p.Ways < 4 {
+		return &ParamError{Field: "Ways", Value: p.Ways, Want: ">= 4 with a group disabled"}
+	}
 	return nil
 }
 
 // feWidth returns the usable frontend width.
-func (p Params) feWidth() int {
+func (p *Params) feWidth() int {
 	w := p.Ways - 2*p.Degr.FEGroupsDisabled
 	if w < 0 {
 		w = 0
@@ -205,5 +246,5 @@ func (p Params) feWidth() int {
 }
 
 // intWays / fpWays return usable backend ways per type.
-func (p Params) intWays() int { return p.Ways - 2*p.Degr.IntGroupsDisabled }
-func (p Params) fpWays() int  { return p.Ways - 2*p.Degr.FPGroupsDisabled }
+func (p *Params) intWays() int { return p.Ways - 2*p.Degr.IntGroupsDisabled }
+func (p *Params) fpWays() int  { return p.Ways - 2*p.Degr.FPGroupsDisabled }

@@ -90,3 +90,42 @@ func TestParamsValidateDegraded(t *testing.T) {
 		t.Fatal("baseline with degraded fields must not validate")
 	}
 }
+
+// TestParamsValidateProgress pins the shapes that pass every other check
+// but leave some stage no slot to move an instruction through, so the
+// simulator would spin for ever: each is a typed ParamError naming its
+// field, and the nearest shape that can make progress still validates.
+func TestParamsValidateProgress(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		set   func(*Params)
+		field string // "" = must validate
+	}{
+		{"comp buf fills the int new half", func(p *Params) { p.CompBufSlots = p.IntIQSize / 2 }, "CompBufSlots"},
+		{"comp buf fills the fp new half", func(p *Params) { p.FPIQSize = 24; p.CompBufSlots = 12 }, "CompBufSlots"},
+		{"comp buf leaves one slot", func(p *Params) { p.FPIQSize = 24; p.CompBufSlots = 11 }, ""},
+		{"no LSQ", func(p *Params) { p.LSQSize = 0 }, "LSQSize"},
+		{"no ROB", func(p *Params) { p.ROBSize = 0 }, "ROBSize"},
+		{"one ROB entry", func(p *Params) { p.ROBSize = 1 }, ""},
+		{"no issue width", func(p *Params) { p.IssueWidth = 0 }, "IssueWidth"},
+		{"no commit width", func(p *Params) { p.CommitWidth = 0 }, "CommitWidth"},
+		{"negative frontend depth", func(p *Params) { p.FrontendDepth = -3 }, "FrontendDepth"},
+		{"negative squash window", func(p *Params) { p.SquashWindow = -1 }, "SquashWindow"},
+		{"zero squash window", func(p *Params) { p.SquashWindow = 0 }, ""},
+		{"one-group frontend down", func(p *Params) { p.Ways = 2; p.Degr.FEGroupsDisabled = 1 }, "Ways"},
+	} {
+		p := RescueParams()
+		tc.set(&p)
+		err := p.Validate()
+		if tc.field == "" {
+			if err != nil {
+				t.Errorf("%s: %v", tc.name, err)
+			}
+			continue
+		}
+		var pe *ParamError
+		if !errors.As(err, &pe) || pe.Field != tc.field {
+			t.Errorf("%s: want *ParamError on %s, got %v", tc.name, tc.field, err)
+		}
+	}
+}

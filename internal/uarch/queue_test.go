@@ -33,7 +33,7 @@ func addEntry(s *Sim, class isa.Class) int {
 		seq:     s.seq,
 		state:   inQueue,
 		present: true, resultReady: 0,
-		src1Rob: -1, src2Rob: -1, lsqIdx: -1,
+		src1Rob: -1, src2Rob: -1,
 	}
 	s.intQ.insert(rob)
 	return rob
@@ -139,7 +139,7 @@ func TestSelectOldestFirst(t *testing.T) {
 	}
 	s.now = 10
 	budget := s.fullBudget()
-	sel := s.selectHalf(&s.intQ.old, 4, &budget)
+	sel := s.selectHalf(nil, &s.intQ.old, 4, &budget)
 	if len(sel) != 4 {
 		t.Fatalf("selected %d, want 4", len(sel))
 	}
@@ -182,5 +182,31 @@ func TestFUBudgetClasses(t *testing.T) {
 	}
 	if b2.take(isa.Load) {
 		t.Fatal("second port should be gone")
+	}
+}
+
+// TestStaleCompletionIgnored pins the completion heap's re-check: an
+// instruction squashed back to its queue and reissued before its first
+// completion comes due must not finish at that stale cycle. (Rare in real
+// streams: it takes an integer divide in a miss shadow whose load hits
+// the L2.)
+func TestStaleCompletionIgnored(t *testing.T) {
+	s := mkSim(t, RescueParams())
+	rob := addEntry(s, isa.IntDiv)
+	e := &s.rob[rob]
+	s.now = 10
+	s.issueOne(rob) // first completion due at 30
+	e.state = inQueue
+	s.now = 15
+	s.issueOne(rob) // reissued after the squash: due at 35
+	s.now = 30
+	s.complete()
+	if e.state != issued {
+		t.Fatalf("state %d at cycle 30: the squashed issue's completion was applied", e.state)
+	}
+	s.now = 35
+	s.complete()
+	if e.state != done {
+		t.Fatalf("state %d at cycle 35, want done", e.state)
 	}
 }

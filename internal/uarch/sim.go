@@ -3,6 +3,7 @@ package uarch
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"rescue/internal/bpred"
 	"rescue/internal/cache"
@@ -34,10 +35,7 @@ type robEntry struct {
 	issueCycle       int64
 	doneCycle        int64
 	dataPend         bool // store issued before its data producer; commit re-checks
-
-	lsqIdx  int // index in LSQ order, -1 if not a memory op
-	fp      bool
-	present bool
+	present          bool
 }
 
 // halfQueue is one issue-queue half: rob indices, oldest first.
@@ -132,8 +130,12 @@ type Sim struct {
 	// -1; cleared when the instruction commits.
 	producer [isa.NumRegs]int
 
-	// frontend delay line: fetched instructions waiting to dispatch
-	fline []flineEntry
+	// frontend delay line: fetched instructions waiting to dispatch are
+	// fline[flHead:]. Dispatch advances flHead; fetch slides the live
+	// window back to the front when the buffer runs out of room, so the
+	// line never reallocates.
+	fline  []flineEntry
+	flHead int
 
 	// LSQ: rob indices of in-flight memory ops, oldest first
 	lsq    []int
@@ -156,6 +158,71 @@ type Sim struct {
 	// speculatively at hit latency; at fix time the shadow is squashed and
 	// the true latency installed
 	missFix []missEvent
+
+	// pending completions, one per issue (see complete)
+	doneQ doneHeap
+
+	// active records whether the current cycle changed machine state;
+	// stall is the dispatch-stall counter it bumped, if any. After an
+	// inactive cycle Run fast-forwards (see skipIdle).
+	active bool
+	stall  *int64
+
+	// selection and squash scratch, reused so the steady state never
+	// allocates
+	sel0, sel1, merged, squashed []int
+
+	// reference selects the per-cycle loop with the scanning complete:
+	// the model the fast path must reproduce, run in lockstep by tests.
+	reference bool
+	// onCommit, when set, sees every committed instruction (tests).
+	onCommit func(cycle, seq int64)
+}
+
+// doneItem is a pending completion: ROB slot rob finishes at cycle.
+type doneItem struct {
+	cycle int64
+	rob   int
+}
+
+// doneHeap is a binary min-heap of pending completions by cycle.
+type doneHeap []doneItem
+
+func (h *doneHeap) push(it doneItem) {
+	q := append(*h, it)
+	for i := len(q) - 1; i > 0; {
+		p := (i - 1) / 2
+		if q[p].cycle <= q[i].cycle {
+			break
+		}
+		q[p], q[i] = q[i], q[p]
+		i = p
+	}
+	*h = q
+}
+
+func (h *doneHeap) pop() doneItem {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	q[0] = q[n]
+	q = q[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && q[c+1].cycle < q[c].cycle {
+			c++
+		}
+		if q[i].cycle <= q[c].cycle {
+			break
+		}
+		q[i], q[c] = q[c], q[i]
+		i = c
+	}
+	*h = q
+	return top
 }
 
 type missEvent struct {
@@ -177,9 +244,11 @@ type Source interface {
 	Next() isa.Inst
 }
 
-// New builds a simulator for one benchmark profile.
+// New builds a simulator for one benchmark profile. Callers that run one
+// profile many times compile it once and use NewFromSource with a fresh
+// generator per run.
 func New(p Params, prof workload.Profile) (*Sim, error) {
-	return NewFromSource(p, workload.New(prof))
+	return NewFromSource(p, workload.Compile(prof).Gen())
 }
 
 // NewFromSource builds a simulator over an arbitrary instruction source.
@@ -198,9 +267,13 @@ func NewFromSource(p Params, src Source) (*Sim, error) {
 		mem:        cache.NewHierarchy(hc),
 		gen:        src,
 		rob:        make([]robEntry, p.ROBSize),
+		fline:      make([]flineEntry, 0, (p.FrontendDepth+2)*p.Ways),
 		lsqCap:     p.LSQSize - p.LSQSize/2*p.Degr.LSQHalvesDown,
 		fetchPC:    0x1000,
 		waitBranch: -1,
+		sel0:       make([]int, 0, 2*p.IssueWidth),
+		sel1:       make([]int, 0, p.IssueWidth),
+		merged:     make([]int, 0, 2*p.IssueWidth),
 	}
 	if p.BTBFaultFrac > 0 {
 		if err := s.pred.EnableSelfHeal(p.BTBFaultFrac, p.BTBSpares, 1); err != nil {
@@ -248,20 +321,23 @@ func (s *Sim) Run(warmup, commit int64) Stats {
 		s.cycle()
 		if warm && s.stats.Committed >= target {
 			// reset stats, keep microarchitectural state
-			c := s.stats.Committed
 			s.stats = Stats{}
-			_ = c
 			warm = false
 			target = commit
 		}
 		if !warm && s.stats.Committed >= target {
 			return s.stats
 		}
+		if !s.active && !s.reference {
+			s.skipIdle()
+		}
 		if s.now > never/2 {
-			panic("uarch: simulation wedged")
+			panic(wedgedPanic)
 		}
 	}
 }
+
+const wedgedPanic = "uarch: simulation wedged"
 
 // cycle advances one clock: commit, complete, issue, queue maintenance,
 // dispatch, fetch (reverse pipeline order so each stage sees last-cycle
@@ -270,6 +346,7 @@ func (s *Sim) cycle() {
 	s.now++
 	s.stats.Cycles++
 	s.occ.sample(s.intQ.size(), s.fpQ.size(), len(s.lsq), s.robCount)
+	s.active, s.stall = false, nil
 	s.commit()
 	s.complete()
 	s.issue()
@@ -277,6 +354,72 @@ func (s *Sim) cycle() {
 	s.dispatch()
 	s.fetch()
 }
+
+// skipIdle fast-forwards after a cycle that changed no state. The machine
+// stays frozen until the first timestamp a stage compares now against
+// comes due, so every cycle before that one would only sample the same
+// occupancies (the peaks cannot move) and bump the same dispatch-stall
+// counter: those are added in bulk and now jumps to the cycle before the
+// event. A frozen machine with nothing pending can never move again.
+func (s *Sim) skipIdle() {
+	next := s.nextEvent()
+	if next == never {
+		panic(wedgedPanic)
+	}
+	k := next - 1 - s.now
+	if k <= 0 {
+		return
+	}
+	s.stats.Cycles += k
+	s.occ.add(s.intQ.size(), s.fpQ.size(), len(s.lsq), s.robCount, k)
+	if s.stall != nil {
+		*s.stall += k
+	}
+	// the skipped cycles' issue-log slots would have been cleared
+	for c := s.now + 1; c < next && c <= s.now+int64(len(s.issueLog)); c++ {
+		s.issueLog[int(c)%len(s.issueLog)] = s.issueLog[int(c)%len(s.issueLog)][:0]
+	}
+	s.now = next - 1
+}
+
+// nextEvent returns the earliest cycle after now at which a frozen machine
+// can move: the first not-yet-due timestamp that some stage compares now
+// against. Those are a present ROB entry's doneCycle (complete, commit),
+// resultReady (operand wakeup) and issueCycle+SquashWindow (issue-queue
+// hold expiry), a pending miss fix-up, the frontend head's readyAt
+// (dispatch) and fetchStallTill (fetch). Stale values only add spurious
+// events, which cost a cycle of work but no accuracy. never means nothing
+// is pending.
+func (s *Sim) nextEvent() int64 {
+	next := int64(never)
+	at := func(c int64) {
+		if c > s.now && c < next {
+			next = c
+		}
+	}
+	hold := int64(s.P.SquashWindow)
+	for n, i := 0, s.robHead; n < s.robCount; n++ {
+		e := &s.rob[i]
+		at(e.doneCycle)
+		at(e.resultReady)
+		at(e.issueCycle + hold)
+		if i++; i == len(s.rob) {
+			i = 0
+		}
+	}
+	for _, ev := range s.missFix {
+		at(ev.fixCycle)
+	}
+	if s.flHead < len(s.fline) {
+		at(s.fline[s.flHead].readyAt)
+	}
+	at(s.fetchStallTill)
+	return next
+}
+
+// popFront drops q's first n elements in place, keeping its backing array
+// (reslicing past the front would make later appends reallocate).
+func popFront(q []int, n int) []int { return q[:copy(q, q[n:])] }
 
 // ---- commit ----
 
@@ -295,7 +438,7 @@ func (s *Sim) commit() {
 		// release LSQ slot
 		if e.inst.Class.IsMem() {
 			if len(s.lsq) > 0 && s.lsq[0] == s.robHead {
-				s.lsq = s.lsq[1:]
+				s.lsq = popFront(s.lsq, 1)
 			} else {
 				// remove wherever it is (squash reordering)
 				for i, r := range s.lsq {
@@ -309,10 +452,14 @@ func (s *Sim) commit() {
 		if d := e.inst.Dest; d != isa.RegNone && s.producer[d] == s.robHead {
 			s.producer[d] = -1
 		}
+		if s.onCommit != nil {
+			s.onCommit(s.now, e.seq)
+		}
 		e.present = false
 		s.robHead = (s.robHead + 1) % len(s.rob)
 		s.robCount--
 		s.stats.Committed++
+		s.active = true
 	}
 }
 
@@ -327,18 +474,32 @@ func (s *Sim) complete() {
 			s.fetchStallTill = s.now
 			s.waitBranch = -1
 			s.mispredInFlight = false
+			s.active = true
 		}
 	}
 	// mark issued instructions whose execution finished
-	// (scan ROB: sizes are small enough that this beats event queues for
-	// clarity; the hot loop is bounded by ROBSize)
-	idx := s.robHead
-	for n := 0; n < s.robCount; n++ {
-		e := &s.rob[idx]
-		if e.present && e.state == issued && e.doneCycle <= s.now {
-			e.state = done
+	if s.reference {
+		// scan the whole window every cycle
+		idx := s.robHead
+		for n := 0; n < s.robCount; n++ {
+			e := &s.rob[idx]
+			if e.present && e.state == issued && e.doneCycle <= s.now {
+				e.state = done
+			}
+			idx = (idx + 1) % len(s.rob)
 		}
-		idx = (idx + 1) % len(s.rob)
+		return
+	}
+	// pop the completions due by now. Every issue pushes its doneCycle,
+	// so each issued entry due now has an item here. An item whose slot
+	// was since squashed, reissued or recycled is stale; the scan's own
+	// predicate drops it, and marking a slot that satisfies the predicate
+	// is what the scan would do this cycle anyway.
+	for len(s.doneQ) > 0 && s.doneQ[0].cycle <= s.now {
+		if e := &s.rob[s.doneQ.pop().rob]; e.present && e.state == issued && e.doneCycle <= s.now {
+			e.state = done
+			s.active = true
+		}
 	}
 }
 
@@ -460,12 +621,11 @@ func (s *Sim) loadForwards(rob int) bool {
 	return false
 }
 
-// selectHalf picks ready instructions from one half, oldest first, up to
-// width and the FU budget. Returns the selected rob indices.
-func (s *Sim) selectHalf(h *halfQueue, width int, budget *fuBudget) []int {
-	var sel []int
+// selectHalf appends to dst the ready instructions of one half, oldest
+// first, up to width and the FU budget, and returns it.
+func (s *Sim) selectHalf(dst []int, h *halfQueue, width int, budget *fuBudget) []int {
 	for _, rob := range h.entries {
-		if len(sel) >= width {
+		if len(dst) >= width {
 			break
 		}
 		e := &s.rob[rob]
@@ -475,9 +635,20 @@ func (s *Sim) selectHalf(h *halfQueue, width int, budget *fuBudget) []int {
 		if !budget.take(e.inst.Class) {
 			continue
 		}
-		sel = append(sel, rob)
+		dst = append(dst, rob)
 	}
-	return sel
+	return dst
+}
+
+// takeAll charges every selected instruction to b, stopping at the first
+// one it cannot fit.
+func (b *fuBudget) takeAll(s *Sim, sel []int) bool {
+	for _, rob := range sel {
+		if !b.take(s.rob[rob].inst.Class) {
+			return false
+		}
+	}
+	return true
 }
 
 func (s *Sim) issue() {
@@ -496,9 +667,12 @@ func (s *Sim) issue() {
 				kept = append(kept, ev)
 				continue
 			}
+			// trueReady is the doneCycle issueOne installed, so the
+			// load's pending completion stays valid
 			e.resultReady = ev.trueReady
 			e.doneCycle = ev.trueReady
 			s.squashShadow(ev.rob)
+			s.active = true
 		}
 		s.missFix = kept
 	}
@@ -518,35 +692,34 @@ func (s *Sim) issueQueue(q *iq, ways int) {
 	if !s.P.Rescue {
 		// baseline: global age-ordered selection across the whole queue
 		budget := s.fullBudget()
-		toIssue = s.selectHalf(&q.old, width, &budget)
+		toIssue = s.selectHalf(s.sel0[:0], &q.old, width, &budget)
 	} else {
 		// Rescue: each half selects independently under full constraints
 		b0, b1 := s.fullBudget(), s.fullBudget()
-		var sel0, sel1 []int
+		sel0, sel1 := s.sel0[:0], s.sel1[:0]
 		if !q.deadHalf[0] {
-			sel0 = s.selectHalf(&q.old, width, &b0)
+			sel0 = s.selectHalf(sel0, &q.old, width, &b0)
 		}
 		if !q.deadHalf[1] {
-			sel1 = s.selectHalf(&q.new, width, &b1)
+			sel1 = s.selectHalf(sel1, &q.new, width, &b1)
 		}
 		over := len(sel0)+len(sel1) > width
 		if !over {
 			// combined FU check: re-run a shared budget over the union in
 			// age order; overflow there also triggers replay
 			budget := s.fullBudget()
-			for _, rob := range append(append([]int{}, sel0...), sel1...) {
-				if !budget.take(s.rob[rob].inst.Class) {
-					over = true
-					break
-				}
-			}
+			over = !budget.takeAll(s, sel0) || !budget.takeAll(s, sel1)
+		}
+		if over {
+			s.active = true // replay bookkeeping below
 		}
 		switch {
 		case !over:
 			toIssue = append(sel0, sel1...)
 		case s.P.ReplayPolicy == OracleCombine:
 			budget := s.fullBudget()
-			merged := mergeByAge(s, sel0, sel1)
+			merged := s.mergeByAge(sel0, sel1)
+			toIssue = merged[:0] // filtered in place
 			for _, rob := range merged {
 				if len(toIssue) >= width {
 					break
@@ -585,8 +758,9 @@ func (s *Sim) issueQueue(q *iq, ways int) {
 	}
 }
 
-func mergeByAge(s *Sim, a, b []int) []int {
-	out := append(append([]int{}, a...), b...)
+// mergeByAge returns a and b merged oldest first, in the merge scratch.
+func (s *Sim) mergeByAge(a, b []int) []int {
+	out := append(append(s.merged[:0], a...), b...)
 	// insertion sort by seq (tiny slices)
 	for i := 1; i < len(out); i++ {
 		for j := i; j > 0 && s.rob[out[j]].seq < s.rob[out[j-1]].seq; j-- {
@@ -653,6 +827,10 @@ func (s *Sim) issueOne(rob int) {
 	if missDone >= 0 {
 		e.doneCycle = missDone // a missing load retires at its true latency
 	}
+	if !s.reference {
+		s.doneQ.push(doneItem{cycle: e.doneCycle, rob: rob})
+	}
+	s.active = true
 	s.issueLog[int(s.now)%len(s.issueLog)] = append(s.issueLog[int(s.now)%len(s.issueLog)], rob)
 }
 
@@ -662,16 +840,7 @@ func (s *Sim) issueOne(rob int) {
 // holds entries an extra cycle and squashes an extra cycle — Section 5
 // item 4).
 func (s *Sim) squashShadow(loadRob int) {
-	squashed := map[int]bool{loadRob: true}
-	depends := func(e *robEntry) bool {
-		if e.src1Rob >= 0 && squashed[e.src1Rob] && s.rob[e.src1Rob].present && s.rob[e.src1Rob].seq == e.src1Seq {
-			return true
-		}
-		if e.src2Rob >= 0 && squashed[e.src2Rob] && s.rob[e.src2Rob].present && s.rob[e.src2Rob].seq == e.src2Seq {
-			return true
-		}
-		return false
-	}
+	squashed := append(s.squashed[:0], loadRob)
 	for back := s.P.SquashWindow; back >= 0; back-- {
 		c := s.now - int64(back)
 		if c < 0 {
@@ -686,15 +855,22 @@ func (s *Sim) squashShadow(loadRob int) {
 			if e.inst.Class.IsMem() || e.inst.Class == isa.Branch {
 				continue // memory ops and branches are not replayed
 			}
-			if !depends(e) {
+			if !s.consumes(squashed, e.src1Rob, e.src1Seq) && !s.consumes(squashed, e.src2Rob, e.src2Seq) {
 				continue
 			}
-			squashed[rob] = true
+			squashed = append(squashed, rob)
 			e.state = inQueue
 			e.resultReady = never
 			s.stats.MissSquashes++
 		}
 	}
+	s.squashed = squashed
+}
+
+// consumes reports whether a guarded producer link names a live
+// instruction in set.
+func (s *Sim) consumes(set []int, p int, seq int64) bool {
+	return p >= 0 && slices.Contains(set, p) && s.rob[p].present && s.rob[p].seq == seq
 }
 
 // ---- queue maintenance (Rescue segmented compaction) ----
@@ -725,6 +901,7 @@ func (s *Sim) cleanQueue(q *iq) {
 		}
 		h.entries = out
 	}
+	n := q.size()
 	rm(&q.old)
 	rm(&q.new)
 	outb := q.buf[:0]
@@ -734,6 +911,9 @@ func (s *Sim) cleanQueue(q *iq) {
 		}
 	}
 	q.buf = outb
+	if q.size() != n {
+		s.active = true
+	}
 }
 
 // compact performs the cycle-split inter-segment movement: buffer contents
@@ -744,24 +924,32 @@ func (s *Sim) compact(q *iq) {
 		return // single-half operation: no inter-segment traffic
 	}
 	// buffer -> old
-	for len(q.buf) > 0 && len(q.old.entries) < q.old.cap {
-		q.old.entries = append(q.old.entries, q.buf[0])
-		q.buf = q.buf[1:]
+	n := min(len(q.buf), q.old.cap-len(q.old.entries))
+	if n > 0 {
+		q.old.entries = append(q.old.entries, q.buf[:n]...)
+		q.buf = popFront(q.buf, n)
+		s.active = true
 	}
 	// new -> buffer (only if old requested last cycle; the request is a
 	// latched, cycle-old view — the ICI cycle split)
 	if q.reqPrev {
-		for len(q.buf) < q.bufCap && len(q.new.entries) > 0 {
+		n := 0
+		for len(q.buf)+n < q.bufCap && n < len(q.new.entries) {
 			// only move entries that are still waiting (issued ones must
 			// stay put for their hold window)
-			rob := q.new.entries[0]
-			if s.rob[rob].state != inQueue {
+			if s.rob[q.new.entries[n]].state != inQueue {
 				break
 			}
-			q.buf = append(q.buf, rob)
-			q.new.entries = q.new.entries[1:]
+			n++
+		}
+		if n > 0 {
+			q.buf = append(q.buf, q.new.entries[:n]...)
+			q.new.entries = popFront(q.new.entries, n)
+			s.active = true
 		}
 	}
+	// the request only flips in a cycle that moved or removed an old-half
+	// entry, which is already active
 	q.reqPrev = len(q.old.entries) < q.old.cap
 }
 
@@ -770,34 +958,36 @@ func (s *Sim) compact(q *iq) {
 func (s *Sim) dispatch() {
 	width := s.P.feWidth()
 	for n := 0; n < width; n++ {
-		if len(s.fline) == 0 {
+		if s.flHead == len(s.fline) {
 			return
 		}
-		f := s.fline[0]
+		f := &s.fline[s.flHead]
 		if f.readyAt > s.now {
 			return
 		}
 		if s.robCount >= len(s.rob) {
 			s.occ.DispatchStallROB++
+			s.stall = &s.occ.DispatchStallROB
 			return
 		}
 		inst := f.inst
-		fp := inst.Class.IsFP()
 		var q *iq
 		switch {
 		case inst.Class.IsMem():
 			q = s.intQ // memory ops issue from the int queue (AGU)
 			if len(s.lsq) >= s.lsqCap {
 				s.occ.DispatchStallLSQ++
+				s.stall = &s.occ.DispatchStallLSQ
 				return
 			}
-		case fp:
+		case inst.Class.IsFP():
 			q = s.fpQ
 		default:
 			q = s.intQ
 		}
 		if !q.hasSpace() {
 			s.occ.DispatchStallIQ++
+			s.stall = &s.occ.DispatchStallIQ
 			return
 		}
 		// allocate ROB
@@ -807,8 +997,7 @@ func (s *Sim) dispatch() {
 		s.seq++
 		e := &s.rob[rob]
 		*e = robEntry{inst: inst, seq: s.seq, state: inQueue,
-			resultReady: never, lsqIdx: -1, fp: fp, present: true,
-			src1Rob: -1, src2Rob: -1}
+			resultReady: never, present: true, src1Rob: -1, src2Rob: -1}
 		if inst.Src1 != isa.RegNone {
 			if p := s.producer[inst.Src1]; p >= 0 && s.rob[p].present {
 				e.src1Rob, e.src1Seq = p, s.rob[p].seq
@@ -824,13 +1013,13 @@ func (s *Sim) dispatch() {
 		}
 		if inst.Class.IsMem() {
 			s.lsq = append(s.lsq, rob)
-			e.lsqIdx = len(s.lsq) - 1
 		}
 		if f.mispred {
 			s.waitBranch = rob
 		}
 		q.insert(rob)
-		s.fline = s.fline[1:]
+		s.flHead++
+		s.active = true
 	}
 }
 
@@ -840,10 +1029,15 @@ func (s *Sim) fetch() {
 	if s.mispredInFlight || s.now < s.fetchStallTill {
 		return
 	}
-	if len(s.fline) > s.P.FrontendDepth*s.P.Ways {
+	if len(s.fline)-s.flHead > s.P.FrontendDepth*s.P.Ways {
 		return // frontend back-pressure
 	}
 	width := s.P.feWidth()
+	if cap(s.fline)-len(s.fline) < width {
+		s.fline = s.fline[:copy(s.fline, s.fline[s.flHead:])]
+		s.flHead = 0
+	}
+	s.active = true
 	// i-cache access for this fetch group
 	ilat := s.mem.FetchLatency(s.fetchPC)
 	extra := int64(0)

@@ -10,16 +10,14 @@ import (
 // map-outs change. These are the quantities that explain WHERE the 4%
 // fault-free degradation and the degraded-mode losses come from.
 type Occupancy struct {
-	Cycles               int64
-	IntIQSum, FPIQSum    int64
-	LSQSum, ROBSum       int64
-	IntIQPeak, FPIQPeak  int
-	LSQPeak, ROBPeak     int
-	IssueSlotsUsed       int64 // instructions issued
-	IssueCyclesSaturated int64 // cycles issuing a full width
-	DispatchStallIQ      int64 // dispatch blocked on queue space
-	DispatchStallROB     int64
-	DispatchStallLSQ     int64
+	Cycles              int64
+	IntIQSum, FPIQSum   int64
+	LSQSum, ROBSum      int64
+	IntIQPeak, FPIQPeak int
+	LSQPeak, ROBPeak    int
+	DispatchStallIQ     int64 // dispatch blocked on queue space
+	DispatchStallROB    int64
+	DispatchStallLSQ    int64
 }
 
 func maxi(a, b int) int {
@@ -31,15 +29,21 @@ func maxi(a, b int) int {
 
 // sample records one cycle's occupancy.
 func (o *Occupancy) sample(intIQ, fpIQ, lsq, rob int) {
-	o.Cycles++
-	o.IntIQSum += int64(intIQ)
-	o.FPIQSum += int64(fpIQ)
-	o.LSQSum += int64(lsq)
-	o.ROBSum += int64(rob)
+	o.add(intIQ, fpIQ, lsq, rob, 1)
 	o.IntIQPeak = maxi(o.IntIQPeak, intIQ)
 	o.FPIQPeak = maxi(o.FPIQPeak, fpIQ)
 	o.LSQPeak = maxi(o.LSQPeak, lsq)
 	o.ROBPeak = maxi(o.ROBPeak, rob)
+}
+
+// add accumulates k cycles at the given occupancies into the sums; the
+// peaks are sample's.
+func (o *Occupancy) add(intIQ, fpIQ, lsq, rob int, k int64) {
+	o.Cycles += k
+	o.IntIQSum += int64(intIQ) * k
+	o.FPIQSum += int64(fpIQ) * k
+	o.LSQSum += int64(lsq) * k
+	o.ROBSum += int64(rob) * k
 }
 
 // Avg returns the average occupancies (intIQ, fpIQ, lsq, rob).

@@ -170,3 +170,24 @@ func TestDeterminism(t *testing.T) {
 		t.Fatalf("nondeterministic: %+v vs %+v", a, b)
 	}
 }
+
+// TestWedgeDetectedImmediately pins the fast path's wedge check: a machine
+// that goes idle with nothing pending panics at once instead of spinning
+// to the cycle limit. No valid shape wedges, so the test breaks one after
+// construction.
+func TestWedgeDetectedImmediately(t *testing.T) {
+	s, err := New(RescueParams(), bench(t, "gzip"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.P.CommitWidth = 0
+	defer func() {
+		if r := recover(); r != wedgedPanic {
+			t.Fatalf("recovered %v, want %q", r, wedgedPanic)
+		}
+		if s.now > 1_000_000 {
+			t.Fatalf("wedge detected only at cycle %d", s.now)
+		}
+	}()
+	s.Run(0, 100)
+}

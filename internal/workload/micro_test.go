@@ -25,7 +25,7 @@ func TestMicroSignatures(t *testing.T) {
 		if !ok {
 			t.Fatalf("missing %s", name)
 		}
-		g := New(p)
+		g := Compile(p).Gen()
 		counts := map[isa.Class]int{}
 		for i := 0; i < n; i++ {
 			counts[g.Next().Class]++
@@ -52,7 +52,7 @@ func TestMicroSignatures(t *testing.T) {
 	// torture branches are mostly unpredictable: measure actual taken
 	// randomness via alternation entropy proxy
 	p, _ := MicroByName("torture")
-	g := New(p)
+	g := Compile(p).Gen()
 	taken, total := 0, 0
 	for i := 0; i < n; i++ {
 		in := g.Next()

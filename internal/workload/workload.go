@@ -78,12 +78,21 @@ type block struct {
 	brSrc     isa.Reg
 }
 
-// Gen walks a static synthetic program, producing a deterministic dynamic
-// instruction stream.
-type Gen struct {
+// Program is a benchmark's compiled static program: its basic blocks with
+// their instruction templates and branch behavior. It is read-only once
+// Compile returns, so any number of generators, on any goroutines, can
+// walk one Program.
+type Program struct {
 	p      Profile
-	rng    *rand.Rand // dynamic randomness (random-direction branches, addresses)
+	seed   int64
 	blocks []block
+}
+
+// Gen walks a compiled program, producing a deterministic dynamic
+// instruction stream. Each simulation owns its own Gen.
+type Gen struct {
+	prog *Program
+	rng  *rand.Rand // dynamic randomness (random-direction branches, addresses)
 
 	cur     int // current block
 	idx     int // next instruction slot in the block
@@ -91,9 +100,10 @@ type Gen struct {
 	streams map[int]uint64 // per static mem-inst stream cursor (key: block<<8|slot)
 }
 
-// New creates a generator. The program and its dynamic behavior are a pure
-// function of the profile (seeded by its name), so runs are reproducible.
-func New(p Profile) *Gen {
+// Compile builds a profile's static program. The program and every
+// stream its generators produce are a pure function of the profile
+// (seeded by its name), so runs are reproducible.
+func Compile(p Profile) *Program {
 	if p.CodeFootprint == 0 {
 		p.CodeFootprint = 64 << 10
 	}
@@ -101,20 +111,24 @@ func New(p Profile) *Gen {
 	for _, c := range p.Name {
 		seed = seed*131 + int64(c)
 	}
-	sr := rand.New(rand.NewSource(seed)) // static program construction
-	g := &Gen{
-		p:       p,
-		rng:     rand.New(rand.NewSource(seed ^ 0x5eed)),
+	prog := &Program{p: p, seed: seed}
+	prog.build(rand.New(rand.NewSource(seed))) // static program construction
+	return prog
+}
+
+// Gen starts a fresh dynamic walk of the program from its first block.
+func (prog *Program) Gen() *Gen {
+	return &Gen{
+		prog:    prog,
+		rng:     rand.New(rand.NewSource(prog.seed ^ 0x5eed)),
 		trips:   map[int]int{},
 		streams: map[int]uint64{},
 	}
-	g.build(sr)
-	return g
 }
 
 // build constructs the static program.
-func (g *Gen) build(sr *rand.Rand) {
-	p := g.p
+func (prog *Program) build(sr *rand.Rand) {
+	p := prog.p
 	pc := uint64(0x1000)
 	limit := uint64(0x1000) + p.CodeFootprint
 	// recent destinations for dependence-distance synthesis
@@ -265,13 +279,13 @@ func (g *Gen) build(sr *rand.Rand) {
 			b.takenProb = 0.05
 		}
 		pc += 8
-		g.blocks = append(g.blocks, b)
+		prog.blocks = append(prog.blocks, b)
 	}
 	// wire targets: fallthrough = next block; loop = back edge; biased and
 	// random = forward skip. Last block jumps to block 0.
-	nb := len(g.blocks)
-	for i := range g.blocks {
-		b := &g.blocks[i]
+	nb := len(prog.blocks)
+	for i := range prog.blocks {
+		b := &prog.blocks[i]
 		b.fallIdx = (i + 1) % nb
 		switch b.kind {
 		case loopBranch:
@@ -285,7 +299,7 @@ func (g *Gen) build(sr *rand.Rand) {
 			b.takenIdx = (i + skip) % nb
 		}
 	}
-	last := &g.blocks[nb-1]
+	last := &prog.blocks[nb-1]
 	last.kind = loopBranch
 	last.trip = 1 << 30 // effectively always taken: the outer loop
 	last.takenIdx = 0
@@ -303,7 +317,7 @@ func (g *Gen) memAddr(bi, slot int, t *template) uint64 {
 
 // Next produces the next dynamic instruction.
 func (g *Gen) Next() isa.Inst {
-	b := &g.blocks[g.cur]
+	b := &g.prog.blocks[g.cur]
 	if g.idx < len(b.insts) {
 		t := &b.insts[g.idx]
 		pc := b.pc + uint64(8*g.idx)
@@ -340,7 +354,7 @@ func (g *Gen) Next() isa.Inst {
 	if taken {
 		next = b.takenIdx
 	}
-	inst.Target = g.blocks[b.takenIdx].pc
+	inst.Target = g.prog.blocks[b.takenIdx].pc
 	g.cur = next
 	g.idx = 0
 	return inst

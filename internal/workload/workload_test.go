@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"sync"
 	"testing"
 
 	"rescue/internal/isa"
@@ -40,7 +41,7 @@ func TestByName(t *testing.T) {
 
 func TestDeterministicStream(t *testing.T) {
 	p, _ := ByName("gzip")
-	a, b := New(p), New(p)
+	a, b := Compile(p).Gen(), Compile(p).Gen()
 	for i := 0; i < 10000; i++ {
 		ia, ib := a.Next(), b.Next()
 		if ia != ib {
@@ -49,11 +50,40 @@ func TestDeterministicStream(t *testing.T) {
 	}
 }
 
+// TestProgramSharedAcrossGoroutines pins that a compiled Program is
+// read-only: generators walking one Program on concurrent goroutines each
+// produce the stream a fresh compile does (run with -race).
+func TestProgramSharedAcrossGoroutines(t *testing.T) {
+	p, _ := ByName("gcc")
+	const n = 20000
+	want := make([]isa.Inst, n)
+	ref := Compile(p).Gen()
+	for i := range want {
+		want[i] = ref.Next()
+	}
+	prog := Compile(p)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			g := prog.Gen()
+			for i := range want {
+				if got := g.Next(); got != want[i] {
+					t.Errorf("divergence at %d: %+v vs %+v", i, got, want[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 func TestPCChainConsistency(t *testing.T) {
 	// the PC walk must be self-consistent: each instruction's PC equals
 	// the previous instruction's NextPC
 	p, _ := ByName("vpr")
-	g := New(p)
+	g := Compile(p).Gen()
 	prev := g.Next()
 	for i := 0; i < 50000; i++ {
 		cur := g.Next()
@@ -66,7 +96,7 @@ func TestPCChainConsistency(t *testing.T) {
 
 func TestCodeFootprintBound(t *testing.T) {
 	p, _ := ByName("swim") // 24KB code
-	g := New(p)
+	g := Compile(p).Gen()
 	for i := 0; i < 100000; i++ {
 		in := g.Next()
 		if in.PC < 0x1000 || in.PC > 0x1000+p.CodeFootprint+8*64 {
@@ -77,7 +107,7 @@ func TestCodeFootprintBound(t *testing.T) {
 
 func TestMixRoughlyMatchesProfile(t *testing.T) {
 	p, _ := ByName("gzip")
-	g := New(p)
+	g := Compile(p).Gen()
 	counts := map[isa.Class]int{}
 	n := 200000
 	for i := 0; i < n; i++ {
@@ -95,7 +125,7 @@ func TestMixRoughlyMatchesProfile(t *testing.T) {
 
 func TestMemAddressesWithinFootprint(t *testing.T) {
 	p, _ := ByName("mcf")
-	g := New(p)
+	g := Compile(p).Gen()
 	for i := 0; i < 100000; i++ {
 		in := g.Next()
 		if !in.Class.IsMem() {
@@ -109,7 +139,7 @@ func TestMemAddressesWithinFootprint(t *testing.T) {
 
 func TestFPBenchmarkHasFPOps(t *testing.T) {
 	p, _ := ByName("swim")
-	g := New(p)
+	g := Compile(p).Gen()
 	fp := 0
 	for i := 0; i < 50000; i++ {
 		if g.Next().Class.IsFP() {
@@ -121,7 +151,7 @@ func TestFPBenchmarkHasFPOps(t *testing.T) {
 	}
 	// and an int benchmark has none by default
 	pi, _ := ByName("gzip")
-	gi := New(pi)
+	gi := Compile(pi).Gen()
 	fp = 0
 	for i := 0; i < 50000; i++ {
 		if gi.Next().Class.IsFP() {
@@ -135,7 +165,7 @@ func TestFPBenchmarkHasFPOps(t *testing.T) {
 
 func TestLoopBranchesMostlyTaken(t *testing.T) {
 	p, _ := ByName("swim") // LoopWeight 0.9, long trips
-	g := New(p)
+	g := Compile(p).Gen()
 	taken, total := 0, 0
 	for i := 0; i < 100000; i++ {
 		in := g.Next()

@@ -172,7 +172,7 @@ func ScaleToNode(cm CoreModel, node area.Scaling, growth float64) CoreModel {
 // YAT returns the expected IPC of one core at conditional fault density d
 // (faults/mm², no mixing) — EQ 2's integrand, exported so the empirical
 // Monte Carlo fleet can be compared against the same analytic curve.
-func (cm CoreModel) YAT(d float64) float64 { return cm.yatCore(d) }
+func (cm CoreModel) YAT(d float64) float64 { return cm.integrand().at(d) }
 
 // Yield returns the probability that a core at conditional fault density d
 // is functional, possibly degraded: the chipkill region clean and no
@@ -185,26 +185,48 @@ func (cm CoreModel) Yield(d float64) float64 {
 	return y
 }
 
-// yatCore returns the expected IPC of one Rescue core at fault density d
+// liveConfigs is Configs(), built once for the integrand's loop: two
+// states for each of the six redundant pairs.
+var liveConfigs = Configs()
+
+const numConfigs = 1 << 6
+
+// integrand is EQ 2's integrand compiled from a CoreModel: the IPC of
+// every live configuration in Configs() order and whether the model
+// covers it, so each evaluation is arithmetic only.
+type integrand struct {
+	area    area.Model
+	ipc     [numConfigs]float64
+	covered [numConfigs]bool
+}
+
+func (cm CoreModel) integrand() *integrand {
+	in := &integrand{area: cm.Area}
+	for i, c := range liveConfigs {
+		in.ipc[i], in.covered[i] = cm.IPC[c]
+	}
+	return in
+}
+
+// at returns the expected IPC of one Rescue core at fault density d
 // (faults/mm², conditional — no mixing here).
-func (cm CoreModel) yatCore(d float64) float64 {
-	lam := func(g area.Group) float64 { return d * cm.Area.SingleArea(g) }
+func (in *integrand) at(d float64) float64 {
+	lam := func(g area.Group) float64 { return d * in.area.SingleArea(g) }
 	pFE := PairProb(lam(area.Frontend))
 	pII := PairProb(lam(area.IntIQ))
 	pFI := PairProb(lam(area.FPIQ))
 	pL := PairProb(lam(area.LSQ))
 	pIB := PairProb(lam(area.IntBE))
 	pFB := PairProb(lam(area.FPBE))
-	ck := PoissonClean(d * cm.Area.SingleArea(area.Chipkill))
+	ck := PoissonClean(d * in.area.SingleArea(area.Chipkill))
 	total := 0.0
-	for _, c := range Configs() {
-		p := pFE[c.FEDown] * pII[c.IntIQDown] * pFI[c.FPIQDown] *
-			pL[c.LSQDown] * pIB[c.IntBEDown] * pFB[c.FPBEDown]
-		ipc, ok := cm.IPC[c]
-		if !ok {
+	for i, c := range liveConfigs {
+		if !in.covered[i] {
 			continue
 		}
-		total += p * ipc
+		p := pFE[c.FEDown] * pII[c.IntIQDown] * pFI[c.FPIQDown] *
+			pL[c.LSQDown] * pIB[c.IntBEDown] * pFB[c.FPBEDown]
+		total += p * in.ipc[i]
 	}
 	return ck * total
 }
@@ -248,9 +270,9 @@ func ChipAlpha(node, stagnate area.Scaling, growth float64, baseCore, rescueCore
 		return float64(n) * csCore(baseCore.Full, lamCore)
 	})
 	// Rescue group areas scale with the node
-	cm := ScaleToNode(rescueCore, node, growth)
+	in := ScaleToNode(rescueCore, node, growth).integrand()
 	res.Rescue = MixGammaAlpha(alpha, func(x float64) float64 {
-		return float64(n) * cm.yatCore(d*x)
+		return float64(n) * in.at(d*x)
 	})
 	return res
 }

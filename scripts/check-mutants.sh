@@ -2,13 +2,15 @@
 # Mutation check for the verification net: inject hand-picked single-line
 # mutants into the simulator hot path — the cone builder, the clipped and
 # full event walks, the excitation-skip index, the epoch arena, and the
-# campaign word tiler — into PODEM's event-driven implication, and into
-# the netlist's compiled Flat form both read, and require that the
-# differential harness or the targeted unit tests catch every one. A surviving mutant means the net has a blind spot — the build
-# fails.
+# campaign word tiler — into PODEM's event-driven implication, into
+# the netlist's compiled Flat form both read, and into the cycle
+# simulator's completion heap and idle fast-forward, and require that the
+# differential harness or the targeted unit tests catch every one. A
+# surviving mutant means the net has a blind spot — the build fails.
 #
 # Each mutant is a sed substitution against one source file (internal/fault
-# unless marked atpg or netlist), chosen to break a distinct mechanism:
+# unless marked atpg, netlist or uarch), chosen to break a distinct
+# mechanism:
 #    1 sim.go      off-by-one: drop the last level bucket from the full walk
 #    2 sim.go      inverted obs-epoch guard: FailObs dedup records nothing
 #    3 sim.go      inverted lane mask: clipped path observes only padding lanes
@@ -36,6 +38,13 @@
 #   19 atpg podem.go D-frontier walked in level order, not gate-ID order
 #   20 atpg podem.go faulty plane not updated for a changed PI
 #   21 netlist netlist.go Flat compiles AND gates as OR
+#   22 uarch sim.go  completion heap pop skips the doneCycle re-check: a
+#                  squashed-then-reissued instruction finishes early
+#   23 uarch sim.go  completion heap sifts up as a max-heap
+#   24 uarch sim.go  fast-forward adds k-1 cycles to the occupancy sums
+#   25 uarch sim.go  fast-forward adds k-1 cycles to the dispatch stall
+#   26 uarch sim.go  issue-queue hold expiry left out of the event set
+#   27 uarch sim.go  fetchStallTill left out of the event set
 #
 # Catchers, in order: the differential harness (fast, runs first: sim vs
 # oracle, PODEM cubes P5, untestable verdicts P8), then the mutated
@@ -47,18 +56,22 @@
 # so only a circuit whose gate-ID and level orders disagree exposes it).
 # Mutant 21 should fall to the differential harness: its oracle evaluates
 # the netlist's Gate records, not Flat, so a bad compile shows up as a
-# simulator/oracle disagreement.
+# simulator/oracle disagreement. The cycle-simulator mutants fall to the
+# lockstep test against the per-cycle reference loop (same commit trace,
+# Stats and Occupancy), except 22, whose stale-completion case is too rare
+# in real streams and has its own unit test.
 #
 # Usage: scripts/check-mutants.sh [seed range, default 0:40]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 range="${1:-0:40}"
-files=(internal/fault/sim.go internal/fault/cone.go internal/fault/campaign.go internal/atpg/podem.go internal/netlist/netlist.go)
+files=(internal/fault/sim.go internal/fault/cone.go internal/fault/campaign.go internal/atpg/podem.go internal/netlist/netlist.go internal/uarch/sim.go)
 declare -A unit_run=(
   [internal/fault]='Cone|Epoch|Tiling|Excitation|Drop|Overflow|Determinism'
   [internal/atpg]='Lockstep|PinnedCounts|FrontierOrder'
   [internal/netlist]='LevelsAndReaders|TruthTables|Equiv'
+  [internal/uarch]='Lockstep|StaleCompletion'
 )
 
 # target file|sed substitution
@@ -84,6 +97,12 @@ mutants=(
   'internal/atpg/podem.go|s/slices.Sort(p.cone)/slices.SortStableFunc(p.cone, func(a, b netlist.GateID) int { return int(p.fl.Level[a] - p.fl.Level[b]) })/'
   'internal/atpg/podem.go|s/p.bad\[net\] = bv/_ = bv/'
   'internal/netlist/netlist.go|s/f.Kind\[gi\] = g.Kind/f.Kind[gi] = max(g.Kind, Or)/'
+  'internal/uarch/sim.go|s/pop().rob\]; e.present \&\& e.state == issued \&\& e.doneCycle <= s.now {/pop().rob]; e.present \&\& e.state == issued {/'
+  'internal/uarch/sim.go|s/if q\[p\].cycle <= q\[i\].cycle {/if q[p].cycle >= q[i].cycle {/'
+  'internal/uarch/sim.go|s/len(s.lsq), s.robCount, k)/len(s.lsq), s.robCount, k-1)/'
+  'internal/uarch/sim.go|s/\*s.stall += k/*s.stall += k - 1/'
+  'internal/uarch/sim.go|s/\tat(e.issueCycle + hold)/\t_ = hold/'
+  'internal/uarch/sim.go|s/\tat(s.fetchStallTill)/\t_ = s.fetchStallTill/'
 )
 
 tmp=$(mktemp -d)

@@ -7,7 +7,10 @@
 #   3. kill-and-resume: the same grid chaos-killed mid-campaign must exit
 #      130 and leave a journal; rerunning with -resume must complete and
 #      produce NDJSON byte-identical to the uninterrupted runs
-#   4. flag validation: bad grids are usage errors (exit 2) before any work
+#   4. flag validation: bad grids are usage errors (exit 2) before any work,
+#      including machine shapes the simulator could never finish (a
+#      compaction buffer filling the new issue-queue half, an empty ROB
+#      or LSQ)
 #
 # Usage: scripts/sweep-smoke.sh
 set -euo pipefail
@@ -64,7 +67,8 @@ fi
 echo "   resume byte-identical, journals consumed"
 
 echo "== flag validation: bad grids fail fast with exit 2"
-for args in "-preset nope" "-axis bogus=1" "-node 45" "-resume"; do
+for args in "-preset nope" "-axis bogus=1" "-node 45" "-resume" \
+    "-axis comp-buf=18" "-axis rob-size=0" "-axis lsq-size=0"; do
     rc=0
     # shellcheck disable=SC2086
     "$tmp/rescue-sweep" $args >/dev/null 2>&1 || rc=$?
