@@ -339,7 +339,7 @@ func BenchmarkFaultSimulation(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f := u.Collapsed[i%len(u.Collapsed)]
-		g.Sim.Run(f, 1)
+		g.Sim.Run(f, true)
 	}
 }
 
@@ -386,7 +386,7 @@ func BenchmarkFaultCampaign(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for _, f := range faults {
-				campaignFixture.fullSim.Run(f, 1)
+				campaignFixture.fullSim.Run(f, true)
 			}
 		}
 		b.ReportMetric(float64(len(faults)), "faults/op")
@@ -395,7 +395,7 @@ func BenchmarkFaultCampaign(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for _, f := range faults {
-				sim.Run(f, 1)
+				sim.Run(f, true)
 			}
 		}
 		b.ReportMetric(float64(len(faults)), "faults/op")
@@ -407,7 +407,7 @@ func BenchmarkFaultCampaign(b *testing.B) {
 	for _, w := range workerCounts {
 		b.Run(fmt.Sprintf("workers-%d", w), func(b *testing.B) {
 			b.ReportAllocs()
-			camp := fault.NewCampaign(sim, fault.CampaignConfig{Workers: w, Drop: true})
+			camp := fault.NewCampaign(sim, fault.CampaignConfig{Workers: w, DetectOnly: true})
 			var st fault.Stats
 			for i := 0; i < b.N; i++ {
 				var err error
@@ -436,7 +436,7 @@ func BenchmarkFaultCampaign(b *testing.B) {
 			if hooked {
 				ctx = fault.WithProgress(ctx, func(done, total int64) { atomic.StoreInt64(&last, done) })
 			}
-			camp := fault.NewCampaign(sim, fault.CampaignConfig{Workers: 2, Drop: true})
+			camp := fault.NewCampaign(sim, fault.CampaignConfig{Workers: 2, DetectOnly: true})
 			for i := 0; i < b.N; i++ {
 				if _, _, err := camp.RunCheckpoint(ctx, nil, faults); err != nil {
 					b.Fatal(err)

@@ -67,7 +67,7 @@ func main() {
 				if f.Gate < 0 {
 					continue
 				}
-				res := tp.Gen.Sim.Run(f, 0)
+				res := tp.Gen.Sim.Run(f, false)
 				if !res.Detected {
 					continue
 				}

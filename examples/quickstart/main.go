@@ -63,7 +63,7 @@ func main() {
 	fmt.Printf("\ninjected defect: %v (ground truth: %s)\n", f, truth)
 
 	// 4. Apply the test program; isolate from the failing scan bits.
-	res := tp.Gen.Sim.Run(f, 0)
+	res := tp.Gen.Sim.Run(f, false)
 	if !res.Detected {
 		log.Fatal("fault not detected (rare untestable site; rerun with another seed)")
 	}

@@ -116,7 +116,7 @@ func TestPodemDetectsSimpleFaults(t *testing.T) {
 		}
 		// verify by fault simulation
 		sim := fault.NewSim(c, []*scan.Pattern{applyCube(c, cube)})
-		if !sim.Run(f, 1).Detected {
+		if !sim.Run(f, true).Detected {
 			t.Errorf("fault %v: PODEM cube does not detect it", f)
 		}
 	}
@@ -212,11 +212,11 @@ func TestPodemAgreesWithExhaustiveSimulation(t *testing.T) {
 				continue
 			}
 			cube, res := Podem(n, f, 1000)
-			exhaustive := sim.Run(f, 1).Detected
+			exhaustive := sim.Run(f, true).Detected
 			switch res {
 			case Detected:
 				one := fault.NewSim(c, []*scan.Pattern{applyCube(c, cube)})
-				if !one.Run(f, 1).Detected {
+				if !one.Run(f, true).Detected {
 					t.Errorf("seed %d fault %v: bogus PODEM cube", seed, f)
 				}
 				if !exhaustive {

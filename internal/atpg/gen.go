@@ -76,9 +76,9 @@ func GenerateFlow(ctx context.Context, c *scan.Chain, u *fault.Universe, cfg Gen
 	untestable, aborted := 0, 0
 
 	// One campaign serves every dropWord pass, so per-worker scratch state
-	// is allocated once. MaxFail=1: detection-only, the coverage loop never
-	// needs more than the first failing bit.
-	camp := fault.NewCampaign(sim, fault.CampaignConfig{Workers: cfg.Workers, MaxFail: 1})
+	// is allocated once. Detect-only: the coverage loop reads nothing but
+	// whether a fault is detected.
+	camp := fault.NewCampaign(sim, fault.CampaignConfig{Workers: cfg.Workers, DetectOnly: true})
 	var campStats fault.Stats
 
 	// partial assembles the result from whatever the flow has finished —

@@ -188,7 +188,7 @@ func TestPodemFFFaultBlockedCapture(t *testing.T) {
 	if res != Detected {
 		t.Fatalf("FF0/Q sa1 classified %v, want detected", res)
 	}
-	if !fault.NewSim(c, []*scan.Pattern{applyCube(c, cube)}).Run(f, 1).Detected {
+	if !fault.NewSim(c, []*scan.Pattern{applyCube(c, cube)}).Run(f, true).Detected {
 		t.Fatalf("cube PI=%v FF=%v does not detect FF0/Q sa1", cube.PI, cube.FF)
 	}
 }

@@ -2,10 +2,12 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"rescue/internal/area"
 	"rescue/internal/atpg"
+	"rescue/internal/fault"
 	"rescue/internal/rtl"
 	"rescue/internal/uarch"
 	"rescue/internal/yield"
@@ -85,6 +87,36 @@ func TestGenerateTestsAndSummary(t *testing.T) {
 	}
 	if sum.Variant != "rescue" {
 		t.Fatalf("variant = %s", sum.Variant)
+	}
+}
+
+// TestDictionaryAllocBound bounds what a full-syndrome campaign allocates:
+// the small Rescue dictionary (the one `rescue-dict build -small` writes)
+// built on one worker keeps each fault's syndrome and nothing per failing
+// bit, so the whole build stays within a few MB.
+func TestDictionaryAllocBound(t *testing.T) {
+	s := buildSmall(t, rtl.RescueDesign)
+	gen := atpg.DefaultGenConfig()
+	gen.Workers = 1
+	tp := mustTestProgram(t, s, gen)
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	d, st, err := fault.BuildDictionaryFlow(context.Background(), tp.Gen.Sim, tp.Universe, 1, nil)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The workload is the CLI's: same campaign size and the same detections.
+	if st.Faults != 18866 || st.Words != 943300 || d.Detected() != 17737 {
+		t.Fatalf("campaign %d faults, %d word-sims, %d detected; want 18866, 943300, 17737",
+			st.Faults, st.Words, d.Detected())
+	}
+	const bound = 32 << 20
+	if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+		t.Fatalf("dictionary build allocated %.1f MB (%d mallocs), bound %d MB",
+			float64(got)/(1<<20), after.Mallocs-before.Mallocs, bound>>20)
 	}
 }
 

@@ -49,7 +49,7 @@ func TestEndToEndSalvage(t *testing.T) {
 		if truth == "CHIPKILL" {
 			continue
 		}
-		res := tp.Gen.Sim.Run(f, 0)
+		res := tp.Gen.Sim.Run(f, false)
 		if !res.Detected {
 			continue
 		}

@@ -5,10 +5,10 @@
 // Per seed it asserts:
 //
 //	P1  the event-driven simulator (fault.Sim) produces bit-identical
-//	    Results — Detected, Fails, FailObs — to the brute-force oracle
+//	    Results — Detected and FailObs — to the brute-force oracle
 //	    (fault.Oracle) on every uncollapsed fault;
 //	P2  fault.Campaign at several worker counts reproduces the serial
-//	    results exactly, and drop-mode detection agrees;
+//	    results exactly, and detect-only (fault-dropping) runs agree;
 //	P3  a campaign killed mid-run by the chaos harness and resumed from
 //	    its checkpoint journal (at a different worker count) equals an
 //	    uninterrupted run;
@@ -23,8 +23,8 @@
 //	P7  cone clipping is invisible: the default cone-clipped engine, a
 //	    forced full-walk engine (threshold 0), and a threshold-2 engine
 //	    where most cones overflow back to the full walk all produce
-//	    byte-identical full Results and agree on capped detection, for
-//	    every uncollapsed fault;
+//	    byte-identical full Results and agree on detect-only detection,
+//	    for every uncollapsed fault;
 //	P8  PODEM's Untestable verdicts are true redundancies: on circuits with
 //	    at most exhaustiveMaxControls primary inputs plus flip-flops, PODEM
 //	    runs on every collapsed fault and each fault it calls untestable
@@ -165,16 +165,16 @@ func CheckConfig(ctx context.Context, cfg netlist.RandomConfig, opt Options) err
 	// P1: engine vs oracle, full Results, every uncollapsed fault.
 	serial := make([]fault.Result, len(u.All))
 	for i, f := range u.All {
-		fast := sim.Run(f, 0)
-		slow := oracle.Run(f, 0)
+		fast := sim.Run(f, false)
+		slow := oracle.Run(f, false)
 		if !reflect.DeepEqual(fast, slow) {
 			return fmt.Errorf("P1 oracle: fault %v:\n  sim    %+v\n  oracle %+v", f, fast, slow)
 		}
 		serial[i] = fast
 	}
 	for _, f := range u.Collapsed {
-		if fast, slow := sim.Run(f, 1), oracle.Run(f, 1); fast.Detected != slow.Detected {
-			return fmt.Errorf("P1 oracle: fault %v capped: sim detected=%v oracle=%v", f, fast.Detected, slow.Detected)
+		if fast, slow := sim.Run(f, true), oracle.Run(f, true); fast.Detected != slow.Detected {
+			return fmt.Errorf("P1 oracle: fault %v detect-only: sim detected=%v oracle=%v", f, fast.Detected, slow.Detected)
 		}
 	}
 
@@ -191,7 +191,7 @@ func CheckConfig(ctx context.Context, cfg netlist.RandomConfig, opt Options) err
 					w, u.All[i], i, res[i], serial[i])
 			}
 		}
-		drop := fault.NewCampaign(sim, fault.CampaignConfig{Workers: w, Drop: true})
+		drop := fault.NewCampaign(sim, fault.CampaignConfig{Workers: w, DetectOnly: true})
 		dres, _, err := drop.RunCheckpoint(ctx, nil, u.All)
 		if err != nil {
 			return fmt.Errorf("P2 campaign workers=%d drop: %w", w, err)
@@ -210,21 +210,21 @@ func CheckConfig(ctx context.Context, cfg netlist.RandomConfig, opt Options) err
 	// (threshold 0, the reference algorithm), and a threshold-2 build
 	// that drives most nets through the overflow fallback so clipped and
 	// full walks interleave within one engine. Full Results must be
-	// byte-identical and capped detection must agree everywhere.
+	// byte-identical and detect-only detection must agree everywhere.
 	fullSim := fault.NewSimCone(c, pats, 0)
 	lowSim := fault.NewSimCone(c, pats, 2)
 	for i, f := range u.All {
-		if got := fullSim.Run(f, 0); !reflect.DeepEqual(got, serial[i]) {
+		if got := fullSim.Run(f, false); !reflect.DeepEqual(got, serial[i]) {
 			return fmt.Errorf("P7 cone: fault %v:\n  full-walk %+v\n  clipped   %+v", f, got, serial[i])
 		}
-		if got := lowSim.Run(f, 0); !reflect.DeepEqual(got, serial[i]) {
+		if got := lowSim.Run(f, false); !reflect.DeepEqual(got, serial[i]) {
 			return fmt.Errorf("P7 cone: fault %v:\n  threshold-2 %+v\n  clipped     %+v", f, got, serial[i])
 		}
 	}
 	for _, f := range u.Collapsed {
-		full, low, def := fullSim.Run(f, 1), lowSim.Run(f, 1), sim.Run(f, 1)
+		full, low, def := fullSim.Run(f, true), lowSim.Run(f, true), sim.Run(f, true)
 		if full.Detected != def.Detected || low.Detected != def.Detected {
-			return fmt.Errorf("P7 cone: fault %v capped: clipped=%v full-walk=%v threshold-2=%v",
+			return fmt.Errorf("P7 cone: fault %v detect-only: clipped=%v full-walk=%v threshold-2=%v",
 				f, def.Detected, full.Detected, low.Detected)
 		}
 	}
@@ -261,15 +261,15 @@ func CheckConfig(ctx context.Context, cfg netlist.RandomConfig, opt Options) err
 			if exhaustive == nil {
 				exhaustive = fault.NewOracle(c, exhaustivePatterns(c))
 			}
-			if r := exhaustive.Run(f, 1); r.Detected {
-				return fmt.Errorf("P8 redundancy: PODEM calls fault %v untestable, but exhaustive pattern word %d lane %d detects it",
-					f, r.Fails[0].Word, r.Fails[0].Lane)
+			if exhaustive.Run(f, true).Detected {
+				return fmt.Errorf("P8 redundancy: PODEM calls fault %v untestable, but exhaustive patterns detect it at obs %v",
+					f, exhaustive.Run(f, false).FailObs)
 			}
 		case res == atpg.Detected && tried < opt.ATPGFaults:
 			tried++
 			p := c.NewPattern(1)
 			cube.Apply(p, 0, nil) // zero-fill the don't-cares: a real test must survive any fill
-			if !fault.NewOracle(c, []*scan.Pattern{p}).Run(f, 1).Detected {
+			if !fault.NewOracle(c, []*scan.Pattern{p}).Run(f, true).Detected {
 				return fmt.Errorf("P5 atpg: PODEM cube for fault %v does not detect it under the oracle (cube PI=%v FF=%v)",
 					f, cube.PI, cube.FF)
 			}

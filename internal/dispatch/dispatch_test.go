@@ -63,7 +63,7 @@ func miniFlow(ctx context.Context, rc serve.RunContext, _ json.RawMessage) ([]by
 	}
 	var buf bytes.Buffer
 	for i, r := range res {
-		fmt.Fprintf(&buf, "%4d %v %d %v\n", i, r.Detected, len(r.Fails), r.FailObs)
+		fmt.Fprintf(&buf, "%4d %v %v\n", i, r.Detected, r.FailObs)
 	}
 	fmt.Fprintf(&buf, "faults=%d detected=%d\n", st.Faults, st.Detected)
 	return buf.Bytes(), nil

@@ -18,7 +18,7 @@ import (
 type Stats struct {
 	Faults     int64 // fault simulations performed
 	Detected   int64 // faults the pattern set detected
-	Dropped    int64 // (fault, word) sims skipped after the failing-bit cap hit
+	Dropped    int64 // (fault, word) sims a detect-only run skipped after detection
 	Words      int64 // (fault, word) pairs event-simulated
 	Events     int64 // gate evaluations performed
 	Rehydrated int64 // results restored from a checkpoint journal, not simulated
@@ -108,14 +108,11 @@ var campaignSimHook func(faultIndex int)
 type CampaignConfig struct {
 	// Workers is the concurrency degree; <= 0 means runtime.NumCPU().
 	Workers int
-	// MaxFail caps failing bits collected per fault (0 = unlimited —
-	// required by isolation/dictionary flows that need full FailObs sets).
-	MaxFail int
-	// Drop enables fault dropping: once a fault is detected by some word,
-	// later pattern words are skipped for it (coverage-only mode; forces an
-	// effective MaxFail of at least 1). Must stay off when callers need
-	// every failing observation point.
-	Drop bool
+	// DetectOnly is coverage mode with fault dropping: a fault stops at its
+	// first failing observation, later pattern words are skipped for it,
+	// and its Result carries Detected only. Off, every fault gets its full
+	// syndrome, which isolation, the dictionary and the fab fleet read.
+	DetectOnly bool
 }
 
 // Campaign shards a fault list across workers that share one read-only
@@ -139,9 +136,6 @@ type Campaign struct {
 func NewCampaign(s *Sim, cfg CampaignConfig) *Campaign {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.NumCPU()
-	}
-	if cfg.Drop && cfg.MaxFail <= 0 {
-		cfg.MaxFail = 1
 	}
 	return &Campaign{cfg: cfg, core: &s.simCore}
 }
@@ -180,9 +174,7 @@ func (c *Campaign) run(ctx context.Context, ck *Checkpoint, faults []netlist.Fau
 	out := make([]Result, len(faults))
 	st := Stats{Workers: c.workersFor(len(faults))}
 
-	progress := ProgressFromContext(ctx)
-	total := int64(len(faults))
-	var progressDone atomic.Int64
+	report := orderedProgress(ProgressFromContext(ctx), int64(len(faults)))
 
 	// The campaign's content identity, needed by the checkpoint journal and
 	// by the shard machinery; skipped entirely (it walks the fault list and
@@ -197,7 +189,7 @@ func (c *Campaign) run(ctx context.Context, ck *Checkpoint, faults []netlist.Fau
 	// Shard-worker path: this campaign is the one a coordinator assigned a
 	// window of. Simulate only that window and stop the flow.
 	if tgt != nil && tgt.claim(id) {
-		return c.runWindow(ctx, tgt.res, faults, wLo, wHi, progress, start)
+		return c.runWindow(ctx, tgt.res, faults, wLo, wHi, start)
 	}
 
 	// Bind the next journal section and rehydrate completed chunks.
@@ -210,9 +202,8 @@ func (c *Campaign) run(ctx context.Context, ck *Checkpoint, faults []netlist.Fau
 			return nil, st, err
 		}
 		done, st.Rehydrated = sec.restore(out)
-		if progress != nil && st.Rehydrated > 0 {
-			progressDone.Store(st.Rehydrated)
-			progress(st.Rehydrated, total)
+		if st.Rehydrated > 0 {
+			report(st.Rehydrated)
 		}
 		if st.Rehydrated == int64(len(faults)) {
 			// Everything was journaled; nothing to simulate.
@@ -230,7 +221,7 @@ func (c *Campaign) run(ctx context.Context, ck *Checkpoint, faults []netlist.Fau
 	// local worker pool below picks them up — local fallback is the default
 	// code path, not a special case.
 	if plan.eligible(len(faults), wLo, wHi, len(c.core.Patterns)) {
-		done = c.dispatchShards(ctx, plan, id, out, sec, done, progress, &progressDone, total, &st)
+		done = c.dispatchShards(ctx, plan, id, out, sec, done, report, &st)
 		if err := ctx.Err(); err != nil {
 			if ck != nil {
 				if ferr := ck.Flush(); ferr != nil {
@@ -264,8 +255,8 @@ func (c *Campaign) run(ctx context.Context, ck *Checkpoint, faults []netlist.Fau
 		if sec != nil {
 			sec.record(lo, hi, out, done)
 		}
-		if progress != nil && fresh > 0 {
-			progress(progressDone.Add(int64(fresh)), total)
+		if fresh > 0 {
+			report(int64(fresh))
 		}
 	})
 	if flusherDone != nil {
@@ -294,7 +285,7 @@ func (c *Campaign) run(ctx context.Context, ck *Checkpoint, faults []netlist.Fau
 // not journaled: a failed shard is retried wholesale, and idempotence
 // comes from the content digest, not from resume.
 func (c *Campaign) runWindow(ctx context.Context, res *ShardResult, faults []netlist.Fault,
-	wLo, wHi int, progress ProgressFunc, start time.Time) ([]Result, Stats, error) {
+	wLo, wHi int, start time.Time) ([]Result, Stats, error) {
 
 	lo, hi := res.Lo, res.Hi
 	if lo < 0 || hi <= lo || hi > len(faults) {
@@ -306,12 +297,9 @@ func (c *Campaign) runWindow(ctx context.Context, res *ShardResult, faults []net
 		return out, st, context.Cause(ctx)
 	}
 
-	total := int64(hi - lo)
-	var progressDone atomic.Int64
+	report := orderedProgress(ProgressFromContext(ctx), int64(hi-lo))
 	sims, err := c.pool(ctx, faults, out, nil, lo, hi, wLo, wHi, func(_, _, fresh int) {
-		if progress != nil {
-			progress(progressDone.Add(int64(fresh)), total)
-		}
+		report(int64(fresh))
 	})
 	st.Add(sims)
 	st.Wall = time.Since(start)
@@ -400,12 +388,11 @@ func (c *Campaign) pool(ctx context.Context, faults []netlist.Fault, out []Resul
 	return st, context.Cause(runCtx)
 }
 
-// tileState carries one fault's accumulated result across the word tiles
-// of the batched campaign path.
+// tileState carries one in-flight fault across the word tiles of the
+// batched campaign path.
 type tileState struct {
 	idx   int // index into the run's fault slice
 	f     netlist.Fault
-	res   Result
 	words int64 // (fault, word) pairs actually simulated so far
 }
 
@@ -419,16 +406,16 @@ type tileState struct {
 const wordTileSize = 64
 
 // simChunk simulates fault indices [lo, hi) into out, skipping entries
-// marked done, and returns the number of freshly simulated faults. With
-// MaxFail == 1 (detection-only mode, the ATPG/fab workhorse) and a
-// multi-word window it takes the pattern×fault tiled path; every other
-// configuration runs each fault's full word range in one call. cur tracks
-// the in-flight fault index for the worker's panic recovery.
+// marked done, and returns the number of freshly simulated faults. A
+// detect-only run (the ATPG workhorse) over a multi-word window takes the
+// pattern×fault tiled path; every other configuration runs each fault's
+// full word range in one call. cur tracks the in-flight fault index for
+// the worker's panic recovery.
 func (c *Campaign) simChunk(scr *simScratch, faults []netlist.Fault, out []Result,
 	done []bool, lo, hi, wLo, wHi int, wst *Stats, cur *int) int {
 
-	maxFail := c.cfg.MaxFail
-	if maxFail == 1 && wHi-wLo > 1 {
+	detectOnly := c.cfg.DetectOnly
+	if detectOnly && wHi-wLo > 1 {
 		return c.simChunkTiled(scr, faults, out, done, lo, hi, wLo, wHi, wst, cur)
 	}
 	nWords := int64(wHi - wLo)
@@ -444,12 +431,12 @@ func (c *Campaign) simChunk(scr *simScratch, faults []netlist.Fault, out []Resul
 		}
 		chaosSims.Add(1)
 		before := scr.words
-		out[i] = c.core.run(scr, faults[i], maxFail, wLo, wHi)
+		out[i] = c.core.run(scr, faults[i], detectOnly, wLo, wHi)
 		wst.Faults++
 		if out[i].Detected {
 			wst.Detected++
 		}
-		if maxFail > 0 {
+		if detectOnly {
 			wst.Dropped += nWords - (scr.words - before)
 		}
 	}
@@ -460,15 +447,12 @@ func (c *Campaign) simChunk(scr *simScratch, faults []netlist.Fault, out []Resul
 // simChunkTiled is simChunk's word-major variant: the chunk's pending
 // faults advance through the pattern set wordTileSize words at a time, so
 // one tile's good-machine images are reused across every fault of the
-// chunk before the next tile is touched. Valid only for MaxFail == 1,
-// where it is result-identical to the fault-major order: a capped fault's
-// entire failure content comes from its single capping word (simulated in
-// exactly one tile call), and an uncapped fault accumulates nothing, so
-// splitting a fault's word range across beginFault epochs cannot change
-// any Result. Faults drop out of the tile set the moment they cap, which
-// is what makes drop-mode campaigns word-order sensitive to begin with —
-// the per-fault words simulated (and Stats.Dropped) match the fault-major
-// path exactly.
+// chunk before the next tile is touched. Valid only for detect-only runs,
+// where it is result-identical to the fault-major order: a detect-only
+// Result is its Detected flag alone, so splitting a fault's word range
+// across beginFault epochs cannot change it. Faults drop out of the tile
+// set the moment they are detected, so the per-fault words simulated (and
+// Stats.Dropped) match the fault-major path exactly.
 func (c *Campaign) simChunkTiled(scr *simScratch, faults []netlist.Fault, out []Result,
 	done []bool, lo, hi, wLo, wHi int, wst *Stats, cur *int) int {
 
@@ -498,14 +482,13 @@ func (c *Campaign) simChunkTiled(scr *simScratch, faults []netlist.Fault, out []
 			*cur = t.idx
 			words0 := scr.words
 			c.core.beginFault(scr)
-			capped := c.core.simWords(scr, t.f, &t.res, 1, w, tw)
+			var res Result
+			detected := c.core.simWords(scr, t.f, &res, true, w, tw)
 			t.words += scr.words - words0
-			if capped {
-				out[t.idx] = t.res
+			if detected {
+				out[t.idx] = res
 				wst.Faults++
-				if t.res.Detected {
-					wst.Detected++
-				}
+				wst.Detected++
 				wst.Dropped += nWords - t.words
 			} else {
 				keep = append(keep, *t)
@@ -516,18 +499,9 @@ func (c *Campaign) simChunkTiled(scr *simScratch, faults []netlist.Fault, out []
 	}
 	for ti := range tiles {
 		t := &tiles[ti]
-		out[t.idx] = t.res
+		out[t.idx] = Result{} // undetected by every word of the window
 		wst.Faults++
-		if t.res.Detected {
-			wst.Detected++
-		}
 		wst.Dropped += nWords - t.words
-	}
-	// Scrub the reusable tile arena so finished Results don't stay
-	// reachable through the scratch between runs.
-	tiles = tiles[:cap(tiles)]
-	for ti := range tiles {
-		tiles[ti] = tileState{}
 	}
 	scr.tiles = tiles[:0]
 	return fresh

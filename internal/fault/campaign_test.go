@@ -51,7 +51,7 @@ func rescueSim(t testing.TB, words int, seed int64) (*Sim, *Universe) {
 }
 
 // TestCampaignDeterminism asserts that the campaign engine produces
-// bit-identical Result slices (Fails ordering included) at any worker
+// bit-identical Result slices (FailObs ordering included) at any worker
 // count, and that they match the serial Sim path exactly — for both
 // isolation mode (full FailObs) and coverage mode (fault dropping).
 func TestCampaignDeterminism(t *testing.T) {
@@ -64,16 +64,14 @@ func TestCampaignDeterminism(t *testing.T) {
 	for _, mode := range []struct {
 		name string
 		cfg  CampaignConfig
-		// serial maxFail equivalent of the campaign mode
-		maxFail int
 	}{
-		{"isolation", CampaignConfig{MaxFail: 0}, 0},
-		{"coverage-drop", CampaignConfig{Drop: true}, 1},
+		{"isolation", CampaignConfig{}},
+		{"coverage-drop", CampaignConfig{DetectOnly: true}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			ref := make([]Result, len(faults))
 			for i, f := range faults {
-				ref[i] = sim.Run(f, mode.maxFail)
+				ref[i] = sim.Run(f, mode.cfg.DetectOnly)
 			}
 			for _, workers := range []int{1, 2, 8} {
 				cfg := mode.cfg
@@ -144,11 +142,11 @@ func TestCampaignDeterminism(t *testing.T) {
 }
 
 // TestCampaignDropSkipsWords checks the ERASER-style redundancy trim: in
-// drop mode a detected fault must not be simulated against later words,
-// and the skipped work must be visible in Stats.Dropped.
+// detect-only mode a detected fault must not be simulated against later
+// words, and the skipped work must be visible in Stats.Dropped.
 func TestCampaignDropSkipsWords(t *testing.T) {
 	sim, u := rescueSim(t, 6, 7)
-	camp := NewCampaign(sim, CampaignConfig{Workers: 2, Drop: true})
+	camp := NewCampaign(sim, CampaignConfig{Workers: 2, DetectOnly: true})
 	results, st := mustRun(t, camp, u.Collapsed)
 	nWords := int64(len(sim.Patterns))
 	if st.Words+st.Dropped != int64(len(u.Collapsed))*nWords {
@@ -156,7 +154,7 @@ func TestCampaignDropSkipsWords(t *testing.T) {
 			st.Words, st.Dropped, len(u.Collapsed), nWords)
 	}
 	if st.Dropped == 0 {
-		t.Fatal("no words dropped despite detected faults and Drop mode")
+		t.Fatal("no words dropped despite detected faults and DetectOnly mode")
 	}
 	detected := int64(0)
 	for _, r := range results {
@@ -172,7 +170,7 @@ func TestCampaignDropSkipsWords(t *testing.T) {
 	}
 }
 
-// TestCampaignTilingManyWords drives the word-tiled drop-mode path across
+// TestCampaignTilingManyWords drives the word-tiled detect-only path across
 // several 64-word windows (70 patterns → two windows per in-flight fault)
 // and demands exact agreement with the serial path: detection, full
 // Results in isolation mode, and the Words/Dropped accounting identity.
@@ -184,16 +182,16 @@ func TestCampaignTilingManyWords(t *testing.T) {
 	}
 	serialDet := make([]bool, len(faults))
 	for i, f := range faults {
-		serialDet[i] = sim.Run(f, 1).Detected
+		serialDet[i] = sim.Run(f, true).Detected
 	}
 
 	for _, workers := range []int{1, 3} {
-		camp := NewCampaign(sim, CampaignConfig{Workers: workers, Drop: true})
+		camp := NewCampaign(sim, CampaignConfig{Workers: workers, DetectOnly: true})
 		res, st := mustRun(t, camp, faults)
 		for i := range res {
-			if res[i].Detected != serialDet[i] {
-				t.Fatalf("workers=%d fault %d (%v): tiled detected=%v, serial %v",
-					workers, i, faults[i], res[i].Detected, serialDet[i])
+			if want := (Result{Detected: serialDet[i]}); !reflect.DeepEqual(res[i], want) {
+				t.Fatalf("workers=%d fault %d (%v): tiled %+v, serial %+v",
+					workers, i, faults[i], res[i], want)
 			}
 		}
 		nWords := int64(len(sim.Patterns))
@@ -212,7 +210,7 @@ func TestCampaignTilingManyWords(t *testing.T) {
 	}
 	ref := make([]Result, len(isoFaults))
 	for i, f := range isoFaults {
-		ref[i] = sim.Run(f, 0)
+		ref[i] = sim.Run(f, false)
 	}
 	camp := NewCampaign(sim, CampaignConfig{Workers: 2})
 	res, _ := mustRun(t, camp, isoFaults)
@@ -227,14 +225,14 @@ func TestCampaignTilingManyWords(t *testing.T) {
 // dropWord path) against serial RunWord.
 func TestCampaignRunWords(t *testing.T) {
 	sim, u := rescueSim(t, 5, 99)
-	camp := NewCampaign(sim, CampaignConfig{Workers: 4, MaxFail: 1})
+	camp := NewCampaign(sim, CampaignConfig{Workers: 4, DetectOnly: true})
 	for w := 0; w < len(sim.Patterns); w++ {
 		got, _, err := camp.RunWordsCheckpoint(context.Background(), nil, u.Collapsed, w, w+1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, f := range u.Collapsed {
-			want := sim.RunWord(f, w, 1)
+			want := sim.RunWord(f, w, true)
 			if !reflect.DeepEqual(got[i], want) {
 				t.Fatalf("word %d fault %d: campaign %+v != serial %+v", w, i, got[i], want)
 			}
@@ -265,7 +263,7 @@ func TestCampaignEmptyAndTiny(t *testing.T) {
 	}
 	res, _ = mustRun(t, camp, u.Collapsed[:3])
 	for i, f := range u.Collapsed[:3] {
-		want := sim.Run(f, 0)
+		want := sim.Run(f, false)
 		if !reflect.DeepEqual(res[i], want) {
 			t.Fatalf("tiny run fault %d: %+v != %+v", i, res[i], want)
 		}
@@ -308,7 +306,7 @@ func TestCampaignOverlapGuard(t *testing.T) {
 		t.Fatalf("run after guard release failed: %v", err)
 	}
 	for i, f := range faults {
-		if want := sim.Run(f, 0); !reflect.DeepEqual(res[i], want) {
+		if want := sim.Run(f, false); !reflect.DeepEqual(res[i], want) {
 			t.Fatalf("post-overlap run fault %d differs from serial", i)
 		}
 	}

@@ -11,10 +11,10 @@ import (
 )
 
 // serialReference simulates every fault on the plain serial path.
-func serialReference(sim *Sim, u *Universe, maxFail int) []Result {
+func serialReference(sim *Sim, u *Universe) []Result {
 	ref := make([]Result, len(u.Collapsed))
 	for i, f := range u.Collapsed {
-		ref[i] = sim.Run(f, maxFail)
+		ref[i] = sim.Run(f, false)
 	}
 	return ref
 }
@@ -57,7 +57,7 @@ func TestChaosWorkerPanicIsolated(t *testing.T) {
 			t.Fatalf("target=%d: campaign unusable after panic: %v", target, err)
 		}
 		for i, f := range faults[:32] {
-			if want := sim.Run(f, 0); !reflect.DeepEqual(res[i], want) {
+			if want := sim.Run(f, false); !reflect.DeepEqual(res[i], want) {
 				t.Fatalf("target=%d: post-panic result %d differs from serial", target, i)
 			}
 		}
@@ -71,7 +71,7 @@ func TestChaosWorkerPanicIsolated(t *testing.T) {
 func TestChaosRandomCancellation(t *testing.T) {
 	sim, u := rescueSim(t, 3, 43)
 	faults := u.Collapsed
-	ref := serialReference(sim, u, 0)
+	ref := serialReference(sim, u)
 	rng := rand.New(rand.NewSource(2026))
 	camp := NewCampaign(sim, CampaignConfig{Workers: 4})
 	for trial := 0; trial < 8; trial++ {
@@ -139,7 +139,7 @@ func TestChaosKillThenResumeConverges(t *testing.T) {
 	defer ChaosCancelAfterSims(0)
 	sim, u := rescueSim(t, 3, 53)
 	faults := u.Collapsed
-	ref := serialReference(sim, u, 0)
+	ref := serialReference(sim, u)
 	path := filepath.Join(t.TempDir(), "chaos.ckpt")
 
 	budget := int64(len(faults)/6 + 1)

@@ -51,8 +51,7 @@ type CampaignKey struct {
 	WLo            int    `json:"wLo"`
 	WHi            int    `json:"wHi"`
 	PatternsDigest string `json:"patternsDigest"`
-	MaxFail        int    `json:"maxFail"`
-	Drop           bool   `json:"drop"`
+	DetectOnly     bool   `json:"detectOnly"`
 }
 
 // campaignIdentity digests the inputs that determine a run's results.
@@ -96,8 +95,7 @@ func campaignIdentity(core *simCore, faults []netlist.Fault, wLo, wHi int, cfg C
 		WLo:            wLo,
 		WHi:            wHi,
 		PatternsDigest: fmt.Sprintf("%016x", ph.Sum64()),
-		MaxFail:        cfg.MaxFail,
-		Drop:           cfg.Drop,
+		DetectOnly:     cfg.DetectOnly,
 	}
 }
 
@@ -257,7 +255,14 @@ type ckLine struct {
 	Results json.RawMessage `json:"results,omitempty"`
 }
 
-const ckKind = "rescue-campaign-checkpoint"
+// ckKind and ckVersion name the journal format in its header line.
+// Version 2 journals syndrome-only Results and DetectOnly keys; a journal
+// of any other version is refused outright rather than failing later as
+// a misleading section-identity mismatch.
+const (
+	ckKind    = "rescue-campaign-checkpoint"
+	ckVersion = 2
+)
 
 func (ck *Checkpoint) read(r io.Reader) error {
 	sc := bufio.NewScanner(r)
@@ -280,8 +285,12 @@ func (ck *Checkpoint) read(r io.Reader) error {
 		}
 		switch {
 		case ln.V != nil:
-			if *ln.V != 1 || ln.Kind != ckKind {
-				return fmt.Errorf("line %d: not a %s v1 journal", lineNo, ckKind)
+			if ln.Kind != ckKind {
+				return fmt.Errorf("line %d: not a %s journal", lineNo, ckKind)
+			}
+			if *ln.V != ckVersion {
+				return fmt.Errorf("line %d: journal format v%d, this build reads only v%d; delete the journal to start over",
+					lineNo, *ln.V, ckVersion)
 			}
 			sawHeader = true
 		case ln.ID != nil:
@@ -391,7 +400,7 @@ func (ck *Checkpoint) Flush() error {
 		bw.Write(b)
 		return bw.WriteByte('\n')
 	}
-	v := 1
+	v := ckVersion
 	if err := enc(ckLine{V: &v, Kind: ckKind}); err != nil {
 		tmp.Close()
 		return err

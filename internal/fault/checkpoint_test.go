@@ -66,7 +66,7 @@ func TestCheckpointIdentityMismatch(t *testing.T) {
 			return err
 		}},
 		{"different-config", func(ck *Checkpoint) error {
-			camp := NewCampaign(sim, CampaignConfig{Workers: 2, Drop: true})
+			camp := NewCampaign(sim, CampaignConfig{Workers: 2, DetectOnly: true})
 			_, _, err := camp.RunCheckpoint(context.Background(), ck, u.Collapsed[:200])
 			return err
 		}},
@@ -185,6 +185,22 @@ func TestCheckpointCorruption(t *testing.T) {
 		}
 		if _, err := LoadCheckpoint(p); err == nil {
 			t.Fatal("journal without header loaded")
+		}
+	})
+
+	// A journal from the v1 format (per-bit Results, MaxFail/Drop keys)
+	// must be refused by its header, not misreported as another run's.
+	t.Run("v1-format", func(t *testing.T) {
+		old := bytes.Replace(raw, []byte(`{"v":2,`), []byte(`{"v":1,`), 1)
+		if bytes.Equal(old, raw) {
+			t.Fatal("journal header not found")
+		}
+		p := filepath.Join(t.TempDir(), "v1.journal")
+		if err := os.WriteFile(p, old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadCheckpoint(p); err == nil || !strings.Contains(err.Error(), "format v1") {
+			t.Fatalf("v1 journal: got %v, want a format-version refusal", err)
 		}
 	})
 

@@ -167,7 +167,7 @@ func TestConeThresholdBoundary(t *testing.T) {
 	}
 	// Both engines must still simulate identically.
 	for _, f := range NewUniverse(n).All {
-		if a, b := exact.Run(f, 0), below.Run(f, 0); !reflect.DeepEqual(a, b) {
+		if a, b := exact.Run(f, false), below.Run(f, false); !reflect.DeepEqual(a, b) {
 			t.Fatalf("fault %v: stored-cone %+v vs overflow %+v", f, a, b)
 		}
 	}
@@ -182,11 +182,11 @@ func TestOverflowFallbackMatchesFullWalk(t *testing.T) {
 		full, _ := randomSimForCone(t, seed, 0)
 		def, _ := randomSimForCone(t, seed, DefaultConeThreshold)
 		for _, f := range NewUniverse(n).All {
-			want := full.Run(f, 0)
-			if got := low.Run(f, 0); !reflect.DeepEqual(got, want) {
+			want := full.Run(f, false)
+			if got := low.Run(f, false); !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d fault %v: threshold-2 %+v, full walk %+v", seed, f, got, want)
 			}
-			if got := def.Run(f, 0); !reflect.DeepEqual(got, want) {
+			if got := def.Run(f, false); !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d fault %v: default %+v, full walk %+v", seed, f, got, want)
 			}
 		}
@@ -201,12 +201,12 @@ func TestEpochResetGuard(t *testing.T) {
 	u := NewUniverse(n)
 	want := make([]Result, len(u.All))
 	for i, f := range u.All {
-		want[i] = s.Run(f, 0)
+		want[i] = s.Run(f, false)
 	}
 	s.scr.curEp = epochResetLimit + 7
 	s.scr.runEp = epochResetLimit + 7
 	for i, f := range u.All {
-		if got := s.Run(f, 0); !reflect.DeepEqual(got, want[i]) {
+		if got := s.Run(f, false); !reflect.DeepEqual(got, want[i]) {
 			t.Fatalf("fault %v after epoch reset: %+v, want %+v", f, got, want[i])
 		}
 	}
@@ -273,7 +273,7 @@ func TestExcitationSkipExactness(t *testing.T) {
 		clipped := NewSimCone(c, pats, DefaultConeThreshold)
 		full := NewSimCone(c, pats, 0)
 		for _, f := range NewUniverse(n).All {
-			if got, want := clipped.Run(f, 0), full.Run(f, 0); !reflect.DeepEqual(got, want) {
+			if got, want := clipped.Run(f, false), full.Run(f, false); !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d fault %v: clipped %+v, full walk %+v", seed, f, got, want)
 			}
 		}
@@ -351,7 +351,7 @@ func FuzzConeBuild(f *testing.F) {
 			if i >= 16 {
 				break
 			}
-			if got, want := s.Run(fl, 0), full.Run(fl, 0); !reflect.DeepEqual(got, want) {
+			if got, want := s.Run(fl, false), full.Run(fl, false); !reflect.DeepEqual(got, want) {
 				t.Fatalf("fault %v: threshold-%d %+v, full walk %+v", fl, th, got, want)
 			}
 		}

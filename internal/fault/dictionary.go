@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 
 	"rescue/internal/obs"
@@ -104,7 +105,9 @@ func (d *Dictionary) WriteCSV(w io.Writer) error {
 	return bw.Flush()
 }
 
-// ReadCSV parses a dictionary written by WriteCSV.
+// ReadCSV parses a dictionary written by WriteCSV. Every index and
+// observation entry must be a whole decimal integer, and observation
+// indices must not be negative.
 func ReadCSV(r io.Reader) (*Dictionary, error) {
 	d := &Dictionary{}
 	sc := bufio.NewScanner(r)
@@ -120,8 +123,8 @@ func ReadCSV(r io.Reader) (*Dictionary, error) {
 		if !ok {
 			return nil, fmt.Errorf("fault: dictionary line %d: no comma", line)
 		}
-		var idx int
-		if _, err := fmt.Sscanf(idxPart, "%d", &idx); err != nil {
+		idx, err := strconv.Atoi(idxPart)
+		if err != nil {
 			return nil, fmt.Errorf("fault: dictionary line %d: %v", line, err)
 		}
 		if idx != len(d.Syndromes) {
@@ -130,9 +133,12 @@ func ReadCSV(r io.Reader) (*Dictionary, error) {
 		var syn []int
 		if synPart != "" {
 			for _, p := range strings.Split(synPart, ";") {
-				var o int
-				if _, err := fmt.Sscanf(p, "%d", &o); err != nil {
+				o, err := strconv.Atoi(p)
+				if err != nil {
 					return nil, fmt.Errorf("fault: dictionary line %d: %v", line, err)
+				}
+				if o < 0 {
+					return nil, fmt.Errorf("fault: dictionary line %d: negative observation index %d", line, o)
 				}
 				syn = append(syn, o)
 			}

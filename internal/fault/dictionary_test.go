@@ -30,7 +30,7 @@ func TestBuildDictionary(t *testing.T) {
 	}
 	// every syndrome must agree with direct simulation
 	for i, f := range u.Collapsed {
-		res := sim.Run(f, 0)
+		res := sim.Run(f, false)
 		if len(res.FailObs) != len(d.Syndromes[i]) {
 			t.Fatalf("fault %d: dictionary %v vs sim %v", i, d.Syndromes[i], res.FailObs)
 		}
@@ -109,4 +109,25 @@ func TestReadCSVErrors(t *testing.T) {
 		t.Fatalf("parsed %+v", d.Syndromes)
 	}
 	_ = netlist.NoFault
+}
+
+// TestReadCSVRejectsMalformed: every row that is not exactly what
+// WriteCSV emits is an error, never a silently trimmed syndrome.
+func TestReadCSVRejectsMalformed(t *testing.T) {
+	for _, in := range []string{
+		"0,12x;-3;7\n1x,\n", // trailing text after a number
+		"0,12x\n",
+		"0,1;-3\n", // negative observation index
+		"0x,1\n",   // trailing text after the index
+		"0,1;;2\n", // empty entry
+		"0,1;2;\n", // trailing separator
+		"0,1 2\n",  // two numbers in one entry
+		"0,1.5\n",  // not an integer
+		"-1,1\n",   // negative index
+		"0, 1\n",   // padded entry
+	} {
+		if d, err := ReadCSV(strings.NewReader(in)); err == nil {
+			t.Errorf("ReadCSV(%q) accepted %v, want an error", in, d.Syndromes)
+		}
+	}
 }

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"rescue/internal/netlist"
@@ -101,7 +102,7 @@ func TestSimMatchesFullEval(t *testing.T) {
 	u := NewUniverse(n)
 
 	for _, f := range u.All {
-		fast := sim.Run(f, 0)
+		fast := sim.Run(f, false)
 		// brute force
 		slowDetected := false
 		slowObs := map[int]bool{}
@@ -144,7 +145,7 @@ func TestIsolationToComponent(t *testing.T) {
 		if f.Gate < 0 {
 			continue // FF faults are chipkill in the paper's accounting
 		}
-		res := sim.Run(f, 0)
+		res := sim.Run(f, false)
 		if !res.Detected {
 			continue
 		}
@@ -165,15 +166,19 @@ func TestIsolationToComponent(t *testing.T) {
 	}
 }
 
-func TestMaxFailCap(t *testing.T) {
+// TestDetectOnlyResult pins the detect-only Result shape: a detected
+// fault reports Detected alone, with no syndrome behind it.
+func TestDetectOnlyResult(t *testing.T) {
 	n := buildPipe()
 	c, _ := scan.Insert(n, 1)
 	pats := randomPatterns(c, 4, 9)
 	sim := NewSim(c, pats)
 	f := netlist.Fault{Gate: 0, FF: -1, Pin: -1, StuckAt1: true}
-	res := sim.Run(f, 1)
-	if res.Detected && len(res.Fails) != 1 {
-		t.Fatalf("maxFail=1 returned %d fails", len(res.Fails))
+	if full := sim.Run(f, false); len(full.FailObs) == 0 {
+		t.Fatal("fixture fault is undetected; the test would be vacuous")
+	}
+	if res := sim.Run(f, true); !reflect.DeepEqual(res, Result{Detected: true}) {
+		t.Fatalf("detect-only run returned %+v, want Detected alone", res)
 	}
 }
 

@@ -56,7 +56,7 @@ func validJournal(tb testing.TB) []byte {
 func FuzzCheckpointRead(f *testing.F) {
 	f.Add(validJournal(f))
 	f.Add([]byte(""))
-	f.Add([]byte("{\"v\":1,\"kind\":\"rescue-campaign-checkpoint\"}\n"))
+	f.Add([]byte("{\"v\":2,\"kind\":\"rescue-campaign-checkpoint\"}\n"))
 	f.Add([]byte("{\"section\":0,\"id\":{}}\n"))
 	f.Add([]byte("not json at all\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {

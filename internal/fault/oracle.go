@@ -45,30 +45,25 @@ func (o *Oracle) AddPattern(p *scan.Pattern) {
 }
 
 // Run simulates fault f against every pattern word by full netlist
-// re-evaluation, honoring the same maxFail cap semantics as Sim.Run: with
-// maxFail > 0 the sweep stops at the end of the first word that reaches
-// the cap and Fails is truncated to the canonical prefix.
-func (o *Oracle) Run(f netlist.Fault, maxFail int) Result {
-	return o.RunWords(f, maxFail, 0, len(o.Patterns))
-}
-
-// RunWords simulates fault f against pattern words [wLo, wHi) only — the
-// oracle twin of Sim.RunWord.
-func (o *Oracle) RunWords(f netlist.Fault, maxFail, wLo, wHi int) Result {
+// re-evaluation, with the same detectOnly semantics as Sim.Run: a
+// detect-only run stops at the first failing observation and reports
+// Detected only.
+func (o *Oracle) Run(f netlist.Fault, detectOnly bool) Result {
 	res := Result{}
 	numObs := o.C.N.NumFFs() + len(o.C.N.Outputs)
 	var seen []bool
-	for w := wLo; w < wHi; w++ {
-		p := o.Patterns[w]
+	for w, p := range o.Patterns {
 		mask := p.LaneMask()
 		bad := o.C.ApplyTest(p, f)
 		good := o.good[w]
 		for oi := 0; oi < numObs; oi++ {
-			diff := (bad[oi] ^ good[oi]) & mask
-			if diff == 0 {
+			if (bad[oi]^good[oi])&mask == 0 {
 				continue
 			}
 			res.Detected = true
+			if detectOnly {
+				return res
+			}
 			if seen == nil {
 				seen = make([]bool, numObs)
 			}
@@ -76,16 +71,6 @@ func (o *Oracle) RunWords(f netlist.Fault, maxFail, wLo, wHi int) Result {
 				seen[oi] = true
 				res.FailObs = append(res.FailObs, oi)
 			}
-			for lane := 0; lane < 64 && diff != 0; lane++ {
-				if diff&(1<<uint(lane)) != 0 {
-					res.Fails = append(res.Fails, FailBit{Word: w, Lane: lane, Obs: oi})
-					diff &^= 1 << uint(lane)
-				}
-			}
-		}
-		if maxFail > 0 && len(res.Fails) >= maxFail {
-			res.Fails = res.Fails[:maxFail]
-			return res
 		}
 	}
 	return res

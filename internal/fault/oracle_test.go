@@ -10,8 +10,8 @@ import (
 
 // TestOracleMatchesSim cross-checks the event-driven simulator against the
 // brute-force oracle for every uncollapsed fault of the Figure-2b pipeline,
-// requiring full Result equality — Detected, Fails, and FailObs as plain
-// slices, relying on the documented canonical ordering.
+// requiring full Result equality — Detected, and FailObs as a plain
+// slice, relying on the documented canonical ordering.
 func TestOracleMatchesSim(t *testing.T) {
 	n := buildPipe()
 	c, _ := scan.Insert(n, 1)
@@ -25,16 +25,16 @@ func TestOracleMatchesSim(t *testing.T) {
 	oracle := NewOracle(c, pats)
 	u := NewUniverse(n)
 	for _, f := range u.All {
-		fast := sim.Run(f, 0)
-		slow := oracle.Run(f, 0)
+		fast := sim.Run(f, false)
+		slow := oracle.Run(f, false)
 		if !reflect.DeepEqual(fast, slow) {
 			t.Fatalf("fault %v:\n  sim    %+v\n  oracle %+v", f, fast, slow)
 		}
 	}
 }
 
-// TestOracleMatchesSimCapped checks that capped detection agrees on the
-// Detected flag (the only field capped callers consume).
+// TestOracleMatchesSimCapped checks that detect-only runs agree: both
+// engines report Detected alone.
 func TestOracleMatchesSimCapped(t *testing.T) {
 	n := buildPipe()
 	c, _ := scan.Insert(n, 1)
@@ -43,13 +43,10 @@ func TestOracleMatchesSimCapped(t *testing.T) {
 	oracle := NewOracle(c, pats)
 	u := NewUniverse(n)
 	for _, f := range u.Collapsed {
-		fast := sim.Run(f, 1)
-		slow := oracle.Run(f, 1)
-		if fast.Detected != slow.Detected {
-			t.Fatalf("fault %v: sim detected=%v oracle=%v", f, fast.Detected, slow.Detected)
-		}
-		if fast.Detected && len(fast.Fails) != 1 {
-			t.Fatalf("fault %v: cap=1 returned %d fails", f, len(fast.Fails))
+		fast := sim.Run(f, true)
+		slow := oracle.Run(f, true)
+		if !reflect.DeepEqual(fast, slow) || fast.FailObs != nil {
+			t.Fatalf("fault %v: sim %+v oracle %+v, want equal and Detected alone", f, fast, slow)
 		}
 	}
 }
@@ -71,12 +68,12 @@ func TestFFFaultDirectObservation(t *testing.T) {
 	p := c.NewPattern(64) // q0 loaded all-zero
 	sim := NewSim(c, []*scan.Pattern{p})
 	f := netlist.Fault{Gate: -1, FF: 0, Pin: -1, StuckAt1: true}
-	res := sim.Run(f, 0)
+	res := sim.Run(f, false)
 	// obs 0 = q0's own scan bit, obs 1 = q1 (captures q0), obs 2 = the PO
 	if want := []int{0, 1, 2}; !reflect.DeepEqual(res.FailObs, want) {
 		t.Fatalf("FailObs = %v, want %v", res.FailObs, want)
 	}
-	if !reflect.DeepEqual(res, NewOracle(c, []*scan.Pattern{p}).Run(f, 0)) {
+	if !reflect.DeepEqual(res, NewOracle(c, []*scan.Pattern{p}).Run(f, false)) {
 		t.Fatalf("sim and oracle disagree on direct FF observation")
 	}
 }
@@ -101,18 +98,15 @@ func TestFFFaultFeedbackLoop(t *testing.T) {
 	oracle := NewOracle(c, []*scan.Pattern{p})
 	for _, sa1 := range []bool{false, true} {
 		f := netlist.Fault{Gate: -1, FF: 0, Pin: -1, StuckAt1: sa1}
-		fast, slow := sim.Run(f, 0), oracle.Run(f, 0)
+		fast, slow := sim.Run(f, false), oracle.Run(f, false)
 		if !reflect.DeepEqual(fast, slow) {
 			t.Fatalf("sa1=%v:\n  sim    %+v\n  oracle %+v", sa1, fast, slow)
 		}
 		// good scan-out = ~loaded; stuck value differs on exactly half the
 		// lanes at the scan cell, and the PO (sampled pre-capture) shows
 		// the stuck value against the loaded one on the other half.
-		if len(fast.FailObs) != 2 {
-			t.Fatalf("sa1=%v: FailObs = %v, want both obs points", sa1, fast.FailObs)
-		}
-		if len(fast.Fails) != 64 {
-			t.Fatalf("sa1=%v: %d failing bits, want 64 (32 per obs point)", sa1, len(fast.Fails))
+		if want := []int{0, 1}; !reflect.DeepEqual(fast.FailObs, want) {
+			t.Fatalf("sa1=%v: FailObs = %v, want both obs points %v", sa1, fast.FailObs, want)
 		}
 	}
 }
@@ -136,11 +130,11 @@ func TestSharedDNetObservation(t *testing.T) {
 	p.PIVals[1] = ^uint64(0) // good AND output = all ones
 	sim := NewSim(c, []*scan.Pattern{p})
 	f := netlist.Fault{Gate: 0, FF: -1, Pin: -1, StuckAt1: false}
-	res := sim.Run(f, 0)
+	res := sim.Run(f, false)
 	if want := []int{0, 1, 2}; !reflect.DeepEqual(res.FailObs, want) {
 		t.Fatalf("FailObs = %v, want %v", res.FailObs, want)
 	}
-	if !reflect.DeepEqual(res, NewOracle(c, []*scan.Pattern{p}).Run(f, 0)) {
+	if !reflect.DeepEqual(res, NewOracle(c, []*scan.Pattern{p}).Run(f, false)) {
 		t.Fatalf("sim and oracle disagree on shared D net")
 	}
 }

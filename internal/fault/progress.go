@@ -1,13 +1,36 @@
 package fault
 
-import "context"
+import (
+	"context"
+	"sync"
+)
 
 // ProgressFunc observes campaign progress: it is called once per completed
 // chunk with the cumulative number of finished faults (rehydrated results
 // included) and the run's total fault count. Calls come from campaign
-// worker goroutines, possibly concurrently — implementations must be
-// cheap and goroutine-safe. done == total marks the run complete.
+// worker goroutines one at a time, with done never decreasing; workers
+// queue behind each call, so implementations must be cheap. done == total
+// marks the run complete.
 type ProgressFunc func(done, total int64)
+
+// orderedProgress returns the reporter a campaign run calls as work
+// completes: it adds n finished faults to the running count and passes
+// the new count to fn. Workers finish chunks concurrently, so the add and
+// the call share one lock; otherwise a worker could deliver a smaller
+// count after another delivered a larger one. A nil fn gives a no-op.
+func orderedProgress(fn ProgressFunc, total int64) func(n int64) {
+	if fn == nil {
+		return func(int64) {}
+	}
+	var mu sync.Mutex
+	var done int64
+	return func(n int64) {
+		mu.Lock()
+		defer mu.Unlock()
+		done += n
+		fn(done, total)
+	}
+}
 
 type progressKey struct{}
 

@@ -34,7 +34,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 )
 
 // ErrShardDone is the sentinel a shard worker's campaign returns once its
@@ -180,14 +179,14 @@ func shardPlanFrom(ctx context.Context) *ShardPlan {
 }
 
 // dispatchShards fans the campaign's pending contiguous ranges out through
-// the plan. Completed shards are copied into out, journaled, and marked in
-// done; failed shards stay pending for the local workers. It returns the
-// (possibly freshly allocated) done bitmap. All dispatch completes before
-// the local worker pool starts, so the returned bitmap is read-only
-// thereafter.
+// the plan. Completed shards are copied into out, journaled, reported to
+// progress, and marked in done; failed shards stay pending for the local
+// workers. It returns the (possibly freshly allocated) done bitmap. All
+// dispatch completes before the local worker pool starts, so the returned
+// bitmap is read-only thereafter.
 func (c *Campaign) dispatchShards(ctx context.Context, plan *ShardPlan, id CampaignKey,
 	out []Result, sec *ckSection, done []bool,
-	progress ProgressFunc, progressDone *atomic.Int64, total int64, st *Stats) []bool {
+	report func(n int64), st *Stats) []bool {
 
 	// Pending contiguous spans, split into ~Shards equal pieces.
 	n := len(out)
@@ -263,9 +262,7 @@ func (c *Campaign) dispatchShards(ctx context.Context, plan *ShardPlan, id Campa
 			st.Words += res.Stats.Words
 			st.Events += res.Stats.Events
 			mu.Unlock()
-			if progress != nil {
-				progress(progressDone.Add(int64(hi-lo)), total)
-			}
+			report(int64(hi - lo))
 		}(pc[0], pc[1])
 	}
 	wg.Wait()

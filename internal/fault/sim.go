@@ -9,34 +9,23 @@ import (
 	"rescue/internal/scan"
 )
 
-// FailBit records one failing observation: pattern word w, lane l within
-// the word, observation point index obs (netlist.ObsPoints order: FF scan
-// bits first, then primary outputs).
-type FailBit struct {
-	Word, Lane, Obs int
-}
-
-// Result is the outcome of simulating one fault against a pattern set.
+// Result is the outcome of simulating one fault against a pattern set:
+// whether any pattern detects it and, unless the run was detect-only,
+// its syndrome.
 //
 // Ordering contract (pinned by TestResultOrdering and relied on by the
-// differential harness for plain slice equality): Fails is word-major —
-// all bits of pattern word w precede those of word w+1 — and within a
-// word sorted by (Obs, Lane) ascending, with no duplicates. FailObs lists
-// each failing observation point once, ordered by the word of its first
-// failure, then by observation index within that word. Every independent
+// differential harness for plain slice equality): FailObs lists each
+// failing observation point (netlist.ObsPoints order: FF scan bits first,
+// then primary outputs) once, ordered by the word of its first failure,
+// then by observation index within that word. Every independent
 // implementation of this contract (Sim, Campaign at any worker count,
 // Oracle, the cone-clipped and forced full-walk engines) produces
-// byte-identical Results for maxFail = 0.
+// byte-identical Results.
 type Result struct {
 	Detected bool
-	// Fails lists failing bits, at most the maxFail cap passed to Run
-	// (0 = unlimited). Isolation needs every distinct failing obs point,
-	// detection needs only one. When the cap truncates a word, the bits
-	// kept are a deterministic subset of that word's canonical order.
-	Fails []FailBit
-	// FailObs is the deduplicated set of failing observation points.
-	// When the cap truncated Fails, FailObs may still list points whose
-	// individual bits were dropped (capped callers only use Detected).
+	// FailObs is the fault's syndrome, the set isolation and the
+	// dictionary read. A detect-only run stops at the first failing
+	// observation and leaves it nil.
 	FailObs []int
 }
 
@@ -146,16 +135,6 @@ type simScratch struct {
 	runEp   int32              // current fault epoch
 	buckets [][]netlist.GateID // full-walk event queue bucketed by level
 	tiles   []tileState        // campaign word-tiling state, reused per chunk
-
-	// Chunked result arenas for detection mode (maxFail == 1): each
-	// detected fault's one-element Fails and small FailObs slice is carved
-	// from a shared chunk instead of its own heap allocation, turning tens
-	// of thousands of mallocs per sweep into a handful. Segments are
-	// handed out capacity-limited (three-index slices), so a caller
-	// appending to a returned Result reallocates instead of clobbering a
-	// neighboring fault's bits.
-	failPool []FailBit
-	obsPool  []int
 
 	// counters for campaign Stats
 	words  int64 // (fault, word) pairs event-simulated
@@ -371,18 +350,19 @@ func (s *simCore) growGoodT(stride int) {
 	s.gtStride = stride
 }
 
-// Run simulates fault f against every pattern. If maxFail > 0, simulation
-// stops after collecting that many failing bits (fast detection mode);
-// isolation uses maxFail = 0 to gather every failing observation point.
-func (s *Sim) Run(f netlist.Fault, maxFail int) Result {
-	return s.simCore.run(&s.scr, f, maxFail, 0, len(s.Patterns))
+// Run simulates fault f against every pattern. With detectOnly the
+// simulation stops at the first failing observation and the Result
+// carries Detected only (coverage mode); isolation passes false to
+// gather the full syndrome.
+func (s *Sim) Run(f netlist.Fault, detectOnly bool) Result {
+	return s.simCore.run(&s.scr, f, detectOnly, 0, len(s.Patterns))
 }
 
 // RunWord simulates fault f against pattern word w only: the serial
 // reference that campaign tests compare Campaign.RunWordsCheckpoint
 // against.
-func (s *Sim) RunWord(f netlist.Fault, w, maxFail int) Result {
-	return s.simCore.run(&s.scr, f, maxFail, w, w+1)
+func (s *Sim) RunWord(f netlist.Fault, w int, detectOnly bool) Result {
+	return s.simCore.run(&s.scr, f, detectOnly, w, w+1)
 }
 
 // schedule enqueues a gate for (re)evaluation in the current full-walk
@@ -396,10 +376,10 @@ func (c *simCore) schedule(scr *simScratch, g netlist.GateID) {
 	scr.buckets[lv] = append(scr.buckets[lv], g)
 }
 
-func (c *simCore) run(scr *simScratch, f netlist.Fault, maxFail, wLo, wHi int) Result {
+func (c *simCore) run(scr *simScratch, f netlist.Fault, detectOnly bool, wLo, wHi int) Result {
 	var res Result
 	c.beginFault(scr)
-	c.simWords(scr, f, &res, maxFail, wLo, wHi)
+	c.simWords(scr, f, &res, detectOnly, wLo, wHi)
 	return res
 }
 
@@ -413,14 +393,13 @@ func (c *simCore) beginFault(scr *simScratch) {
 }
 
 // simWords simulates fault f over pattern words [wLo, wHi), appending to
-// res, and reports whether the failing-bit cap was reached (after which
-// the caller must not feed it further words for this fault). beginFault
+// res, and reports whether a detect-only run has detected the fault
+// (after which the caller must not feed it further words). beginFault
 // must have opened the fault's epoch; the campaign tiler calls simWords
 // several times per fault with consecutive word windows, which is
-// result-identical to one full-range call because a capped fault stops at
-// its first failing word and an uncapped one accumulates independently
-// per word.
-func (c *simCore) simWords(scr *simScratch, f netlist.Fault, res *Result, maxFail, wLo, wHi int) bool {
+// result-identical to one full-range call because a detect-only Result is
+// only its Detected flag.
+func (c *simCore) simWords(scr *simScratch, f netlist.Fault, res *Result, detectOnly bool, wLo, wHi int) bool {
 	var stuckWord uint64
 	if f.StuckAt1 {
 		stuckWord = ^uint64(0)
@@ -471,18 +450,16 @@ func (c *simCore) simWords(scr *simScratch, f netlist.Fault, res *Result, maxFai
 		for w := wLo; w < wHi; w++ {
 			scr.words++
 			scr.curEp++
-			failsStart := len(res.Fails)
 			obsStart := len(res.FailObs)
 
 			if clipped {
-				c.coneWalkWord(scr, f, res, stuckWord, seedNet, maxFail, w)
+				c.coneWalkWord(scr, f, res, stuckWord, seedNet, detectOnly, w)
 			} else {
-				c.fullWalkWord(scr, f, res, stuckWord, maxFail, w)
+				c.fullWalkWord(scr, f, res, stuckWord, detectOnly, w)
 			}
 
-			finalizeWord(res, failsStart, obsStart)
-			if maxFail > 0 && len(res.Fails) >= maxFail {
-				res.Fails = res.Fails[:maxFail]
+			sortWord(res, obsStart)
+			if detectOnly && res.Detected {
 				return true
 			}
 		}
@@ -492,7 +469,8 @@ func (c *simCore) simWords(scr *simScratch, f netlist.Fault, res *Result, maxFai
 	// Excitable-word iteration: walk the set bits of the excitation rows
 	// instead of testing every word, so a run of dead words costs one
 	// popcount-style skip. Word accounting matches the plain loop exactly —
-	// skipped words count as entered, words past a capping word do not.
+	// skipped words count as entered, words past a detecting word of a
+	// detect-only run do not.
 	for base := wLo &^ 63; base < wHi; base += 64 {
 		live := exRow[base>>6]
 		if exOwnRow != nil {
@@ -516,14 +494,12 @@ func (c *simCore) simWords(scr *simScratch, f netlist.Fault, res *Result, maxFai
 			scr.words += int64(b - prev + 1)
 			prev = b + 1
 			scr.curEp++
-			failsStart := len(res.Fails)
 			obsStart := len(res.FailObs)
 
-			c.coneWalkWord(scr, f, res, stuckWord, seedNet, maxFail, base+b)
+			c.coneWalkWord(scr, f, res, stuckWord, seedNet, detectOnly, base+b)
 
-			finalizeWord(res, failsStart, obsStart)
-			if maxFail > 0 && len(res.Fails) >= maxFail {
-				res.Fails = res.Fails[:maxFail]
+			sortWord(res, obsStart)
+			if detectOnly && res.Detected {
 				return true
 			}
 		}
@@ -537,7 +513,7 @@ func (c *simCore) simWords(scr *simScratch, f netlist.Fault, res *Result, maxFai
 // topological sweep over only the cone's gates, reading good-machine
 // values for everything outside the propagation region.
 func (c *simCore) coneWalkWord(scr *simScratch, f netlist.Fault, res *Result,
-	stuckWord uint64, seedNet netlist.NetID, maxFail, w int) {
+	stuckWord uint64, seedNet netlist.NetID, detectOnly bool, w int) {
 
 	mask := c.masks[w]
 	st := c.gtStride
@@ -547,8 +523,8 @@ func (c *simCore) coneWalkWord(scr *simScratch, f netlist.Fault, res *Result,
 	// excitation (same as the full walk's seeding step).
 	if f.Gate < 0 {
 		if diff := (stuckWord ^ c.goodRespT[int(f.FF)*st+w]) & mask; diff != 0 {
-			c.recordFails(scr, res, int32(f.FF), diff, w, maxFail)
-			capped = maxFail > 0 && len(res.Fails) >= maxFail
+			scr.record(res, int32(f.FF), detectOnly)
+			capped = detectOnly
 		}
 	}
 
@@ -571,7 +547,7 @@ func (c *simCore) coneWalkWord(scr *simScratch, f netlist.Fault, res *Result,
 	}
 	scr.scratch[seedNet] = v
 	scr.epoch[seedNet] = scr.curEp
-	if c.fl.ObsHead[seedNet] >= 0 && c.observeNetT(scr, res, f, seedNet, v, mask, maxFail, w) {
+	if c.fl.ObsHead[seedNet] >= 0 && c.observeNetT(scr, res, f, seedNet, v, mask, detectOnly, w) {
 		capped = true
 	}
 	if capped {
@@ -608,7 +584,7 @@ func (c *simCore) coneWalkWord(scr *simScratch, f netlist.Fault, res *Result,
 		}
 		scr.scratch[out] = v
 		scr.epoch[out] = scr.curEp
-		if c.fl.ObsHead[out] >= 0 && c.observeNetT(scr, res, f, out, v, mask, maxFail, w) {
+		if c.fl.ObsHead[out] >= 0 && c.observeNetT(scr, res, f, out, v, mask, detectOnly, w) {
 			return
 		}
 		for j := c.fl.RdrOff[out]; j < c.fl.RdrOff[out+1]; j++ {
@@ -626,7 +602,7 @@ func (c *simCore) coneWalkWord(scr *simScratch, f netlist.Fault, res *Result,
 // disabled (threshold <= 0) or the seed net's cone overflowed the
 // threshold. Differential property P7 pins the cone walk against it.
 func (c *simCore) fullWalkWord(scr *simScratch, f netlist.Fault, res *Result,
-	stuckWord uint64, maxFail, w int) {
+	stuckWord uint64, detectOnly bool, w int) {
 
 	mask := c.masks[w]
 	good := c.goodNets[w]
@@ -643,8 +619,8 @@ func (c *simCore) fullWalkWord(scr *simScratch, f netlist.Fault, res *Result,
 		q := c.N.FFs[f.FF].Q
 		// the faulty FF's own scan cell captures the stuck value
 		if diff := (stuckWord ^ c.goodResp[w][f.FF]) & mask; diff != 0 {
-			c.recordFails(scr, res, int32(f.FF), diff, w, maxFail)
-			capped = maxFail > 0 && len(res.Fails) >= maxFail
+			scr.record(res, int32(f.FF), detectOnly)
+			capped = detectOnly
 		}
 		if (stuckWord^good[q])&mask != 0 {
 			scr.scratch[q] = stuckWord
@@ -654,7 +630,7 @@ func (c *simCore) fullWalkWord(scr *simScratch, f netlist.Fault, res *Result,
 			}
 			// q itself may be observed directly — as another FF's D net
 			// or as a primary output — with no gate in between.
-			if c.observeNet(scr, res, f, q, stuckWord, mask, maxFail, w) {
+			if c.observeNet(scr, res, f, q, stuckWord, mask, detectOnly, w) {
 				capped = true
 			}
 		}
@@ -680,7 +656,7 @@ func (c *simCore) fullWalkWord(scr *simScratch, f netlist.Fault, res *Result,
 			}
 			scr.scratch[out] = v
 			scr.epoch[out] = scr.curEp
-			if c.fl.ObsHead[out] >= 0 && c.observeNet(scr, res, f, out, v, mask, maxFail, w) {
+			if c.fl.ObsHead[out] >= 0 && c.observeNet(scr, res, f, out, v, mask, detectOnly, w) {
 				capped = true
 				break
 			}
@@ -691,66 +667,27 @@ func (c *simCore) fullWalkWord(scr *simScratch, f netlist.Fault, res *Result,
 	}
 }
 
-// recordFails appends the failing lanes of one observation point. In
-// detection mode (maxFail == 1) only one bit is ever kept, so exactly one
-// is appended — the lowest failing lane of the first failing point, a
-// deterministic subset of the word's canonical order as the Result
-// contract requires — while FailObs still collects every failing point
-// the capping word discovered.
-func (c *simCore) recordFails(scr *simScratch, res *Result, oi int32, diff uint64, w, maxFail int) {
+// record notes a failing observation point: the fault is detected, and
+// unless the run is detect-only, oi joins FailObs once per fault (the obs
+// epoch dedups it across words and across a self-looped faulty FF's
+// second report of its own scan bit).
+func (scr *simScratch) record(res *Result, oi int32, detectOnly bool) {
 	res.Detected = true
-	if scr.obsEp[oi] != scr.runEp {
-		scr.obsEp[oi] = scr.runEp
-		if maxFail == 1 && res.FailObs == nil {
-			res.FailObs = scr.obsSlot()
-		}
-		res.FailObs = append(res.FailObs, int(oi))
-	}
-	if maxFail == 1 {
-		if len(res.Fails) == 0 {
-			if res.Fails == nil {
-				res.Fails = scr.failSlot()
-			}
-			res.Fails = append(res.Fails, FailBit{Word: w, Lane: bits.TrailingZeros64(diff), Obs: int(oi)})
-		}
+	if detectOnly {
 		return
 	}
-	for diff != 0 {
-		lane := bits.TrailingZeros64(diff)
-		res.Fails = append(res.Fails, FailBit{Word: w, Lane: lane, Obs: int(oi)})
-		diff &^= 1 << uint(lane)
+	if scr.obsEp[oi] != scr.runEp {
+		scr.obsEp[oi] = scr.runEp
+		res.FailObs = append(res.FailObs, int(oi))
 	}
 }
 
-// failSlot carves a len-0/cap-1 FailBit segment from the scratch's chunk
-// arena. An append into it lands in the chunk; a second append (never done
-// in detection mode) would reallocate, leaving neighbors intact.
-func (scr *simScratch) failSlot() []FailBit {
-	if len(scr.failPool) == cap(scr.failPool) {
-		scr.failPool = make([]FailBit, 0, 4096)
-	}
-	n := len(scr.failPool)
-	scr.failPool = scr.failPool[: n+1 : cap(scr.failPool)]
-	return scr.failPool[n : n : n+1]
-}
-
-// obsSlot carves a len-0/cap-2 FailObs segment (a capping word rarely
-// discovers more than two failing points; overflow reallocates normally).
-func (scr *simScratch) obsSlot() []int {
-	if cap(scr.obsPool)-len(scr.obsPool) < 2 {
-		scr.obsPool = make([]int, 0, 8192)
-	}
-	n := len(scr.obsPool)
-	scr.obsPool = scr.obsPool[: n+2 : cap(scr.obsPool)]
-	return scr.obsPool[n : n : n+2]
-}
-
-// observeNet records failing bits at every observation point sampling
-// net — a net can be the D input of several FFs and a primary output
-// simultaneously. Reports whether the failing-bit cap has been reached
-// (propagation may then stop early).
+// observeNet records every failing observation point sampling net — a
+// net can be the D input of several FFs and a primary output
+// simultaneously. Reports whether a detect-only run has detected the
+// fault (propagation may then stop early).
 func (c *simCore) observeNet(scr *simScratch, res *Result, f netlist.Fault,
-	net netlist.NetID, faulty, mask uint64, maxFail, w int) bool {
+	net netlist.NetID, faulty, mask uint64, detectOnly bool, w int) bool {
 
 	goodResp := c.goodResp[w]
 	for oi := c.fl.ObsHead[net]; oi >= 0; oi = c.fl.ObsNext[oi] {
@@ -762,16 +699,16 @@ func (c *simCore) observeNet(scr *simScratch, res *Result, f netlist.Fault,
 			continue
 		}
 		if diff := (faulty ^ goodResp[oi]) & mask; diff != 0 {
-			c.recordFails(scr, res, oi, diff, w, maxFail)
+			scr.record(res, oi, detectOnly)
 		}
 	}
-	return maxFail > 0 && len(res.Fails) >= maxFail
+	return detectOnly && res.Detected
 }
 
 // observeNetT is observeNet reading the transposed (obs-major) response
 // image — the clipped path's variant.
 func (c *simCore) observeNetT(scr *simScratch, res *Result, f netlist.Fault,
-	net netlist.NetID, faulty, mask uint64, maxFail, w int) bool {
+	net netlist.NetID, faulty, mask uint64, detectOnly bool, w int) bool {
 
 	st := c.gtStride
 	for oi := c.fl.ObsHead[net]; oi >= 0; oi = c.fl.ObsNext[oi] {
@@ -779,10 +716,10 @@ func (c *simCore) observeNetT(scr *simScratch, res *Result, f netlist.Fault,
 			continue // own scan cell: recorded at seeding, see observeNet
 		}
 		if diff := (faulty ^ c.goodRespT[int(oi)*st+w]) & mask; diff != 0 {
-			c.recordFails(scr, res, oi, diff, w, maxFail)
+			scr.record(res, oi, detectOnly)
 		}
 	}
-	return maxFail > 0 && len(res.Fails) >= maxFail
+	return detectOnly && res.Detected
 }
 
 // netValT reads one net's current value for word w: the faulty overlay if
@@ -917,30 +854,11 @@ func (c *simCore) evalGateForced(scr *simScratch, good []uint64, gi netlist.Gate
 	return netlist.EvalWord(c.fl.Kind[gi], ins)
 }
 
-// finalizeWord normalizes the bits one pattern word appended to res into
-// the documented canonical order: Fails sorted by (obs, lane) with
-// duplicates removed (a self-looped faulty FF can record its own scan bit
-// twice), FailObs sorted ascending. Event discovery order is deterministic
-// but not the contract — the cone and full walks may visit gates in
-// different orders and still finalize to identical Results.
-func finalizeWord(res *Result, failsStart, obsStart int) {
-	seg := res.Fails[failsStart:]
-	if len(seg) > 1 {
-		sort.Slice(seg, func(i, j int) bool {
-			if seg[i].Obs != seg[j].Obs {
-				return seg[i].Obs < seg[j].Obs
-			}
-			return seg[i].Lane < seg[j].Lane
-		})
-		keep := 1
-		for i := 1; i < len(seg); i++ {
-			if seg[i] != seg[keep-1] {
-				seg[keep] = seg[i]
-				keep++
-			}
-		}
-		res.Fails = res.Fails[:failsStart+keep]
-	}
+// sortWord sorts the FailObs entries one pattern word appended to res
+// into the documented order. Event discovery order is deterministic but
+// not the contract — the cone and full walks may visit gates in different
+// orders and still produce identical Results.
+func sortWord(res *Result, obsStart int) {
 	if obsSeg := res.FailObs[obsStart:]; len(obsSeg) > 1 {
 		sort.Ints(obsSeg)
 	}
@@ -953,7 +871,7 @@ func (s *Sim) Coverage(faults []netlist.Fault) float64 {
 	}
 	n := 0
 	for _, f := range faults {
-		if s.Run(f, 1).Detected {
+		if s.Run(f, true).Detected {
 			n++
 		}
 	}

@@ -16,6 +16,7 @@
 package flows
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -27,8 +28,10 @@ import (
 // Store is an in-memory content-addressed artifact cache with singleflight
 // builds: the first requester of a key runs the build while concurrent
 // requesters for the same key block and share the one result. A failed
-// build is not retained, so transient errors (cancelled jobs included) do
-// not poison the cache.
+// build is not retained, so the next request builds afresh. A build that
+// failed because its own requester was cancelled is not shared either:
+// each waiter still live builds the artifact itself, so one job's
+// cancellation never fails another job that joined its build.
 type Store struct {
 	mu      sync.Mutex
 	entries map[string]*flight
@@ -42,6 +45,9 @@ type flight struct {
 	done chan struct{}
 	val  any
 	err  error
+	// canceled records that the builder's own ctx was done when its build
+	// failed: err is that requester's cancellation, not the artifact's.
+	canceled bool
 }
 
 // NewStore returns an empty artifact store.
@@ -66,16 +72,25 @@ func (s *Store) Len() int {
 	return len(s.entries)
 }
 
-// do returns the artifact for key, building it with build on a miss.
-// hit reports whether the value came from the cache (including joining an
-// in-flight build — "concurrent identical submissions share one entry").
-// On build error the partial value is returned to every waiter and the
-// entry is dropped.
-func (s *Store) do(key string, build func() (any, error)) (val any, hit bool, err error) {
-	s.mu.Lock()
-	if e, ok := s.entries[key]; ok {
+// do returns the artifact for key, building it with build on a miss; ctx
+// is the requester's context, the one build runs under. hit reports
+// whether the value came from the cache (including joining an in-flight
+// build — "concurrent identical submissions share one entry"). On build
+// error the entry is dropped and the partial value is returned to every
+// waiter, except that when the builder's ctx was done, a waiter whose own
+// ctx is still live retries and builds the artifact itself.
+func (s *Store) do(ctx context.Context, key string, build func() (any, error)) (val any, hit bool, err error) {
+	for {
+		s.mu.Lock()
+		e, ok := s.entries[key]
+		if !ok {
+			break
+		}
 		s.mu.Unlock()
 		<-e.done
+		if e.err != nil && e.canceled && ctx.Err() == nil {
+			continue
+		}
 		s.hits.Add(1)
 		return e.val, true, e.err
 	}
@@ -87,6 +102,7 @@ func (s *Store) do(key string, build func() (any, error)) (val any, hit bool, er
 	s.builds.Add(1)
 	e.val, e.err = build()
 	if e.err != nil {
+		e.canceled = ctx.Err() != nil
 		s.mu.Lock()
 		delete(s.entries, key)
 		s.mu.Unlock()

@@ -36,15 +36,16 @@ func cfgFor(small bool) rtl.Config {
 }
 
 // cached returns the artifact of the given kind and key from e's store,
-// building it on a miss, and whether it was a store hit; with no store it
-// always builds. A build error is returned with whatever value the build
-// produced (a partial result on interrupt); a failed build is not retained.
-func cached[T any](e Env, kind string, key any, build func() (T, error)) (T, bool, error) {
+// building it under the requester's ctx on a miss, and whether it was a
+// store hit; with no store it always builds. A build error is returned
+// with whatever value the build produced (a partial result on interrupt);
+// a failed build is not retained.
+func cached[T any](ctx context.Context, e Env, kind string, key any, build func() (T, error)) (T, bool, error) {
 	if e.Store == nil {
 		val, err := build()
 		return val, false, err
 	}
-	v, hit, err := e.Store.do(digest(kind, key), func() (any, error) { return build() })
+	v, hit, err := e.Store.do(ctx, digest(kind, key), func() (any, error) { return build() })
 	val, _ := v.(T)
 	return val, hit, err
 }
@@ -61,7 +62,9 @@ type sysKey struct {
 // possible. Systems are read-only after construction, so one instance
 // serves concurrent jobs.
 func (e Env) System(cfg rtl.Config, chains int, v rtl.Variant) (*core.System, error) {
-	s, _, err := cached(e, "system", sysKey{cfg, chains, v.String()}, func() (*core.System, error) {
+	// The system build takes no ctx, so its errors are never a
+	// requester's cancellation.
+	s, _, err := cached(context.TODO(), e, "system", sysKey{cfg, chains, v.String()}, func() (*core.System, error) {
 		return core.BuildChains(cfg, v, chains)
 	})
 	return s, err
@@ -95,7 +98,7 @@ func testProgramKey(sys *core.System, gen atpg.GenConfig) tpKey {
 // partial program (with its stats so far) is returned alongside the error
 // and nothing is cached.
 func (e Env) TestProgram(ctx context.Context, sys *core.System, gen atpg.GenConfig) (*core.TestProgram, error) {
-	tp, _, err := cached(e, "testprogram", testProgramKey(sys, gen), func() (*core.TestProgram, error) {
+	tp, _, err := cached(ctx, e, "testprogram", testProgramKey(sys, gen), func() (*core.TestProgram, error) {
 		return sys.GenerateTestsFlow(ctx, gen, e.Ck)
 	})
 	return tp, err
@@ -114,7 +117,7 @@ type dictArtifact struct {
 // of the build that actually ran (zero-valued Faults on a warm hit means no
 // simulation happened in this call).
 func (e Env) Dictionary(ctx context.Context, sys *core.System, tp *core.TestProgram, gen atpg.GenConfig, workers int) (*fault.Dictionary, fault.Stats, error) {
-	a, hit, err := cached(e, "dictionary", testProgramKey(sys, gen), func() (dictArtifact, error) {
+	a, hit, err := cached(ctx, e, "dictionary", testProgramKey(sys, gen), func() (dictArtifact, error) {
 		d, st, err := fault.BuildDictionaryFlow(ctx, tp.Gen.Sim, tp.Universe, workers, e.Ck)
 		return dictArtifact{d, st}, err
 	})
@@ -142,7 +145,7 @@ type pmKey struct {
 // store when possible.
 func (e Env) PerfModel(ctx context.Context, node int, base, resc uarch.Params, benches []string, warmup, commit int64, workers int) (*core.PerfModel, error) {
 	key := pmKey{base, resc, node, benches, warmup, commit}
-	pm, _, err := cached(e, "perfmodel", key, func() (*core.PerfModel, error) {
+	pm, _, err := cached(ctx, e, "perfmodel", key, func() (*core.PerfModel, error) {
 		return core.BuildPerfModelFlowParams(ctx, area.Node(node), base, resc, benches, warmup, commit, workers)
 	})
 	return pm, err

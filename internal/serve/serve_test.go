@@ -11,11 +11,15 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"rescue/internal/atpg"
+	"rescue/internal/fault"
 	"rescue/internal/flows"
 	"rescue/internal/rtl"
 	"rescue/internal/serve"
@@ -308,6 +312,89 @@ func TestServeSingleflight(t *testing.T) {
 	}
 	if hits := s.srv.Store().Hits(); hits != 1 {
 		t.Fatalf("cache hits = %d, want 1", hits)
+	}
+}
+
+// TestServeCancelSharedBuild: cancelling the job that is building a shared
+// artifact must not fail the job waiting on that build — the waiter builds
+// the artifact itself and succeeds.
+func TestServeCancelSharedBuild(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the real small ATPG flow")
+	}
+	held := make(chan struct{})
+	var once sync.Once
+	kinds := testKinds(make(chan struct{}))
+	// testprogram generates the small Rescue test set through the store; with
+	// hold set, the build stalls at its first campaign chunk until the job
+	// is cancelled.
+	kinds["testprogram"] = func(ctx context.Context, rc serve.RunContext, params json.RawMessage) ([]byte, error) {
+		var p struct {
+			Hold bool `json:"hold"`
+		}
+		if err := json.Unmarshal(params, &p); err != nil {
+			return nil, err
+		}
+		if p.Hold {
+			jobCtx := ctx
+			ctx = fault.WithProgress(ctx, func(int64, int64) {
+				once.Do(func() { close(held) })
+				<-jobCtx.Done()
+			})
+		}
+		sys, err := rc.Env.System(rtl.Small(), 1, rtl.RescueDesign)
+		if err != nil {
+			return nil, err
+		}
+		tp, err := rc.Env.TestProgram(ctx, sys, atpg.DefaultGenConfig())
+		if err != nil {
+			return nil, err
+		}
+		return []byte(fmt.Sprintf("%d vectors\n", tp.Gen.Vectors)), nil
+	}
+	s := newTestServer(t, serve.Config{Slots: 2, Kinds: kinds})
+
+	a, _ := s.submit(t, `{"kind":"testprogram","params":{"hold":true}}`)
+	<-held
+	b, _ := s.submit(t, `{"kind":"testprogram","params":{}}`)
+	waitParked(t, "rescue/internal/flows.(*Store).do(")
+
+	req, _ := http.NewRequest(http.MethodDelete, s.ts.URL+"/jobs/"+a.ID, nil)
+	if _, err := http.DefaultClient.Do(req); err != nil {
+		t.Fatal(err)
+	}
+	s.waitState(t, a.ID, serve.StateCanceled, time.Minute)
+	s.waitState(t, b.ID, serve.StateSucceeded, time.Minute)
+	if builds := s.srv.Store().Builds(); builds != 3 {
+		t.Fatalf("store builds = %d, want 3 (system, then the test program twice)", builds)
+	}
+}
+
+// waitParked blocks until some goroutine is blocked on a channel receive
+// directly in fn (its first frame outside the runtime).
+func waitParked(t *testing.T, fn string) {
+	t.Helper()
+	deadline := time.Now().Add(time.Minute)
+	buf := make([]byte, 1<<20)
+	for {
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			lines := strings.Split(g, "\n")
+			if !strings.Contains(lines[0], "[chan receive") {
+				continue
+			}
+			for _, l := range lines[1:] {
+				if !strings.HasPrefix(l, "\t") && !strings.HasPrefix(l, "runtime.") {
+					if strings.HasPrefix(l, fn) {
+						return
+					}
+					break
+				}
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no goroutine parked in %s", fn)
+		}
+		runtime.Gosched()
 	}
 }
 

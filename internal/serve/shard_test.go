@@ -51,7 +51,7 @@ func miniRunner(ctx context.Context, rc serve.RunContext, _ json.RawMessage) ([]
 	}
 	var buf bytes.Buffer
 	for i, r := range res {
-		fmt.Fprintf(&buf, "%4d %v %d\n", i, r.Detected, len(r.Fails))
+		fmt.Fprintf(&buf, "%4d %v %v\n", i, r.Detected, r.FailObs)
 	}
 	fmt.Fprintf(&buf, "faults=%d\n", st.Faults)
 	return buf.Bytes(), nil

@@ -67,7 +67,7 @@ type (
 	// worker panics into a fault.PanicError, and reject overlapping calls
 	// with fault.ErrCampaignBusy.
 	FaultCampaign = fault.Campaign
-	// FaultCampaignConfig tunes workers, failing-bit caps, and dropping.
+	// FaultCampaignConfig tunes workers and detect-only (coverage) mode.
 	FaultCampaignConfig = fault.CampaignConfig
 	// FaultStats records campaign work (faults simulated, words dropped,
 	// gate events, checkpoint rehydrations, wall time).

@@ -2,7 +2,8 @@
 # Golden equivalence check for the parallel fault-simulation campaign
 # engine: regenerate the small-config Table 3, isolation, and Monte Carlo
 # fab-fleet reports at two different worker counts and diff them against
-# the committed golden files.
+# the committed golden files, and rebuild the small fault dictionary and
+# check its CSV against the committed digest (results/dict_small.sha256).
 # Any drift — numeric or ordering — fails the build. Timings are suppressed
 # (-timing=false) so the outputs are byte-stable.
 #
@@ -27,8 +28,20 @@ trap 'rm -rf "$tmp"' EXIT
 go build -o "$tmp/rescue-atpg" ./cmd/rescue-atpg
 go build -o "$tmp/rescue-isolate" ./cmd/rescue-isolate
 go build -o "$tmp/rescue-fab" ./cmd/rescue-fab
+go build -o "$tmp/rescue-dict" ./cmd/rescue-dict
 
 fail=0
+dict_sha=$(cut -d' ' -f1 results/dict_small.sha256)
+# check_dict CSV LABEL: the dictionary CSV must match the committed digest.
+check_dict() {
+    local got
+    got=$(sha256sum "$1" | cut -d' ' -f1)
+    if [ "$got" != "$dict_sha" ]; then
+        echo "FAIL: dictionary CSV digest $got != results/dict_small.sha256 ($2)" >&2
+        fail=1
+    fi
+}
+
 for w in "${workers[@]}"; do
     echo "== table3 (small), workers=$w"
     "$tmp/rescue-atpg" -small -timing=false -workers "$w" > "$tmp/table3_small.txt"
@@ -50,15 +63,22 @@ for w in "${workers[@]}"; do
         echo "FAIL: fab_small.txt drifted at workers=$w" >&2
         fail=1
     fi
+
+    echo "== dictionary (small), workers=$w"
+    "$tmp/rescue-dict" build -small -workers "$w" -o "$tmp/dict_small.csv" > /dev/null
+    check_dict "$tmp/dict_small.csv" "workers=$w"
 done
 
 # ~50% of each command's total campaign fault-sims on the small config
 # (rescue-atpg ≈ 134k across both variants; rescue-isolate ≈ 89k;
 # rescue-fab spends ≈ 86.7k sims in ATPG before its 1536-fault fleet
-# campaign, so 87.5k lands halfway through the fleet).
+# campaign, so 87.5k lands halfway through the fleet; rescue-dict runs the
+# same ATPG before its 18,866-fault dictionary campaign, so 96.1k lands
+# halfway through the dictionary).
 atpg_kill=67000
 iso_kill=45000
 fab_kill=87500
+dict_kill=96100
 
 for pair in "1 4" "4 1"; do
     read -r kw rw <<< "$pair"
@@ -128,10 +148,29 @@ for pair in "1 4" "4 1"; do
             fail=1
         fi
     fi
+
+    echo "== dictionary interrupt-resume: kill at workers=$kw, resume at workers=$rw"
+    rm -f "$tmp/ck.dict" "$tmp/dict_resumed.csv"
+    rc=0
+    "$tmp/rescue-dict" build -small -workers "$kw" \
+        -checkpoint "$tmp/ck.dict" -chaos-cancel-after "$dict_kill" \
+        -o "$tmp/dict_resumed.csv" > /dev/null 2> "$tmp/dict.err" || rc=$?
+    if [ "$rc" -ne 130 ]; then
+        echo "FAIL: chaos-interrupted rescue-dict exited $rc, want 130" >&2
+        cat "$tmp/dict.err" >&2
+        fail=1
+    elif [ ! -s "$tmp/ck.dict" ]; then
+        echo "FAIL: interrupted rescue-dict left no checkpoint journal" >&2
+        fail=1
+    else
+        "$tmp/rescue-dict" build -small -workers "$rw" \
+            -checkpoint "$tmp/ck.dict" -resume -o "$tmp/dict_resumed.csv" > /dev/null
+        check_dict "$tmp/dict_resumed.csv" "resumed, kill=$kw resume=$rw"
+    fi
 done
 
 if [ "$fail" -ne 0 ]; then
     echo "golden check FAILED" >&2
     exit 1
 fi
-echo "golden check OK: outputs identical to committed results at workers: ${workers[*]}, interrupt-resume included"
+echo "golden check OK: outputs identical to committed results (dictionary digest included) at workers: ${workers[*]}, interrupt-resume included"

@@ -30,7 +30,8 @@
 #   13 sim.go      epoch-overflow reset guard disabled
 #   14 sim.go      arena epoch-clear skip: reset rewinds counters but leaves
 #                  stale marks
-#   15 campaign.go tiled path skips beginFault: obs dedup bleeds across faults
+#   15 campaign.go tiled path drops its per-fault word count: Stats.Dropped
+#                  charges every tiled fault the whole word range
 #   16 campaign.go tiled keep-list dropped: faults undetected in the first
 #                  word tile are never finished
 #   17 atpg podem.go readers of a changed gate output never scheduled
@@ -49,7 +50,7 @@
 # Catchers, in order: the differential harness (fast, runs first: sim vs
 # oracle, PODEM cubes P5, untestable verdicts P8), then the mutated
 # package's targeted unit tests — the cone/epoch/tiling/excitation tests
-# for mutants whose Results stay byte-identical (6, 13, 14) or that need
+# for mutants whose Results stay byte-identical (6, 13, 14, 15) or that need
 # low-lane patterns to discriminate (11, 12); for PODEM, the implication
 # lockstep, the pinned Table 3 counts and test-set digests, and the
 # frontier-order test (19 leaves both small designs' test sets unchanged,
@@ -90,7 +91,7 @@ mutants=(
   'internal/fault/sim.go|s/exRow = c.exPinFlip1\[/exRow = c.exPinFlip0[/'
   'internal/fault/sim.go|s/if scr.curEp >= epochResetLimit || scr.runEp >= epochResetLimit {/if false {/'
   'internal/fault/sim.go|s/for i := range scr.slab {/for i := range scr.slab[:0] {/'
-  'internal/fault/campaign.go|s/c.core.beginFault(scr)/scr.runEp += 0/'
+  'internal/fault/campaign.go|s/t.words += scr.words - words0/_ = words0/'
   'internal/fault/campaign.go|s/keep = append(keep, \*t)/_ = t/'
   'internal/atpg/podem.go|s/p.scheduleReaders(out)/_ = out/'
   'internal/atpg/podem.go|s/if gv == p.good\[out\] \&\& bv == p.bad\[out\] {/if gv == p.good[out] {/'
