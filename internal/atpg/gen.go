@@ -2,7 +2,10 @@ package atpg
 
 import (
 	"context"
+	"errors"
 	"math/rand"
+	"runtime/debug"
+	"sync"
 
 	"rescue/internal/fault"
 	"rescue/internal/netlist"
@@ -21,8 +24,9 @@ type GenConfig struct {
 	MaxBacktracks int
 	// Seed drives random pattern generation and X-fill.
 	Seed int64
-	// Workers sets the fault-simulation campaign concurrency
-	// (<= 0 = all cores). Results are identical at any worker count.
+	// Workers sets the concurrency of both PODEM search and the
+	// fault-simulation campaigns (<= 0 = all cores). Results are identical
+	// at any worker count.
 	Workers int
 }
 
@@ -59,7 +63,8 @@ type GenResult struct {
 // rehydrates instead of simulating, so a killed-and-resumed generation is
 // bit-identical to an uninterrupted one. On cancellation the partial
 // GenResult (with its campaign Stats so far) is returned alongside the
-// error.
+// error, and a panic in a PODEM search comes back as a *fault.PanicError
+// naming the collapsed fault index.
 func GenerateFlow(ctx context.Context, c *scan.Chain, u *fault.Universe, cfg GenConfig, ck *fault.Checkpoint) (*GenResult, error) {
 	defer obs.Span(ctx, "atpg_generate")()
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -160,7 +165,9 @@ func GenerateFlow(ctx context.Context, c *scan.Chain, u *fault.Universe, cfg Gen
 	}
 
 	// Phase 2: PODEM for survivors, packing cubes 64 to a word with random
-	// X-fill. Each filled word is fault-simulated to drop secondaries.
+	// X-fill. Each filled word is fault-simulated to drop secondaries. The
+	// searches run ahead on the workers; verdicts commit here in fault
+	// order, so the test set is the same at any worker count.
 	var cur *scan.Pattern
 	curLanes := 0
 	flush := func() error {
@@ -175,17 +182,22 @@ func GenerateFlow(ctx context.Context, c *scan.Chain, u *fault.Universe, cfg Gen
 		return err
 	}
 	xfill := func() uint64 { return rng.Uint64() }
-	for i := range remaining {
-		if !remaining[i] {
+	var todo []int
+	for i, alive := range remaining {
+		if alive {
+			todo = append(todo, i)
+		}
+	}
+	sp := startSearch(ctx, n, u.Collapsed, todo, cfg.MaxBacktracks, camp.Workers())
+	defer sp.stop()
+	for k, i := range todo {
+		if !remaining[i] { // a flush dropped it: its search is discarded
 			continue
 		}
-		// PODEM runs are serial CPU work outside the campaign engine; check
-		// for cancellation between faults so a Ctrl-C lands promptly here
-		// too.
-		if err := ctx.Err(); err != nil {
-			return partial(), context.Cause(ctx)
+		cube, res, err := sp.result(k)
+		if err != nil {
+			return partial(), err
 		}
-		cube, res := Podem(n, u.Collapsed[i], cfg.MaxBacktracks)
 		switch res {
 		case Untestable:
 			remaining[i] = false
@@ -206,10 +218,7 @@ func GenerateFlow(ctx context.Context, c *scan.Chain, u *fault.Universe, cfg Gen
 				return partial(), err
 			}
 			if !remaining[i] {
-				// the cube's own word should have detected it; if random
-				// fill masked it (can't for a true PODEM test), it stays
-				// remaining and is counted aborted below
-				continue
+				continue // its own word detected it
 			}
 			// self-detection is guaranteed by PODEM; mark defensively
 			remaining[i] = false
@@ -221,8 +230,121 @@ func GenerateFlow(ctx context.Context, c *scan.Chain, u *fault.Universe, cfg Gen
 			detected++
 		}
 	}
+	if err := sp.stop(); err != nil {
+		return partial(), err
+	}
 	if err := flush(); err != nil {
 		return partial(), err
 	}
 	return partial(), nil
+}
+
+// searchLookahead is how many faults per worker PODEM search may run ahead
+// of the committing loop. A search past a flush that drops its fault is
+// wasted; flushes are rare, so a short window still keeps every worker busy.
+const searchLookahead = 8
+
+// searchHook, when non-nil, runs on a search worker before each PODEM run
+// with the fault's collapsed index. The cancel and panic tests use it; it
+// must be set before GenerateFlow starts and never during it.
+var searchHook func(faultIndex int)
+
+// searchPool runs PODEM for a fixed fault list on worker goroutines, each
+// with its own searcher, and hands the verdicts back in list order. Workers
+// take faults in list order and never more than the lookahead past the
+// last one waited for. A verdict depends only on (netlist, fault, backtrack
+// cap), so which worker searched a fault never shows.
+type searchPool struct {
+	todo  []int // collapsed fault indices, in search order
+	slots []searchSlot
+	jobs  chan int // positions in todo, fed in order by result
+	fed   int
+	ahead int
+
+	ctx    context.Context // canceled by the caller, by stop, or by a worker panic
+	quit   context.CancelCauseFunc
+	wg     sync.WaitGroup
+	panics []error // per worker: its recovered panic, read after wg.Wait
+}
+
+// searchSlot holds one fault's verdict; done closes once it is written.
+type searchSlot struct {
+	cube Cube
+	res  PodemResult
+	done chan struct{}
+}
+
+// startSearch starts min(workers, len(todo)) search workers over faults.
+func startSearch(ctx context.Context, n *netlist.Netlist, faults []netlist.Fault, todo []int, maxBacktracks, workers int) *searchPool {
+	workers = min(workers, len(todo))
+	sp := &searchPool{
+		todo:  todo,
+		slots: make([]searchSlot, len(todo)),
+		// Sized to every send, so feeding never blocks on a slow worker.
+		jobs:   make(chan int, len(todo)),
+		ahead:  searchLookahead * workers,
+		panics: make([]error, workers),
+	}
+	sp.ctx, sp.quit = context.WithCancelCause(ctx)
+	for w := 0; w < workers; w++ {
+		sp.wg.Add(1)
+		go func() {
+			defer sp.wg.Done()
+			cur := -1
+			defer func() {
+				if r := recover(); r != nil {
+					pe := &fault.PanicError{FaultIndex: cur, Value: r, Stack: debug.Stack()}
+					sp.panics[w] = pe
+					sp.quit(pe)
+				}
+			}()
+			s := newSearcher(n, maxBacktracks)
+			for k := range sp.jobs {
+				if sp.ctx.Err() != nil {
+					return
+				}
+				cur = todo[k]
+				if searchHook != nil {
+					searchHook(cur)
+				}
+				sp.slots[k].cube, sp.slots[k].res = s.run(faults[cur])
+				close(sp.slots[k].done)
+			}
+		}()
+	}
+	return sp
+}
+
+// result waits for the verdict at position k of the list, first feeding
+// the workers up to the lookahead past k. It returns the context's cause
+// when the caller cancels or a worker panics.
+func (sp *searchPool) result(k int) (Cube, PodemResult, error) {
+	for end := min(k+sp.ahead, len(sp.todo)); sp.fed < end; sp.fed++ {
+		sp.slots[sp.fed].done = make(chan struct{})
+		sp.jobs <- sp.fed
+	}
+	if sp.ctx.Err() != nil {
+		return Cube{}, Aborted, context.Cause(sp.ctx)
+	}
+	select {
+	case <-sp.slots[k].done:
+		return sp.slots[k].cube, sp.slots[k].res, nil
+	case <-sp.ctx.Done():
+		return Cube{}, Aborted, context.Cause(sp.ctx)
+	}
+}
+
+// stop ends the search and returns once every worker has exited; a search
+// in flight finishes first. It returns any worker panic, including one in
+// a search whose verdict was never waited for. Calls after the first do
+// nothing.
+func (sp *searchPool) stop() error {
+	if sp.jobs == nil {
+		return nil
+	}
+	sp.quit(nil)
+	close(sp.jobs)
+	sp.wg.Wait()
+	sp.jobs = nil
+	return errors.Join(sp.panics...)
 }

@@ -1,12 +1,16 @@
 package atpg
 
 import (
+	"math"
 	"slices"
 
 	"rescue/internal/netlist"
 )
 
-// podem is the working state of one PODEM run.
+// searcher is one goroutine's PODEM working state over a netlist. It is
+// built once per worker and reused for every fault the worker searches:
+// reset clears only the PI decisions and both planes, and every other
+// buffer keeps its capacity from fault to fault.
 //
 // Implication is event-driven. The good and faulty planes are a pure
 // function of the PI assignment, so imply only re-evaluates the fan-out of
@@ -17,7 +21,7 @@ import (
 // cells and the fault site can drive a non-X value, so the search starts
 // from all-X planes with just those gates queued. implyFull, the
 // full-netlist pass, is the reference the lockstep test holds imply to.
-type podem struct {
+type searcher struct {
 	n     *netlist.Netlist
 	fl    netlist.Flat // n's compiled form, held by value
 	fault netlist.Fault
@@ -26,14 +30,19 @@ type podem struct {
 	pis []netlist.NetID
 	// piIndex maps net -> index in pis, or -1.
 	piIndex []int32
+	// consts lists the tie cells, queued at every reset.
+	consts []netlist.GateID
 	// assign holds the current PI decisions (X = unassigned).
 	assign []V3
 	// changed lists PI indices assigned since the last imply.
 	changed []int
+	// decisions is search's decision stack.
+	decisions []decision
 
 	good, bad []V3 // per-net planes
 
-	// The event queue, over fl's levels and readers.
+	// The event queue, over fl's levels and readers. Every imply drains
+	// it, so it is empty between searches.
 	buckets [][]netlist.GateID // gates pending re-evaluation, by level
 	queued  []bool             // per gate: already in a bucket
 
@@ -45,7 +54,7 @@ type podem struct {
 	cone     []netlist.GateID
 	coneObs  []netlist.NetID
 	frontier []netlist.GateID // dFrontier's reused result buffer
-	seen     []int32          // xPathExists visit marks (== seenEp)
+	seen     []int32          // visit marks (== seenEp) for the cone and xPathExists walks
 	seenEp   int32
 	stack    []netlist.GateID
 
@@ -57,7 +66,7 @@ type podem struct {
 }
 
 // Cube is a generated test cube: per-PI three-valued assignments (primary
-// inputs first, then FF scan cells, matching podem.pis order).
+// inputs first, then FF scan cells, matching searcher.pis order).
 type Cube struct {
 	PI []V3 // len = len(netlist.Inputs)
 	FF []V3 // len = NumFFs
@@ -85,25 +94,15 @@ func (r PodemResult) String() string {
 }
 
 // Podem attempts to generate a test for fault f on n. maxBacktracks bounds
-// the search (typical production values are 10-100).
+// the search (typical production values are 10-100). It is the one-shot
+// form of a searcher; GenerateFlow keeps one searcher per worker instead.
 func Podem(n *netlist.Netlist, f netlist.Fault, maxBacktracks int) (Cube, PodemResult) {
-	p := newPodem(n, f, maxBacktracks)
-	ok, aborted := p.search()
-	cube := Cube{PI: make([]V3, len(n.Inputs)), FF: make([]V3, n.NumFFs())}
-	copy(cube.PI, p.assign[:len(n.Inputs)])
-	copy(cube.FF, p.assign[len(n.Inputs):])
-	switch {
-	case ok:
-		return cube, Detected
-	case aborted:
-		return Cube{}, Aborted
-	default:
-		return Cube{}, Untestable
-	}
+	return newSearcher(n, maxBacktracks).run(f)
 }
 
-func newPodem(n *netlist.Netlist, f netlist.Fault, maxBacktracks int) *podem {
-	p := &podem{n: n, fl: *n.Flat(), fault: f, maxBacktracks: maxBacktracks}
+// newSearcher builds the per-netlist state a worker reuses for every fault.
+func newSearcher(n *netlist.Netlist, maxBacktracks int) *searcher {
+	p := &searcher{n: n, fl: *n.Flat(), maxBacktracks: maxBacktracks}
 	nNets, nGates := n.NumNets(), n.NumGates()
 	p.pis = make([]netlist.NetID, 0, len(n.Inputs)+n.NumFFs())
 	p.pis = append(p.pis, n.Inputs...)
@@ -117,14 +116,83 @@ func newPodem(n *netlist.Netlist, f netlist.Fault, maxBacktracks int) *podem {
 	for i, net := range p.pis {
 		p.piIndex[net] = int32(i)
 	}
+	for gi, k := range p.fl.Kind {
+		if k == netlist.Const0 || k == netlist.Const1 {
+			p.consts = append(p.consts, netlist.GateID(gi))
+		}
+	}
 	p.assign = make([]V3, len(p.pis))
 	p.good = make([]V3, nNets)
 	p.bad = make([]V3, nNets)
-
 	p.buckets = make([][]netlist.GateID, p.fl.MaxLevel+1)
 	p.queued = make([]bool, nGates)
-	p.cone = n.ForwardCone(f)
+	p.seen = make([]int32, nGates)
+	return p
+}
+
+// run searches for a test for f: the cube and verdict Podem returns.
+func (p *searcher) run(f netlist.Fault) (Cube, PodemResult) {
+	p.reset(f)
+	ok, aborted := p.search()
+	switch {
+	case ok:
+		nIn := len(p.n.Inputs)
+		return Cube{PI: slices.Clone(p.assign[:nIn]), FF: slices.Clone(p.assign[nIn:])}, Detected
+	case aborted:
+		return Cube{}, Aborted
+	default:
+		return Cube{}, Untestable
+	}
+}
+
+// reset readies the searcher for fault f: no decisions, all-X planes, the
+// fault's cone, and the gates that drive a value even then queued, so the
+// first imply yields the full-pass state.
+func (p *searcher) reset(f netlist.Fault) {
+	p.fault = f
+	p.backtracks = 0
+	p.changed = p.changed[:0]
+	clear(p.assign)
+	clear(p.good)
+	clear(p.bad)
+	p.buildCone()
+	for _, g := range p.consts {
+		p.schedule(g)
+	}
+	if f.Gate >= 0 {
+		p.schedule(f.Gate)
+	} else if q, ok := p.forcedQ(); ok {
+		p.bad[q] = saVal(f.StuckAt1)
+		p.scheduleReaders(q)
+	}
+}
+
+// buildCone collects the fault's forward cone in gate-ID order: the gates
+// structurally reachable within one cycle from the fault's gate, or from
+// the readers of an FF-output fault's Q. It also lists the observed nets
+// the cone drives.
+func (p *searcher) buildCone() {
+	ep := p.nextEpoch()
+	p.cone = p.cone[:0]
+	p.stack = p.stack[:0]
+	if q, ok := p.forcedQ(); ok {
+		p.stack = append(p.stack, p.fl.Rdrs[p.fl.RdrOff[q]:p.fl.RdrOff[q+1]]...)
+	} else if p.fault.Gate >= 0 {
+		p.stack = append(p.stack, p.fault.Gate)
+	}
+	for len(p.stack) > 0 {
+		g := p.stack[len(p.stack)-1]
+		p.stack = p.stack[:len(p.stack)-1]
+		if p.seen[g] == ep {
+			continue
+		}
+		p.seen[g] = ep
+		p.cone = append(p.cone, g)
+		out := p.fl.Out[g]
+		p.stack = append(p.stack, p.fl.Rdrs[p.fl.RdrOff[out]:p.fl.RdrOff[out+1]]...)
+	}
 	slices.Sort(p.cone)
+	p.coneObs = p.coneObs[:0]
 	for _, gi := range p.cone {
 		if out := p.fl.Out[gi]; p.fl.ObsHead[out] >= 0 {
 			p.coneObs = append(p.coneObs, out)
@@ -133,22 +201,17 @@ func newPodem(n *netlist.Netlist, f netlist.Fault, maxBacktracks int) *podem {
 	if q, ok := p.forcedQ(); ok && p.fl.ObsHead[q] >= 0 {
 		p.coneObs = append(p.coneObs, q)
 	}
-	p.seen = make([]int32, nGates)
+}
 
-	// The planes start all X (the zero V3); queue the gates that drive a
-	// value anyway, so the first imply yields the full-pass state.
-	for gi, k := range p.fl.Kind {
-		if k == netlist.Const0 || k == netlist.Const1 {
-			p.schedule(netlist.GateID(gi))
-		}
+// nextEpoch starts a new seen-mark epoch, clearing the marks on the rare
+// wrap of the counter.
+func (p *searcher) nextEpoch() int32 {
+	if p.seenEp == math.MaxInt32 {
+		clear(p.seen)
+		p.seenEp = 0
 	}
-	if f.Gate >= 0 {
-		p.schedule(f.Gate)
-	} else if q, ok := p.forcedQ(); ok {
-		p.bad[q] = saVal(f.StuckAt1)
-		p.scheduleReaders(q)
-	}
-	return p
+	p.seenEp++
+	return p.seenEp
 }
 
 type decision struct {
@@ -158,14 +221,15 @@ type decision struct {
 }
 
 // setPI records a PI decision for the next imply.
-func (p *podem) setPI(pi int, v V3) {
+func (p *searcher) setPI(pi int, v V3) {
 	p.assign[pi] = v
 	p.changed = append(p.changed, pi)
 }
 
 // search runs the PODEM decision loop. Returns (found, aborted).
-func (p *podem) search() (bool, bool) {
-	var stack []decision
+func (p *searcher) search() (bool, bool) {
+	stack := p.decisions[:0]
+	defer func() { p.decisions = stack }()
 	for {
 		p.imply()
 		if p.afterImply != nil {
@@ -213,7 +277,7 @@ func (p *podem) search() (bool, bool) {
 
 // implyFull performs full forward 5-valued implication from the current PI
 // assignments into the given planes — the reference imply must match.
-func (p *podem) implyFull(good, bad []V3) {
+func (p *searcher) implyFull(good, bad []V3) {
 	for i := range good {
 		good[i] = X
 		bad[i] = X
@@ -234,7 +298,7 @@ func (p *podem) implyFull(good, bad []V3) {
 
 // forcedQ returns the Q net of an FF-output fault, whose faulty-plane
 // value is pinned to the stuck value.
-func (p *podem) forcedQ() (netlist.NetID, bool) {
+func (p *searcher) forcedQ() (netlist.NetID, bool) {
 	if p.fault.Gate < 0 && p.fault.FF >= 0 {
 		return p.n.FFs[p.fault.FF].Q, true
 	}
@@ -243,7 +307,7 @@ func (p *podem) forcedQ() (netlist.NetID, bool) {
 
 // imply brings both planes up to date with the PI assignments changed
 // since the last call, re-evaluating only their fan-out in level order.
-func (p *podem) imply() {
+func (p *searcher) imply() {
 	q, forced := p.forcedQ()
 	for _, i := range p.changed {
 		net := p.pis[i]
@@ -277,14 +341,14 @@ func (p *podem) imply() {
 
 // scheduleReaders queues every gate reading net for re-evaluation. Readers
 // sit at strictly higher levels, so they land in buckets not yet drained.
-func (p *podem) scheduleReaders(net netlist.NetID) {
+func (p *searcher) scheduleReaders(net netlist.NetID) {
 	for _, r := range p.fl.Rdrs[p.fl.RdrOff[net]:p.fl.RdrOff[net+1]] {
 		p.schedule(r)
 	}
 }
 
 // schedule queues one gate for re-evaluation by the next imply.
-func (p *podem) schedule(g netlist.GateID) {
+func (p *searcher) schedule(g netlist.GateID) {
 	if !p.queued[g] {
 		p.queued[g] = true
 		p.buckets[p.fl.Level[g]] = append(p.buckets[p.fl.Level[g]], g)
@@ -301,7 +365,7 @@ func saVal(sa1 bool) V3 {
 // eval evaluates gate gi in the given good and faulty planes from one
 // fetch of its kind and pins, injecting the fault into the faulty plane
 // when it sits on gi.
-func (p *podem) eval(gi netlist.GateID, good, bad []V3) (V3, V3) {
+func (p *searcher) eval(gi netlist.GateID, good, bad []V3) (V3, V3) {
 	var gbuf, bbuf [8]V3
 	gin, bin := gbuf[:0], bbuf[:0]
 	for _, in := range p.fl.In(gi) {
@@ -365,12 +429,12 @@ func eval3(k netlist.GateKind, g, b []V3) (V3, V3) {
 }
 
 // isError reports whether net carries D or D'.
-func (p *podem) isError(net netlist.NetID) bool {
+func (p *searcher) isError(net netlist.NetID) bool {
 	g, b := p.good[net], p.bad[net]
 	return g != X && b != X && g != b
 }
 
-func (p *podem) errorAtOutput() bool {
+func (p *searcher) errorAtOutput() bool {
 	for _, net := range p.coneObs {
 		if p.isError(net) {
 			return true
@@ -387,7 +451,7 @@ func (p *podem) errorAtOutput() bool {
 }
 
 // siteLine returns the net whose good value activates the fault.
-func (p *podem) siteLine() netlist.NetID {
+func (p *searcher) siteLine() netlist.NetID {
 	f := p.fault
 	switch {
 	case f.Gate >= 0 && f.Pin >= 0:
@@ -402,7 +466,7 @@ func (p *podem) siteLine() netlist.NetID {
 // feasible checks whether the current partial assignment can still lead to
 // detection: the fault can still be activated, and if activated, an X-path
 // exists from the D-frontier to an observation point.
-func (p *podem) feasible() bool {
+func (p *searcher) feasible() bool {
 	f := p.fault
 	// activation still possible?
 	line := p.siteLine()
@@ -439,7 +503,7 @@ func (p *podem) feasible() bool {
 
 // anyError reports whether any net carries D or D'. Only the fault's
 // forward cone (and an FF-output fault's own Q) can.
-func (p *podem) anyError() bool {
+func (p *searcher) anyError() bool {
 	for _, gi := range p.cone {
 		if p.isError(p.fl.Out[gi]) {
 			return true
@@ -455,7 +519,7 @@ func (p *podem) anyError() bool {
 // not-fully-determined output, in gate-ID order. Such a gate reads an
 // error net, so it lies in the forward cone. The slice is reused by the
 // next call.
-func (p *podem) dFrontier() []netlist.GateID {
+func (p *searcher) dFrontier() []netlist.GateID {
 	out := p.frontier[:0]
 	for _, gi := range p.cone {
 		o := p.fl.Out[gi]
@@ -479,7 +543,7 @@ func (p *podem) dFrontier() []netlist.GateID {
 // xPathExists checks structural reachability from any error net or
 // D-frontier gate to an observation point through nets that are not fully
 // determined.
-func (p *podem) xPathExists() bool {
+func (p *searcher) xPathExists() bool {
 	// error directly at an obs point counts
 	if p.errorAtOutput() {
 		return true
@@ -488,15 +552,15 @@ func (p *podem) xPathExists() bool {
 	if len(frontier) == 0 {
 		return false
 	}
-	p.seenEp++
+	ep := p.nextEpoch()
 	p.stack = append(p.stack[:0], frontier...)
 	for len(p.stack) > 0 {
 		g := p.stack[len(p.stack)-1]
 		p.stack = p.stack[:len(p.stack)-1]
-		if p.seen[g] == p.seenEp {
+		if p.seen[g] == ep {
 			continue
 		}
-		p.seen[g] = p.seenEp
+		p.seen[g] = ep
 		out := p.fl.Out[g]
 		if p.fl.ObsHead[out] >= 0 {
 			return true
@@ -511,7 +575,7 @@ func (p *podem) xPathExists() bool {
 
 // objective picks the next (net, value) goal: activate the fault if not
 // yet activated, otherwise advance a D-frontier gate.
-func (p *podem) objective() (netlist.NetID, V3, bool) {
+func (p *searcher) objective() (netlist.NetID, V3, bool) {
 	f := p.fault
 	want := not3(saVal(f.StuckAt1))
 	line := p.siteLine()
@@ -599,7 +663,7 @@ func nonControlling(k netlist.GateKind) (V3, bool) {
 
 // backtrace walks an objective back to an unassigned PI, returning the PI
 // index and value (or -1 if no X input path exists).
-func (p *podem) backtrace(net netlist.NetID, val V3) (int, V3) {
+func (p *searcher) backtrace(net netlist.NetID, val V3) (int, V3) {
 	for hops := 0; hops < p.n.NumNets()+4; hops++ {
 		if pi := p.piIndex[net]; pi >= 0 {
 			if p.assign[pi] != X {

@@ -11,15 +11,15 @@ import (
 	"rescue/internal/scan"
 )
 
-// runLockstep runs PODEM on f with the lockstep hook armed: after every
-// incremental imply, both planes must equal a from-scratch implyFull of
-// the same assignment. It returns the verdict and the number of implies
-// checked.
-func runLockstep(t *testing.T, n *netlist.Netlist, f netlist.Fault, maxBacktracks int) (PodemResult, int) {
+// runLockstep runs PODEM on f through the reused searcher p with the
+// lockstep hook armed: after every incremental imply, both planes must
+// equal a from-scratch implyFull of the same assignment, so the first
+// imply also checks that reset left nothing of the previous fault behind.
+// It returns the verdict and the number of implies checked.
+func runLockstep(t *testing.T, p *searcher, f netlist.Fault) (PodemResult, int) {
 	t.Helper()
-	p := newPodem(n, f, maxBacktracks)
-	good := make([]V3, n.NumNets())
-	bad := make([]V3, n.NumNets())
+	good := make([]V3, p.n.NumNets())
+	bad := make([]V3, p.n.NumNets())
 	checks, failed := 0, false
 	p.afterImply = func() {
 		checks++
@@ -36,27 +36,24 @@ func runLockstep(t *testing.T, n *netlist.Netlist, f netlist.Fault, maxBacktrack
 			}
 		}
 	}
-	ok, aborted := p.search()
-	switch {
-	case ok:
-		return Detected, checks
-	case aborted:
-		return Aborted, checks
-	}
-	return Untestable, checks
+	_, res := p.run(f)
+	return res, checks
 }
 
 // TestImplyLockstep pins event-driven implication to the full reference
 // pass at every PODEM decision: on random circuits (every collapsed fault)
-// and on a sample of the small Baseline and Rescue designs' faults.
+// and on a sample of the small Baseline and Rescue designs' faults. Each
+// circuit's faults run through one reused searcher, as GenerateFlow's
+// workers do.
 func TestImplyLockstep(t *testing.T) {
 	verdicts := map[PodemResult]int{}
 	implies := 0
 	for seed := uint64(0); seed < 40; seed++ {
 		n := netlist.Random(netlist.RandomConfig{Seed: seed, Gates: 20 + int(seed)*3, FFs: 1 + int(seed%6),
 			Inputs: 1 + int(seed%5), Outputs: 1 + int(seed%3), MaxFanIn: 2 + int(seed%4)})
+		p := newSearcher(n, 30)
 		for _, f := range fault.NewUniverse(n).Collapsed {
-			res, k := runLockstep(t, n, f, 30)
+			res, k := runLockstep(t, p, f)
 			verdicts[res]++
 			implies += k
 		}
@@ -70,8 +67,9 @@ func TestImplyLockstep(t *testing.T) {
 			t.Fatal(err)
 		}
 		u := fault.NewUniverse(d.N)
+		p := newSearcher(d.N, 20)
 		for i := 0; i < len(u.Collapsed); i += 97 {
-			res, k := runLockstep(t, d.N, u.Collapsed[i], 20)
+			res, k := runLockstep(t, p, u.Collapsed[i])
 			verdicts[res]++
 			implies += k
 		}
@@ -86,10 +84,68 @@ func TestImplyLockstep(t *testing.T) {
 	t.Logf("%d implies checked, verdicts %v", implies, verdicts)
 }
 
+// TestSearcherCone pins the forward cone a searcher collects at reset:
+// gate-ID order, and exactly the gates a fixpoint over the gate records
+// reaches from the fault site (for an FF-output fault, from its Q net), on
+// a hand-built circuit and on every collapsed fault of random circuits.
+func TestSearcherCone(t *testing.T) {
+	n := netlist.New("cone")
+	a, b := n.Input("a"), n.Input("b")
+	x := n.And(a, b)           // gate 0
+	y := n.Or(x, a)            // gate 1, in the cone of gate 0
+	z := n.Xor(a, b)           // gate 2, outside it
+	n.Output(n.And(y, z), "w") // gate 3, in it
+	p := newSearcher(n, 1)
+	p.reset(netlist.Fault{Gate: 0, FF: -1, Pin: -1})
+	if want := []netlist.GateID{0, 1, 3}; !slices.Equal(p.cone, want) {
+		t.Fatalf("cone = %v, want %v", p.cone, want)
+	}
+	for seed := uint64(0); seed < 20; seed++ {
+		n := netlist.Random(netlist.RandomConfig{Seed: seed, Gates: 60, FFs: 5})
+		p := newSearcher(n, 1)
+		for _, f := range fault.NewUniverse(n).Collapsed {
+			p.reset(f)
+			if want := reachable(n, f); !slices.Equal(p.cone, want) {
+				t.Fatalf("seed %d, fault %v: cone %v, want %v", seed, f, p.cone, want)
+			}
+		}
+	}
+}
+
+// reachable is the reference forward cone: a fixpoint over the gate
+// records, in gate-ID order.
+func reachable(n *netlist.Netlist, f netlist.Fault) []netlist.GateID {
+	in := make([]bool, len(n.Gates))
+	src := netlist.InvalidNet
+	if f.Gate >= 0 {
+		in[f.Gate] = true
+	} else {
+		src = n.FFs[f.FF].Q
+	}
+	for grew := true; grew; {
+		grew = false
+		for gi, g := range n.Gates {
+			for _, net := range g.In {
+				if d := n.DriverGate(net); !in[gi] && (net == src || d >= 0 && in[d]) {
+					in[gi], grew = true, true
+				}
+			}
+		}
+	}
+	var cone []netlist.GateID
+	for gi, ok := range in {
+		if ok {
+			cone = append(cone, netlist.GateID(gi))
+		}
+	}
+	return cone
+}
+
 // TestGenerateFlowPinnedCounts pins the small Table 3 ATPG outcome on both
 // designs: the counts and a digest of the test set itself. Drift in
 // PODEM's decision order (objective, backtrace) moves them even when every
-// verdict stays sound.
+// verdict stays sound, and so does a verdict committed out of fault order
+// at any worker count.
 func TestGenerateFlowPinnedCounts(t *testing.T) {
 	want := map[rtl.Variant][4]int{ // vectors, detected, untestable, aborted
 		rtl.Baseline:     {2635, 13325, 419, 48},
@@ -108,16 +164,21 @@ func TestGenerateFlowPinnedCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, err := GenerateFlow(context.Background(), c, fault.NewUniverse(d.N), DefaultGenConfig(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := [4]int{g.Vectors, g.Detected, g.Untestable, g.Aborted}
-		if got != want[v] {
-			t.Errorf("%v: vectors/detected/untestable/aborted = %v, want %v", v, got, want[v])
-		}
-		if d := patternDigest(g.Sim.Patterns); d != wantDigest[v] {
-			t.Errorf("%v: test set digest %016x, want %016x", v, d, wantDigest[v])
+		u := fault.NewUniverse(d.N)
+		for _, workers := range []int{1, 2, 8} {
+			cfg := DefaultGenConfig()
+			cfg.Workers = workers
+			g, err := GenerateFlow(context.Background(), c, u, cfg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := [4]int{g.Vectors, g.Detected, g.Untestable, g.Aborted}
+			if got != want[v] {
+				t.Errorf("%v, %d workers: vectors/detected/untestable/aborted = %v, want %v", v, workers, got, want[v])
+			}
+			if d := patternDigest(g.Sim.Patterns); d != wantDigest[v] {
+				t.Errorf("%v, %d workers: test set digest %016x, want %016x", v, workers, d, wantDigest[v])
+			}
 		}
 	}
 }
@@ -190,5 +251,22 @@ func TestPodemFFFaultBlockedCapture(t *testing.T) {
 	}
 	if !fault.NewSim(c, []*scan.Pattern{applyCube(c, cube)}).Run(f, true).Detected {
 		t.Fatalf("cube PI=%v FF=%v does not detect FF0/Q sa1", cube.PI, cube.FF)
+	}
+}
+
+// BenchmarkSearcher measures PODEM per fault through one reused searcher,
+// as a GenerateFlow worker runs it; BenchmarkPodem in the root package is
+// the one-shot reference that builds its state for every fault.
+func BenchmarkSearcher(b *testing.B) {
+	d, err := rtl.Build(rtl.Small(), rtl.RescueDesign)
+	if err != nil {
+		b.Fatal(err)
+	}
+	u := fault.NewUniverse(d.N)
+	p := newSearcher(d.N, 100)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.run(u.Collapsed[i%len(u.Collapsed)])
 	}
 }

@@ -45,7 +45,7 @@ func AddFlowFlags(fs *flag.FlagSet) *FlowFlags {
 // and -progress.
 func AddStudyFlags(fs *flag.FlagSet) *FlowFlags {
 	ff := &FlowFlags{}
-	fs.IntVar(&ff.Workers, "workers", 0, "fault-simulation workers (0 = all cores)")
+	fs.IntVar(&ff.Workers, "workers", 0, "workers for PODEM search, fault simulation and cycle simulation (0 = all cores; output is identical at any count)")
 	fs.DurationVar(&ff.Timeout, "timeout", 0, "overall deadline (0 = none); exceeded = exit 124")
 	fs.BoolVar(&ff.Progress, "progress", false, "print live campaign progress to stderr")
 	return ff

@@ -56,7 +56,7 @@ type Config struct {
 	Stagnate area.Scaling
 	Growth   float64 // core growth rate per halving (e.g. 0.30)
 	Seed     int64
-	Workers  int // fault-simulation workers (0 = all cores)
+	Workers  int // PODEM-search and fault-simulation workers (0 = all cores); output is identical at any count
 
 	// SelfHealShare > 0 moves that fraction of the chipkill bucket into
 	// self-healing arrays (the caller must pass the matching

@@ -78,8 +78,9 @@ type tpKey struct {
 	MaxRandomWords int    `json:"maxRandomWords"`
 	UselessLimit   int    `json:"uselessLimit"`
 	MaxBacktracks  int    `json:"maxBacktracks"`
-	// Workers is deliberately not part of the key: the generated test set
-	// is bit-identical at any campaign concurrency.
+	// Workers is deliberately not part of the key: PODEM search and the
+	// campaigns commit in fault order, so the generated test set is
+	// bit-identical at any worker count.
 }
 
 func testProgramKey(sys *core.System, gen atpg.GenConfig) tpKey {

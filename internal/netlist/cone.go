@@ -78,43 +78,3 @@ func (n *Netlist) FanInComps() [][]CompID {
 	}
 	return out
 }
-
-// ForwardCone returns the gates structurally reachable (within one cycle)
-// from a fault site, in topological order — the only gates whose values can
-// differ from the good machine during a single capture cycle. Used by the
-// event-restricted fault simulator. For FF-output faults, the cone starts
-// at the gates reading the FF's Q net.
-func (n *Netlist) ForwardCone(f Fault) []GateID {
-	fl := n.Flat()
-	inCone := make([]bool, len(n.Gates))
-	var seed []GateID
-	switch {
-	case f.Gate >= 0:
-		seed = append(seed, f.Gate)
-	case f.FF >= 0:
-		q := n.FFs[f.FF].Q
-		seed = append(seed, fl.Rdrs[fl.RdrOff[q]:fl.RdrOff[q+1]]...)
-	}
-	stack := append([]GateID(nil), seed...)
-	for len(stack) > 0 {
-		g := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if inCone[g] {
-			continue
-		}
-		inCone[g] = true
-		out := fl.Out[g]
-		for _, s := range fl.Rdrs[fl.RdrOff[out]:fl.RdrOff[out+1]] {
-			if !inCone[s] {
-				stack = append(stack, s)
-			}
-		}
-	}
-	cone := make([]GateID, 0, 64)
-	for _, g := range fl.Order {
-		if inCone[g] {
-			cone = append(cone, g)
-		}
-	}
-	return cone
-}

@@ -92,7 +92,7 @@ type Netlist struct {
 
 	nets []netInfo
 	// Gates may be edited in place only before the netlist is first
-	// compiled (by Validate, Flat, NewState or ForwardCone) or on a Clone:
+	// compiled (by Validate, Flat or NewState) or on a Clone:
 	// Flat is a snapshot, and only the builder methods invalidate it.
 	Gates []Gate
 	FFs   []FF

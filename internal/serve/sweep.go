@@ -50,7 +50,13 @@ func runSweep(ctx context.Context, rc RunContext, params json.RawMessage) ([]byt
 	}
 	j := jobFromContext(ctx)
 	if j != nil {
-		ctl := sweep.NewControl()
+		// Publish the control only once it knows the whole grid: a point
+		// cancel is then accepted from the moment the job can see one.
+		pts, err := spec.Expand()
+		if err != nil {
+			return nil, err
+		}
+		ctl := sweep.NewControl(pts)
 		j.setPointControl(ctl)
 		o.Control = ctl
 		o.OnPoint = func(ev sweep.PointEvent) {

@@ -75,8 +75,8 @@ func TestServeSweepJob(t *testing.T) {
 	body := sweepBody(t, spec)
 
 	// First job: cancel the second point while the first is still building
-	// its artifacts. The control registers when the run starts, so poll
-	// until the cancel lands.
+	// its artifacts. The job publishes its control when the run starts, so
+	// poll until the cancel lands.
 	sn, resp := s.submit(t, body)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: %d", resp.StatusCode)

@@ -35,21 +35,19 @@ type Control struct {
 	cancels  map[string]context.CancelCauseFunc
 }
 
-// NewControl returns an empty control; Run registers the grid's digests.
-func NewControl() *Control {
-	return &Control{
-		known:    map[string]bool{},
+// NewControl returns a control over the grid pts (the spec's Expand). It
+// knows every digest from the start, so a cancel that lands before Run
+// schedules the point still takes effect.
+func NewControl(pts []Point) *Control {
+	c := &Control{
+		known:    make(map[string]bool, len(pts)),
 		canceled: map[string]bool{},
 		cancels:  map[string]context.CancelCauseFunc{},
 	}
-}
-
-func (c *Control) register(pts []Point) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	for _, p := range pts {
 		c.known[p.Digest] = true
 	}
+	return c
 }
 
 // CancelPoint cancels one point by digest. It reports whether the digest
@@ -200,9 +198,6 @@ func Run(ctx context.Context, spec Spec, o Options) (*Frontier, error) {
 	pts, err := spec.Expand()
 	if err != nil {
 		return nil, err
-	}
-	if o.Control != nil {
-		o.Control.register(pts)
 	}
 	conc := o.Concurrency
 	if conc <= 0 {

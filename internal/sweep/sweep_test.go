@@ -323,13 +323,12 @@ func TestControlCancelPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctl := NewControl()
+	ctl := NewControl(pts)
 	if ctl.CancelPoint("nope") {
-		t.Fatal("unknown digest should be refused before registration too")
+		t.Fatal("unknown digest should be refused")
 	}
-	// Cancel the second point before the run starts: registration makes
-	// the digest known, and the pre-armed cancel takes effect when the
-	// point is scheduled.
+	// Cancel the second point while the first runs: the pre-armed cancel
+	// takes effect when the point is scheduled.
 	done := make(chan struct{})
 	var fr *Frontier
 	var runErr error
@@ -359,6 +358,32 @@ func TestControlCancelPoint(t *testing.T) {
 	}
 	if fr.Points[1].Pareto {
 		t.Fatal("canceled points cannot be on the Pareto front")
+	}
+}
+
+// TestControlCancelBeforeRun: a control knows its whole grid from the
+// moment it exists, so a cancel that lands after the serving layer
+// publishes it but before Run starts is accepted, and that point ends
+// canceled while the rest of the grid completes.
+func TestControlCancelBeforeRun(t *testing.T) {
+	spec := tinySpec()
+	pts, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl := NewControl(pts)
+	if !ctl.CancelPoint(pts[0].Digest) {
+		t.Fatal("grid digest refused before Run started")
+	}
+	fr, err := Run(context.Background(), spec, Options{Env: flows.Env{Store: flows.NewStore()}, Control: ctl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !fr.Points[0].Canceled {
+		t.Fatalf("point 0 should be canceled: %+v", fr.Points[0])
+	}
+	if fr.Points[1].Canceled || fr.Points[1].Error != "" || fr.Points[1].EmpYield == 0 {
+		t.Fatalf("point 1 should have completed normally: %+v", fr.Points[1])
 	}
 }
 

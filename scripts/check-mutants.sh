@@ -2,8 +2,9 @@
 # Mutation check for the verification net: inject hand-picked single-line
 # mutants into the simulator hot path — the cone builder, the clipped and
 # full event walks, the excitation-skip index, the epoch arena, and the
-# campaign word tiler — into PODEM's event-driven implication, into
-# the netlist's compiled Flat form both read, and into the cycle
+# campaign word tiler — into PODEM's event-driven implication, its
+# per-worker state reuse and the in-order commit of parallel searches,
+# into the netlist's compiled Flat form both read, and into the cycle
 # simulator's completion heap and idle fast-forward, and require that the
 # differential harness or the targeted unit tests catch every one. A
 # surviving mutant means the net has a blind spot — the build fails.
@@ -46,15 +47,23 @@
 #   25 uarch sim.go  fast-forward adds k-1 cycles to the dispatch stall
 #   26 uarch sim.go  issue-queue hold expiry left out of the event set
 #   27 uarch sim.go  fetchStallTill left out of the event set
+#   28 atpg gen.go   commit loop stops skipping faults a flush already
+#                  dropped: their discarded searches are committed again
+#   29 atpg podem.go reset leaves the faulty plane of the previous fault
+#                  stale
 #
 # Catchers, in order: the differential harness (fast, runs first: sim vs
 # oracle, PODEM cubes P5, untestable verdicts P8), then the mutated
 # package's targeted unit tests — the cone/epoch/tiling/excitation tests
 # for mutants whose Results stay byte-identical (6, 13, 14, 15) or that need
 # low-lane patterns to discriminate (11, 12); for PODEM, the implication
-# lockstep, the pinned Table 3 counts and test-set digests, and the
-# frontier-order test (19 leaves both small designs' test sets unchanged,
-# so only a circuit whose gate-ID and level orders disagree exposes it).
+# lockstep, the pinned Table 3 counts and test-set digests at 1, 2 and
+# 8 workers, and the frontier-order test (19 leaves both small designs'
+# test sets unchanged, so only a circuit whose gate-ID and level orders
+# disagree exposes it). Mutants 28 and 29 leave every single PODEM run
+# correct, so the differential harness cannot see them; 28 moves the
+# Baseline counts (vectors 2635 -> 2803, detected 13325 -> 13501) and 29
+# moves both test-set digests.
 # Mutant 21 should fall to the differential harness: its oracle evaluates
 # the netlist's Gate records, not Flat, so a bad compile shows up as a
 # simulator/oracle disagreement. The cycle-simulator mutants fall to the
@@ -67,7 +76,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 range="${1:-0:40}"
-files=(internal/fault/sim.go internal/fault/cone.go internal/fault/campaign.go internal/atpg/podem.go internal/netlist/netlist.go internal/uarch/sim.go)
+files=(internal/fault/sim.go internal/fault/cone.go internal/fault/campaign.go internal/atpg/podem.go internal/atpg/gen.go internal/netlist/netlist.go internal/uarch/sim.go)
 declare -A unit_run=(
   [internal/fault]='Cone|Epoch|Tiling|Excitation|Drop|Overflow|Determinism'
   [internal/atpg]='Lockstep|PinnedCounts|FrontierOrder'
@@ -104,6 +113,8 @@ mutants=(
   'internal/uarch/sim.go|s/\*s.stall += k/*s.stall += k - 1/'
   'internal/uarch/sim.go|s/\tat(e.issueCycle + hold)/\t_ = hold/'
   'internal/uarch/sim.go|s/\tat(s.fetchStallTill)/\t_ = s.fetchStallTill/'
+  'internal/atpg/gen.go|s/if !remaining\[i\] { \/\/ a flush dropped it/if false { \/\/ a flush dropped it/'
+  'internal/atpg/podem.go|s/\tclear(p.bad)/\t_ = p.bad/'
 )
 
 tmp=$(mktemp -d)
