@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -117,6 +119,45 @@ func TestDictionaryAllocBound(t *testing.T) {
 	if got := after.TotalAlloc - before.TotalAlloc; got > bound {
 		t.Fatalf("dictionary build allocated %.1f MB (%d mallocs), bound %d MB",
 			float64(got)/(1<<20), after.Mallocs-before.Mallocs, bound>>20)
+	}
+}
+
+// TestCheckpointAllocBound bounds what a checkpoint journal adds to a
+// flow: the small Rescue test program generated on one worker with a fresh
+// journal allocates at most twice what the same call allocates without
+// one, and is the identical test program. Each freshly simulated result is
+// encoded once and appended; the journal keeps no copy of it and never
+// re-encodes what is already on disk.
+func TestCheckpointAllocBound(t *testing.T) {
+	s := buildSmall(t, rtl.RescueDesign)
+	gen := atpg.DefaultGenConfig()
+	gen.Workers = 1
+	run := func(ck *fault.Checkpoint) (*TestProgram, uint64) {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		tp, err := s.GenerateTestsFlow(context.Background(), gen, ck)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tp, after.TotalAlloc - before.TotalAlloc
+	}
+	run(nil) // warm the netlist's compiled form so both measured calls pay the same
+	plain, plainAlloc := run(nil)
+	journaled, ckAlloc := run(fault.NewCheckpoint(filepath.Join(t.TempDir(), "atpg.ck")))
+	t.Logf("allocated %.1f MB plain, %.1f MB journaled", float64(plainAlloc)/(1<<20), float64(ckAlloc)/(1<<20))
+	if ckAlloc > 2*plainAlloc {
+		t.Fatalf("journaled generation allocated %.1f MB, more than twice the %.1f MB without a journal",
+			float64(ckAlloc)/(1<<20), float64(plainAlloc)/(1<<20))
+	}
+	p, j := *plain.Gen, *journaled.Gen
+	if !reflect.DeepEqual(p.Sim.Patterns, j.Sim.Patterns) {
+		t.Fatal("journaled generation produced a different pattern set")
+	}
+	p.Sim, j.Sim, p.Stats, j.Stats = nil, nil, fault.Stats{}, fault.Stats{}
+	if p != j {
+		t.Fatalf("journaled generation differs:\n  plain     %+v\n  journaled %+v", p, j)
 	}
 }
 

@@ -311,7 +311,7 @@ func (c *Campaign) runWindow(ctx context.Context, res *ShardResult, faults []net
 	}
 	res.Results = append([]Result(nil), out[lo:hi]...)
 	res.Stats = st
-	res.seal()
+	_, res.Digest = sealResults(res.Results)
 	return out, st, ErrShardDone
 }
 

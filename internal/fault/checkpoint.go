@@ -14,21 +14,27 @@
 // on worker count or scheduling — a resumed run is bit-identical to an
 // uninterrupted one at any worker count.
 //
-// The journal is crash-safe: every flush writes the whole normalized
-// journal to a temp file in the same directory, fsyncs, then renames over
-// the target, so the on-disk file is always a consistent snapshot.
+// The journal is an append-only log (format v3): a header line, one
+// section line per campaign run carrying its file ordinal and identity,
+// and one self-checking {section, lo, hi, digest, results} line per
+// freshly completed chunk range. Each line is encoded once, when its
+// section binds or its chunk completes, and queued; Flush appends the
+// queue with O_APPEND and fsyncs. A crash mid-append can leave only an
+// unterminated final line: loading drops it and cuts the file back to the
+// last complete record before anything new is appended. A complete line
+// that fails its JSON, range or digest check is corruption and refused.
 package fault
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"os"
-	"path/filepath"
-	"sort"
+	"strconv"
 	"sync"
 
 	"rescue/internal/netlist"
@@ -100,15 +106,18 @@ func campaignIdentity(core *simCore, faults []netlist.Fault, wLo, wHi int, cfg C
 }
 
 // ckRange is one journaled span of completed fault indices [Lo, Hi) with
-// their results.
+// their results, as loaded from disk.
 type ckRange struct {
 	Lo, Hi  int
 	Results []Result
 }
 
-// ckSection is the journal of one campaign run.
+// ckSection is the journal of one campaign run. Its loaded ranges are
+// read only by restore, by the one run that binds the section; freshly
+// recorded results go straight to the journal's append queue.
 type ckSection struct {
-	mu     sync.Mutex
+	ck     *Checkpoint
+	ord    int // the section line's ordinal in the journal file
 	id     CampaignKey
 	ranges []ckRange
 }
@@ -116,8 +125,6 @@ type ckSection struct {
 // restore rehydrates journaled results into out and returns the done
 // bitmap (nil when nothing was journaled) plus the rehydrated count.
 func (s *ckSection) restore(out []Result) ([]bool, int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if len(s.ranges) == 0 {
 		return nil, 0
 	}
@@ -135,46 +142,37 @@ func (s *ckSection) restore(out []Result) ([]bool, int64) {
 	return done, n
 }
 
-// record journals the freshly simulated sub-ranges of chunk [lo, hi):
-// indices already rehydrated (done) are skipped so ranges never overlap.
+// record journals the freshly simulated sub-ranges of chunk [lo, hi): each
+// run of indices that were not rehydrated (done) is encoded once as a
+// range line and queued for the next Flush, so records never overlap. The
+// line is written out directly in ckLine's range shape; json.Encoder would
+// scan the encoded results a second time as a RawMessage.
 func (s *ckSection) record(lo, hi int, out []Result, done []bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	i := lo
-	for i < hi {
-		for i < hi && done != nil && done[i] {
-			i++
+	pendingRuns(done, lo, hi, func(i, j int) {
+		raw, digest := sealResults(out[i:j])
+		s.ck.mu.Lock()
+		defer s.ck.mu.Unlock()
+		q := &s.ck.queue
+		fmt.Fprintf(q, `{"section":%d,"lo":%d,"hi":%d,"digest":"%s","results":`, s.ord, i, j, digest)
+		q.Write(raw)
+		q.WriteString("}\n")
+	})
+}
+
+// pendingRuns calls fn(i, j) for each maximal run [i, j) of indices in
+// [lo, hi) that done does not mark (a nil done marks nothing).
+func pendingRuns(done []bool, lo, hi int, fn func(i, j int)) {
+	for i := lo; i < hi; i++ {
+		if done != nil && done[i] {
+			continue
 		}
-		j := i
+		j := i + 1
 		for j < hi && (done == nil || !done[j]) {
 			j++
 		}
-		if j > i {
-			s.ranges = append(s.ranges, ckRange{Lo: i, Hi: j, Results: append([]Result(nil), out[i:j]...)})
-		}
-		i = j
+		fn(i, j)
+		i = j // done[j] is set (or j == hi), so the loop's i++ skips nothing pending
 	}
-}
-
-// normalize sorts ranges by Lo and merges adjacent spans so flushed
-// journals stay compact across many resume cycles.
-func (s *ckSection) normalize() []ckRange {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sort.Slice(s.ranges, func(i, j int) bool { return s.ranges[i].Lo < s.ranges[j].Lo })
-	var merged []ckRange
-	for _, r := range s.ranges {
-		if n := len(merged); n > 0 && merged[n-1].Hi == r.Lo {
-			merged[n-1].Hi = r.Hi
-			merged[n-1].Results = append(merged[n-1].Results, r.Results...)
-		} else {
-			merged = append(merged, r)
-		}
-	}
-	s.ranges = merged
-	// Return a copy of the headers with shared result slices: Flush
-	// serializes outside the section lock.
-	return append([]ckRange(nil), merged...)
 }
 
 // Checkpoint is a crash-safe journal for a deterministic sequence of
@@ -184,9 +182,12 @@ func (s *ckSection) normalize() []ckRange {
 type Checkpoint struct {
 	mu       sync.Mutex
 	path     string
-	sections []*ckSection
+	sections []*ckSection // bound ones first, in binding order, up to cursor
 	cursor   int
 	flexible bool
+	queue    bytes.Buffer // encoded lines not yet appended to the file
+	onDisk   bool         // the file at path holds this journal's header
+	err      error        // sticky append failure
 }
 
 // Path returns the journal's on-disk location.
@@ -205,7 +206,7 @@ func (ck *Checkpoint) Path() string { return ck.path }
 func (ck *Checkpoint) ContentAddressed() { ck.flexible = true }
 
 // NewCheckpoint starts a fresh journal at path. Nothing is written until
-// the first Flush.
+// the first Flush, which replaces any file already there.
 func NewCheckpoint(path string) *Checkpoint {
 	return &Checkpoint{path: path}
 }
@@ -225,7 +226,8 @@ func OpenCheckpoint(path string, resume bool) (*Checkpoint, error) {
 }
 
 // LoadCheckpoint reads a journal written by Flush. A missing file yields
-// an empty (fresh) checkpoint; a corrupt file is an error.
+// an empty (fresh) checkpoint; a corrupt file is an error. A torn final
+// append is cut off the file, so later appends follow a complete line.
 func LoadCheckpoint(path string) (*Checkpoint, error) {
 	ck := NewCheckpoint(path)
 	f, err := os.Open(path)
@@ -236,14 +238,20 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 		return nil, err
 	}
 	defer f.Close()
-	if err := ck.read(f); err != nil {
+	kept, err := ck.read(f)
+	if err != nil {
 		return nil, fmt.Errorf("fault: checkpoint %s: %w", path, err)
 	}
+	if err := os.Truncate(path, kept); err != nil {
+		return nil, err
+	}
+	ck.onDisk = true
 	return ck, nil
 }
 
 // ckLine is the union of the journal's line shapes (header, section,
-// range), distinguished by which fields are present.
+// range), distinguished by which fields are present. Section and range
+// lines both name their section by file ordinal.
 type ckLine struct {
 	V       *int            `json:"v,omitempty"`
 	Kind    string          `json:"kind,omitempty"`
@@ -256,116 +264,118 @@ type ckLine struct {
 }
 
 // ckKind and ckVersion name the journal format in its header line.
-// Version 2 journals syndrome-only Results and DetectOnly keys; a journal
-// of any other version is refused outright rather than failing later as
-// a misleading section-identity mismatch.
+// Version 3 is the append-only log whose range lines name their section;
+// a journal of any other version (v2 was a rewritten snapshot) is refused
+// outright rather than failing later as a misleading mismatch.
 const (
 	ckKind    = "rescue-campaign-checkpoint"
-	ckVersion = 2
+	ckVersion = 3
 )
 
-func (ck *Checkpoint) read(r io.Reader) error {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<26)
-	lineNo := 0
+// read loads a journal's lines in file order and returns the length of
+// its complete lines. An unterminated final line is a torn append: it is
+// left out of that length, and the caller cuts it off the file.
+func (ck *Checkpoint) read(r io.Reader) (int64, error) {
+	br := bufio.NewReader(r)
+	var kept int64
 	sawHeader := false
-	var cur *ckSection
-	for sc.Scan() {
-		lineNo++
-		raw := sc.Bytes()
+	for lineNo := 1; ; lineNo++ {
+		raw, err := br.ReadBytes('\n')
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return 0, err
+		}
+		kept += int64(len(raw))
+		raw = raw[:len(raw)-1]
 		if len(raw) == 0 {
 			continue
 		}
 		var ln ckLine
 		if err := json.Unmarshal(raw, &ln); err != nil {
-			return fmt.Errorf("line %d: %v", lineNo, err)
+			return 0, fmt.Errorf("line %d: %v", lineNo, err)
 		}
 		if !sawHeader && ln.V == nil {
-			return fmt.Errorf("line %d: missing journal header", lineNo)
+			return 0, fmt.Errorf("line %d: missing journal header", lineNo)
 		}
 		switch {
 		case ln.V != nil:
 			if ln.Kind != ckKind {
-				return fmt.Errorf("line %d: not a %s journal", lineNo, ckKind)
+				return 0, fmt.Errorf("line %d: not a %s journal", lineNo, ckKind)
 			}
 			if *ln.V != ckVersion {
-				return fmt.Errorf("line %d: journal format v%d, this build reads only v%d; delete the journal to start over",
+				return 0, fmt.Errorf("line %d: journal format v%d, this build reads only v%d; delete the journal to start over",
 					lineNo, *ln.V, ckVersion)
 			}
 			sawHeader = true
 		case ln.ID != nil:
 			if ln.Section == nil || *ln.Section != len(ck.sections) {
-				return fmt.Errorf("line %d: section out of order", lineNo)
+				return 0, fmt.Errorf("line %d: section out of order", lineNo)
 			}
-			cur = &ckSection{id: *ln.ID}
-			ck.sections = append(ck.sections, cur)
+			ck.sections = append(ck.sections, &ckSection{ck: ck, ord: *ln.Section, id: *ln.ID})
 		case ln.Results != nil:
-			if cur == nil {
-				return fmt.Errorf("line %d: range before any section", lineNo)
+			if ln.Section == nil || *ln.Section < 0 || *ln.Section >= len(ck.sections) {
+				return 0, fmt.Errorf("line %d: range names no journaled section", lineNo)
 			}
+			s := ck.sections[*ln.Section]
 			if got := resultsDigest(ln.Results); got != ln.Digest {
-				return fmt.Errorf("line %d: results digest mismatch (journal corrupt?)", lineNo)
+				return 0, fmt.Errorf("line %d: results digest mismatch (journal corrupt?)", lineNo)
 			}
 			var results []Result
 			if err := json.Unmarshal(ln.Results, &results); err != nil {
-				return fmt.Errorf("line %d: %v", lineNo, err)
+				return 0, fmt.Errorf("line %d: %v", lineNo, err)
 			}
-			if ln.Lo < 0 || ln.Hi < ln.Lo || ln.Hi-ln.Lo != len(results) || ln.Hi > cur.id.NFaults {
-				return fmt.Errorf("line %d: range [%d,%d) inconsistent with %d results (section has %d faults)",
-					lineNo, ln.Lo, ln.Hi, len(results), cur.id.NFaults)
+			if ln.Lo < 0 || ln.Hi < ln.Lo || ln.Hi-ln.Lo != len(results) || ln.Hi > s.id.NFaults {
+				return 0, fmt.Errorf("line %d: range [%d,%d) inconsistent with %d results (section has %d faults)",
+					lineNo, ln.Lo, ln.Hi, len(results), s.id.NFaults)
 			}
-			cur.ranges = append(cur.ranges, ckRange{Lo: ln.Lo, Hi: ln.Hi, Results: results})
+			s.ranges = append(s.ranges, ckRange{Lo: ln.Lo, Hi: ln.Hi, Results: results})
 		default:
-			return fmt.Errorf("line %d: unrecognized journal line", lineNo)
+			return 0, fmt.Errorf("line %d: unrecognized journal line", lineNo)
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return err
-	}
 	if len(ck.sections) == 0 {
-		return fmt.Errorf("empty or headerless journal")
+		return 0, fmt.Errorf("empty or headerless journal")
 	}
-	return nil
+	return kept, nil
 }
 
 // section binds the next campaign run of the flow to its journal section.
-// A loaded section must match the run's identity exactly; divergence means
-// the flow was re-run with different inputs and resuming would be wrong.
+// Strict mode takes the section at the cursor, which must match the run's
+// identity exactly: divergence means the flow was re-run with different
+// inputs and resuming would be wrong. Content-addressed mode claims the
+// first unbound section with a matching identity wherever it is, keeping
+// the relative order of the ones skipped over. A run with nothing to
+// claim gets a fresh section with the next file ordinal; its line is
+// queued under the lock, so section lines reach the file in ordinal order.
 func (ck *Checkpoint) section(id CampaignKey) (*ckSection, error) {
 	ck.mu.Lock()
 	defer ck.mu.Unlock()
-	if ck.cursor < len(ck.sections) {
-		s := ck.sections[ck.cursor]
-		if s.id == id {
-			ck.cursor++
-			return s, nil
+	i := ck.cursor
+	if ck.flexible {
+		for i < len(ck.sections) && ck.sections[i].id != id {
+			i++
 		}
-		if !ck.flexible {
-			return nil, fmt.Errorf("fault: checkpoint %s section %d was journaled by a different run "+
-				"(journal %+v, this run %+v) — same seed, design, and flags are required to resume",
-				ck.path, ck.cursor, s.id, id)
-		}
-		// Content-addressed: claim the matching journaled section wherever
-		// it is, preserving the relative order of the ones skipped over.
-		for i := ck.cursor + 1; i < len(ck.sections); i++ {
-			if ck.sections[i].id == id {
-				match := ck.sections[i]
-				copy(ck.sections[ck.cursor+1:i+1], ck.sections[ck.cursor:i])
-				ck.sections[ck.cursor] = match
-				ck.cursor++
-				return match, nil
-			}
-		}
-		// Not journaled at all: a fresh section, inserted at the cursor.
-		fresh := &ckSection{id: id}
-		ck.sections = append(ck.sections, nil)
-		copy(ck.sections[ck.cursor+1:], ck.sections[ck.cursor:])
-		ck.sections[ck.cursor] = fresh
-		ck.cursor++
-		return fresh, nil
+	} else if i < len(ck.sections) && ck.sections[i].id != id {
+		return nil, fmt.Errorf("fault: checkpoint %s section %d was journaled by a different run "+
+			"(journal %+v, this run %+v) — same seed, design, and flags are required to resume",
+			ck.path, ck.cursor, ck.sections[i].id, id)
 	}
-	s := &ckSection{id: id}
-	ck.sections = append(ck.sections, s)
+	if i == len(ck.sections) {
+		fresh := &ckSection{ck: ck, ord: i, id: id}
+		// The encode errors are dropped: these lines hold only ints,
+		// strings and bools, and a bytes.Buffer write cannot fail.
+		if fresh.ord == 0 {
+			v := ckVersion
+			_ = json.NewEncoder(&ck.queue).Encode(ckLine{V: &v, Kind: ckKind})
+		}
+		_ = json.NewEncoder(&ck.queue).Encode(ckLine{Section: &fresh.ord, ID: &fresh.id})
+		ck.sections = append(ck.sections, fresh)
+	}
+	s := ck.sections[i]
+	copy(ck.sections[ck.cursor+1:i+1], ck.sections[ck.cursor:i])
+	ck.sections[ck.cursor] = s
 	ck.cursor++
 	return s, nil
 }
@@ -376,64 +386,72 @@ func resultsDigest(raw []byte) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// Flush atomically persists the whole journal: write to a temp file in the
-// same directory, fsync, rename over the target. Safe to call while a
-// campaign is recording; the snapshot is internally consistent.
+// sealResults encodes results and digests the encoding: the seal a range
+// line and a shard result both carry.
+func sealResults(rs []Result) (raw []byte, digest string) {
+	raw = appendResults(make([]byte, 0, 40*len(rs)), rs) // a detect-only result takes ~34 bytes
+	return raw, resultsDigest(raw)
+}
+
+// appendResults appends a non-nil rs encoded byte for byte as json.Marshal
+// encodes it, without reflection: a journaled run encodes every result it
+// simulates, and the reflective encoder spent several times longer on each.
+func appendResults(b []byte, rs []Result) []byte {
+	b = append(b, '[')
+	for k, r := range rs {
+		if k > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"Detected":`...)
+		b = strconv.AppendBool(b, r.Detected)
+		b = append(b, `,"FailObs":`...)
+		if r.FailObs == nil {
+			b = append(b, "null"...)
+		} else {
+			b = append(b, '[')
+			for m, o := range r.FailObs {
+				if m > 0 {
+					b = append(b, ',')
+				}
+				b = strconv.AppendInt(b, int64(o), 10)
+			}
+			b = append(b, ']')
+		}
+		b = append(b, '}')
+	}
+	return append(b, ']')
+}
+
+// Flush appends the queued lines to the journal with O_APPEND and fsyncs.
+// A fresh journal's first append creates the file, replacing whatever was
+// at the path; later appends need the file to still be there. A failed
+// append is sticky: the file may now end in a partial line, which no
+// record may follow, so every later Flush returns the same error.
 func (ck *Checkpoint) Flush() error {
 	ck.mu.Lock()
 	defer ck.mu.Unlock()
-	if ck.path == "" {
-		return nil
+	if ck.err != nil || ck.queue.Len() == 0 || ck.path == "" {
+		return ck.err
 	}
-	dir := filepath.Dir(ck.path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(ck.path)+".tmp*")
+	flag := os.O_WRONLY | os.O_APPEND
+	if !ck.onDisk {
+		flag |= os.O_CREATE | os.O_TRUNC
+	}
+	f, err := os.OpenFile(ck.path, flag, 0o644)
 	if err != nil {
 		return err
 	}
-	defer os.Remove(tmp.Name()) // no-op after successful rename
-	bw := bufio.NewWriterSize(tmp, 1<<20)
-	enc := func(v any) error {
-		b, err := json.Marshal(v)
-		if err != nil {
-			return err
-		}
-		bw.Write(b)
-		return bw.WriteByte('\n')
+	if _, err = f.Write(ck.queue.Bytes()); err == nil {
+		err = f.Sync()
 	}
-	v := ckVersion
-	if err := enc(ckLine{V: &v, Kind: ckKind}); err != nil {
-		tmp.Close()
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	for si, s := range ck.sections {
-		sec := si
-		id := s.id
-		if err := enc(ckLine{Section: &sec, ID: &id}); err != nil {
-			tmp.Close()
-			return err
-		}
-		for _, r := range s.normalize() {
-			raw, err := json.Marshal(r.Results)
-			if err != nil {
-				tmp.Close()
-				return err
-			}
-			if err := enc(ckLine{Lo: r.Lo, Hi: r.Hi, Digest: resultsDigest(raw), Results: raw}); err != nil {
-				tmp.Close()
-				return err
-			}
-		}
+	if err != nil {
+		ck.err = fmt.Errorf("fault: checkpoint %s: append: %w", ck.path, err)
+		return ck.err
 	}
-	if err := bw.Flush(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), ck.path)
+	ck.onDisk = true
+	ck.queue.Reset()
+	return nil
 }

@@ -4,11 +4,17 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
+
+	"rescue/internal/netlist"
 )
 
 // journalFor runs a small checkpointed campaign to completion and returns
@@ -188,21 +194,25 @@ func TestCheckpointCorruption(t *testing.T) {
 		}
 	})
 
-	// A journal from the v1 format (per-bit Results, MaxFail/Drop keys)
+	// A journal from an older format (v1: per-bit Results and MaxFail/Drop
+	// keys; v2: a rewritten snapshot whose range lines name no section)
 	// must be refused by its header, not misreported as another run's.
-	t.Run("v1-format", func(t *testing.T) {
-		old := bytes.Replace(raw, []byte(`{"v":2,`), []byte(`{"v":1,`), 1)
-		if bytes.Equal(old, raw) {
-			t.Fatal("journal header not found")
-		}
-		p := filepath.Join(t.TempDir(), "v1.journal")
-		if err := os.WriteFile(p, old, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := LoadCheckpoint(p); err == nil || !strings.Contains(err.Error(), "format v1") {
-			t.Fatalf("v1 journal: got %v, want a format-version refusal", err)
-		}
-	})
+	for _, v := range []int{1, 2} {
+		name := fmt.Sprintf("v%d", v)
+		t.Run(name+"-format", func(t *testing.T) {
+			old := bytes.Replace(raw, []byte(`{"v":3,`), []byte(`{"v":`+strconv.Itoa(v)+`,`), 1)
+			if bytes.Equal(old, raw) {
+				t.Fatal("journal header not found")
+			}
+			p := filepath.Join(t.TempDir(), name+".journal")
+			if err := os.WriteFile(p, old, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := LoadCheckpoint(p); err == nil || !strings.Contains(err.Error(), "format "+name) {
+				t.Fatalf("%s journal: got %v, want a format-version refusal", name, err)
+			}
+		})
+	}
 
 	t.Run("empty-file", func(t *testing.T) {
 		p := filepath.Join(t.TempDir(), "empty.journal")
@@ -281,35 +291,39 @@ func journalBlocks(t *testing.T, raw []byte) (header string, blocks [][]string) 
 	return header, blocks
 }
 
-// renumber rewrites a section line's ordinal and (optionally) mutates its
-// id, returning the block with the edited first line.
+// renumber moves a section block to ordinal n — its section line and every
+// range line naming it — and (optionally) mutates its id.
 func renumber(t *testing.T, block []string, n int, mutate func(*CampaignKey)) []string {
 	t.Helper()
-	var ln ckLine
-	if err := json.Unmarshal([]byte(block[0]), &ln); err != nil || ln.ID == nil {
-		t.Fatalf("block does not start with a section line: %q (%v)", block[0], err)
+	out := make([]string, len(block))
+	for i, line := range block {
+		var ln ckLine
+		if err := json.Unmarshal([]byte(line), &ln); err != nil || (i == 0) != (ln.ID != nil) {
+			t.Fatalf("block line %d is not a section line first, range lines after: %q (%v)", i, line, err)
+		}
+		ln.Section = &n
+		if mutate != nil && ln.ID != nil {
+			mutate(ln.ID)
+		}
+		out[i] = string(mustJSON(t, ln))
 	}
-	ln.Section = &n
-	if mutate != nil {
-		mutate(ln.ID)
-	}
-	b, err := json.Marshal(ln)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := append([]string{string(b)}, block[1:]...)
 	return out
 }
 
-func writeJournal(t *testing.T, header string, blocks ...[]string) string {
-	t.Helper()
+// journalBytes joins a header and section blocks back into a journal.
+func journalBytes(header string, blocks ...[]string) []byte {
 	var sb strings.Builder
 	sb.WriteString(header + "\n")
 	for _, b := range blocks {
 		sb.WriteString(strings.Join(b, "\n") + "\n")
 	}
+	return []byte(sb.String())
+}
+
+func writeJournal(t *testing.T, header string, blocks ...[]string) string {
+	t.Helper()
 	p := filepath.Join(t.TempDir(), "edited.journal")
-	if err := os.WriteFile(p, []byte(sb.String()), 0o644); err != nil {
+	if err := os.WriteFile(p, journalBytes(header, blocks...), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return p
@@ -340,9 +354,9 @@ func resumeBoth(t *testing.T, path string, sim *Sim, u *Universe) (got1, got2 []
 // TestCheckpointFlexibleJournals pins ContentAddressed against journals
 // whose physical layout diverged from the flow order: sections reordered
 // on disk, a foreign section spliced between the real ones, and a journal
-// truncated mid-record or at a record boundary. In every case the resume
-// must either restore byte-identical results or fail loudly — never merge
-// wrong data quietly.
+// truncated mid-record (a torn append) or at a record boundary. In every
+// case the resume must either restore byte-identical results or fail
+// loudly — never merge wrong data quietly.
 func TestCheckpointFlexibleJournals(t *testing.T) {
 	path, sim, u, want1, want2 := twoSectionJournal(t)
 	raw, err := os.ReadFile(path)
@@ -404,18 +418,21 @@ func TestCheckpointFlexibleJournals(t *testing.T) {
 
 	t.Run("truncated-mid-record", func(t *testing.T) {
 		// Cut into the middle of the final record — the shape a crash
-		// mid-write would leave if Flush were not atomic. Loading must fail
-		// loudly, never deliver a partial section.
+		// mid-append leaves. The torn record is dropped, its range is
+		// simply re-simulated, and the results are byte-identical to the
+		// uninterrupted run. TestCheckpointTornTailResume tries every cut.
 		lastStart := bytes.LastIndexByte(bytes.TrimRight(raw, "\n"), '\n') + 1
 		cut := lastStart + (len(raw)-lastStart)/2
 		p := filepath.Join(t.TempDir(), "torn.journal")
 		if err := os.WriteFile(p, raw[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := LoadCheckpoint(p); err == nil {
-			t.Fatal("journal with torn final record loaded")
-		} else if !strings.Contains(err.Error(), "line") {
-			t.Fatalf("torn-record error does not name the line: %v", err)
+		got1, got2, re1, re2 := resumeBoth(t, p, sim, u)
+		if re1 != 200 || re2 >= 60 {
+			t.Fatalf("rehydrated %d/%d, want 200 and fewer than 60", re1, re2)
+		}
+		if !bytes.Equal(got1, want1) || !bytes.Equal(got2, want2) {
+			t.Fatal("torn-journal resume diverged from golden results")
 		}
 	})
 
@@ -439,4 +456,167 @@ func TestCheckpointFlexibleJournals(t *testing.T) {
 			t.Fatal("truncated-journal resume diverged from golden results")
 		}
 	})
+}
+
+// TestCheckpointTornTailResume cuts the journal at every byte offset
+// strictly inside its last record — what a crash mid-append leaves — both
+// in the file as written and with its two sections swapped on disk. Every
+// cut must load with each record before it rehydrated, resume with
+// journaling on to results byte-identical to the uninterrupted run, and
+// leave a file that reloads to a full rehydrate of both campaigns.
+func TestCheckpointTornTailResume(t *testing.T) {
+	path, sim, u, want1, want2 := twoSectionJournal(t)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, blocks := journalBlocks(t, raw)
+	if len(blocks) != 2 {
+		t.Fatalf("journal has %d sections, want 2", len(blocks))
+	}
+	layouts := []struct {
+		name string
+		raw  []byte
+	}{
+		{"as-written", raw},
+		{"swapped-sections", journalBytes(header, renumber(t, blocks[1], 0, nil), renumber(t, blocks[0], 1, nil))},
+	}
+	for _, lay := range layouts {
+		t.Run(lay.name, func(t *testing.T) {
+			// The last record's range is what each cut loses; its section
+			// line says which campaign owns it (200 faults or 60).
+			last := bytes.LastIndexByte(bytes.TrimRight(lay.raw, "\n"), '\n') + 1
+			var rec ckLine
+			if err := json.Unmarshal(lay.raw[last:], &rec); err != nil || rec.Results == nil {
+				t.Fatalf("last line is not a range record: %v", err)
+			}
+			_, lb := journalBlocks(t, lay.raw)
+			var owner ckLine
+			if err := json.Unmarshal([]byte(lb[*rec.Section][0]), &owner); err != nil {
+				t.Fatal(err)
+			}
+			want1Re, want2Re := int64(200), int64(60)
+			if owner.ID.NFaults == 200 {
+				want1Re -= int64(rec.Hi - rec.Lo)
+			} else {
+				want2Re -= int64(rec.Hi - rec.Lo)
+			}
+			p := filepath.Join(t.TempDir(), "torn.journal")
+			for cut := last + 1; cut < len(lay.raw); cut++ {
+				if err := os.WriteFile(p, lay.raw[:cut], 0o644); err != nil {
+					t.Fatal(err)
+				}
+				got1, got2, re1, re2 := resumeBoth(t, p, sim, u)
+				if re1 != want1Re || re2 != want2Re {
+					t.Fatalf("cut at %d: rehydrated %d/%d, want %d/%d", cut, re1, re2, want1Re, want2Re)
+				}
+				if !bytes.Equal(got1, want1) || !bytes.Equal(got2, want2) {
+					t.Fatalf("cut at %d: resume diverged from the uninterrupted run", cut)
+				}
+				got1, got2, re1, re2 = resumeBoth(t, p, sim, u)
+				if re1 != 200 || re2 != 60 {
+					t.Fatalf("cut at %d: the resumed journal rehydrates %d/%d, want 200/60", cut, re1, re2)
+				}
+				if !bytes.Equal(got1, want1) || !bytes.Equal(got2, want2) {
+					t.Fatalf("cut at %d: the resumed journal rehydrates wrong results", cut)
+				}
+			}
+		})
+	}
+}
+
+// TestCheckpointConcurrentSectionsResume records two campaigns into one
+// content-addressed checkpoint at the same time, the way sweep points
+// share a journal: sections bind, chunks record and flushes append from
+// both at once. The journal must reload and rehydrate both campaigns
+// fully and byte-identically, bound in the opposite order.
+func TestCheckpointConcurrentSectionsResume(t *testing.T) {
+	simA, uA := rescueSim(t, 2, 61)
+	simB, uB := rescueSim(t, 3, 47)
+	runs := []struct {
+		sim    *Sim
+		faults []netlist.Fault
+	}{{simA, uA.Collapsed[:300]}, {simB, uB.Collapsed[100:400]}}
+
+	ck := NewCheckpoint(filepath.Join(t.TempDir(), "shared.journal"))
+	ck.ContentAddressed()
+	want := make([][]Result, len(runs))
+	errs := make([]error, len(runs))
+	var wg sync.WaitGroup
+	for i, r := range runs {
+		wg.Add(1)
+		go func(i int, sim *Sim, faults []netlist.Fault) {
+			defer wg.Done()
+			camp := NewCampaign(sim, CampaignConfig{Workers: 2})
+			want[i], _, errs[i] = camp.RunCheckpoint(context.Background(), ck, faults)
+		}(i, r.sim, r.faults)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("campaign %d: %v", i, err)
+		}
+	}
+
+	re, err := LoadCheckpoint(ck.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	re.ContentAddressed()
+	for i := len(runs) - 1; i >= 0; i-- {
+		camp := NewCampaign(runs[i].sim, CampaignConfig{Workers: 2})
+		got, st, err := camp.RunCheckpoint(context.Background(), re, runs[i].faults)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Rehydrated != int64(len(runs[i].faults)) {
+			t.Fatalf("campaign %d rehydrated %d of %d", i, st.Rehydrated, len(runs[i].faults))
+		}
+		if !reflect.DeepEqual(got, want[i]) {
+			t.Fatalf("campaign %d rehydrated results differ from its run", i)
+		}
+	}
+}
+
+// TestCheckpointResultsEncoding pins the journal's reflection-free results
+// encoder to json.Marshal byte for byte, on edge cases and on a real
+// campaign's syndromes: shard seals and journal digests computed either
+// way must agree, and every range line must decode to the same results.
+func TestCheckpointResultsEncoding(t *testing.T) {
+	sim, u := rescueSim(t, 2, 61)
+	real, _, err := NewCampaign(sim, CampaignConfig{Workers: 2}).RunCheckpoint(context.Background(), nil, u.Collapsed[:300])
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := [][]Result{{}, {{}}, {{Detected: true, FailObs: []int{}}},
+		{{Detected: true, FailObs: []int{0, 7, 123456}}, {FailObs: nil}}, real}
+	for i, rs := range cases {
+		if got, want := appendResults(nil, rs), mustJSON(t, rs); !bytes.Equal(got, want) {
+			t.Fatalf("case %d: encoded\n  %s\nwant\n  %s", i, got, want)
+		}
+	}
+}
+
+// TestCheckpointAppendFailureSticky: a failed append may leave the file
+// ending in a partial line, so the failure is sticky — the campaign that
+// hit it reports it, and no later Flush appends anything, even once the
+// path is writable again.
+func TestCheckpointAppendFailureSticky(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full to fail an append on")
+	}
+	sim, u := rescueSim(t, 2, 61)
+	ck := NewCheckpoint("/dev/full")
+	camp := NewCampaign(sim, CampaignConfig{Workers: 2})
+	_, _, err := camp.RunCheckpoint(context.Background(), ck, u.Collapsed[:50])
+	if err == nil {
+		t.Fatal("a campaign whose journal append failed reported success")
+	}
+	ck.path = filepath.Join(t.TempDir(), "later.journal")
+	if _, _, err2 := camp.RunCheckpoint(context.Background(), ck, u.Collapsed[50:100]); err2 == nil || err2.Error() != err.Error() {
+		t.Fatalf("campaign after a failed append returned %v, want the sticky %v", err2, err)
+	}
+	if _, err := os.Stat(ck.path); !os.IsNotExist(err) {
+		t.Fatalf("a journal whose append failed wrote again (stat: %v)", err)
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"rescue/internal/netlist"
@@ -50,24 +51,41 @@ func validJournal(tb testing.TB) []byte {
 // FuzzCheckpointRead feeds arbitrary (typically mutated-journal) bytes to
 // the checkpoint decoder. The decoder must never panic; it either rejects
 // the input with an error or accepts a journal whose sections are
-// internally consistent — restore and normalize must be safe to call and
-// every rehydrated count must stay within the section's declared fault
-// count.
+// internally consistent — restore must be safe to call and every
+// rehydrated count must stay within the section's declared fault count.
+// The kept length of an accepted input (its complete lines, without a torn
+// final append) never exceeds the input, and re-reading exactly that
+// prefix yields the same sections and ranges.
 func FuzzCheckpointRead(f *testing.F) {
 	f.Add(validJournal(f))
 	f.Add([]byte(""))
-	f.Add([]byte("{\"v\":2,\"kind\":\"rescue-campaign-checkpoint\"}\n"))
+	f.Add([]byte("{\"v\":3,\"kind\":\"rescue-campaign-checkpoint\"}\n"))
 	f.Add([]byte("{\"section\":0,\"id\":{}}\n"))
 	f.Add([]byte("not json at all\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ck := NewCheckpoint("")
-		if err := ck.read(bytes.NewReader(data)); err != nil {
+		kept, err := ck.read(bytes.NewReader(data))
+		if err != nil {
 			return // rejected: fine, as long as it did not panic
+		}
+		if kept < 0 || kept > int64(len(data)) {
+			t.Fatalf("kept %d bytes of a %d-byte input", kept, len(data))
 		}
 		if len(ck.sections) == 0 {
 			t.Fatal("read accepted a journal with no sections")
 		}
+		again := NewCheckpoint("")
+		if k, err := again.read(bytes.NewReader(data[:kept])); err != nil || k != kept {
+			t.Fatalf("re-reading the kept %d-byte prefix: kept %d, err %v", kept, k, err)
+		}
+		if len(again.sections) != len(ck.sections) {
+			t.Fatalf("kept prefix has %d sections, input has %d", len(again.sections), len(ck.sections))
+		}
 		for si, s := range ck.sections {
+			a := again.sections[si]
+			if a.ord != s.ord || a.id != s.id || !reflect.DeepEqual(a.ranges, s.ranges) {
+				t.Fatalf("section %d differs when its kept prefix is re-read", si)
+			}
 			if s.id.NFaults < 0 {
 				t.Fatalf("section %d: accepted negative fault count %d", si, s.id.NFaults)
 			}
@@ -86,18 +104,17 @@ func FuzzCheckpointRead(f *testing.F) {
 			if done != nil && len(done) != len(out) {
 				t.Fatalf("section %d: done bitmap length %d, want %d", si, len(done), len(out))
 			}
-			s.normalize()
 		}
 	})
 }
 
 // TestCheckpointReadRejectsMutations pins a handful of specific journal
 // corruptions that the decoder must reject with an error (not accept, not
-// panic): flipped digest, truncated results, out-of-order sections, range
-// beyond the declared fault count, and a missing header.
+// panic): flipped digest, bytes cut from inside a complete range line, a
+// missing header, out-of-order sections, and a garbage line.
 func TestCheckpointReadRejectsMutations(t *testing.T) {
 	valid := validJournal(t)
-	if err := NewCheckpoint("").read(bytes.NewReader(valid)); err != nil {
+	if _, err := NewCheckpoint("").read(bytes.NewReader(valid)); err != nil {
 		t.Fatalf("specimen journal does not load: %v", err)
 	}
 	cases := []struct {
@@ -107,7 +124,14 @@ func TestCheckpointReadRejectsMutations(t *testing.T) {
 		{"digest flip", func(b []byte) []byte {
 			return bytes.Replace(b, []byte(`"digest":"`), []byte(`"digest":"f`), 1)
 		}},
-		{"truncated tail", func(b []byte) []byte { return b[:len(b)-len(b)/3] }},
+		{"bytes cut from a range line", func(b []byte) []byte {
+			// A torn append only loses the file's tail; bytes missing from
+			// the middle of a complete line are corruption.
+			r := bytes.Index(b, []byte(`"results"`))
+			start := bytes.LastIndexByte(b[:r], '\n') + 1
+			mid := (start + r + bytes.IndexByte(b[r:], '\n')) / 2
+			return append(b[:mid:mid], b[mid+4:]...)
+		}},
 		{"header dropped", func(b []byte) []byte {
 			i := bytes.IndexByte(b, '\n')
 			return b[i+1:]
@@ -125,7 +149,7 @@ func TestCheckpointReadRejectsMutations(t *testing.T) {
 			if bytes.Equal(mut, valid) {
 				t.Fatal("mutation did not change the journal — test is vacuous")
 			}
-			if err := NewCheckpoint("").read(bytes.NewReader(mut)); err == nil {
+			if _, err := NewCheckpoint("").read(bytes.NewReader(mut)); err == nil {
 				t.Fatal("decoder accepted a corrupted journal")
 			}
 		})

@@ -30,7 +30,6 @@ package fault
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -54,17 +53,6 @@ type ShardResult struct {
 	Digest  string      `json:"digest"`
 }
 
-// seal stamps the result's content digest over its serialized results.
-func (r *ShardResult) seal() {
-	raw, err := json.Marshal(r.Results)
-	if err != nil {
-		// Results marshal in the journal on every flush; failure here is a
-		// programming error, not an input condition.
-		panic(fmt.Sprintf("fault: marshal shard results: %v", err))
-	}
-	r.Digest = resultsDigest(raw)
-}
-
 // Verify checks the result's internal consistency: window shape and the
 // content digest over the serialized results. The coordinator additionally
 // checks Key equality against its own derivation before merging.
@@ -75,11 +63,7 @@ func (r *ShardResult) Verify() error {
 	if len(r.Results) != r.Hi-r.Lo {
 		return fmt.Errorf("fault: shard [%d,%d) carries %d results, want %d", r.Lo, r.Hi, len(r.Results), r.Hi-r.Lo)
 	}
-	raw, err := json.Marshal(r.Results)
-	if err != nil {
-		return fmt.Errorf("fault: marshal shard results: %v", err)
-	}
-	if got := resultsDigest(raw); got != r.Digest {
+	if _, got := sealResults(r.Results); got != r.Digest {
 		return fmt.Errorf("fault: shard [%d,%d) digest mismatch: computed %s, sealed %s", r.Lo, r.Hi, got, r.Digest)
 	}
 	return nil
@@ -192,20 +176,10 @@ func (c *Campaign) dispatchShards(ctx context.Context, plan *ShardPlan, id Campa
 	n := len(out)
 	var spans [][2]int
 	pending := 0
-	for i := 0; i < n; {
-		for i < n && done != nil && done[i] {
-			i++
-		}
-		j := i
-		for j < n && (done == nil || !done[j]) {
-			j++
-		}
-		if j > i {
-			spans = append(spans, [2]int{i, j})
-			pending += j - i
-		}
-		i = j
-	}
+	pendingRuns(done, 0, n, func(i, j int) {
+		spans = append(spans, [2]int{i, j})
+		pending += j - i
+	})
 	if pending == 0 {
 		return done
 	}

@@ -21,7 +21,8 @@ import (
 //	GET    /jobs/{id}         one job's snapshot
 //	GET    /jobs/{id}/result  the finished report (text/plain)
 //	GET    /jobs/{id}/events  NDJSON event stream: replay, then live until done
-//	GET    /jobs/{id}/journal the job's checkpoint journal (NDJSON), if any
+//	GET    /jobs/{id}/journal the job's checkpoint journal (NDJSON), if any;
+//	                          a running job's may end in a torn record
 //	DELETE /jobs/{id}         cancel a queued or running job; 409 if already terminal
 //	GET    /metrics           obs text format
 //	GET    /healthz           200 ok / 503 draining
@@ -163,7 +164,8 @@ func (s *Server) handlePointCancel(w http.ResponseWriter, j *Job, digest string)
 // record of its campaigns' completed fault ranges. Interrupted jobs are the
 // interesting case: the journal is what an identical resubmission (or an
 // external coordinator) resumes from. Succeeded jobs have consumed and
-// removed theirs.
+// removed theirs. A running job's journal can be read mid-append, so its
+// export may end in a torn record; loading the export drops that record.
 func (s *Server) handleJournal(w http.ResponseWriter, j *Job) {
 	path := j.journalPath()
 	if path == "" {

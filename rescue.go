@@ -72,11 +72,13 @@ type (
 	// FaultStats records campaign work (faults simulated, words dropped,
 	// gate events, checkpoint rehydrations, wall time).
 	FaultStats = fault.Stats
-	// FaultCheckpoint is a crash-safe journal of completed campaign work:
-	// an interrupted flow resumed against the same journal rehydrates the
-	// journaled chunks and converges bit-identically to an uninterrupted
-	// run. The *Flow methods (GenerateTestsFlow, IsolateCampaignFlow,
-	// MultiFaultIsolationFlow, fault.BuildDictionaryFlow) accept one.
+	// FaultCheckpoint is a crash-safe, append-only journal of completed
+	// campaign work: each chunk is encoded once and appended, and a record
+	// torn by a crash is dropped on load. An interrupted flow resumed
+	// against the same journal rehydrates the journaled chunks and
+	// converges bit-identically to an uninterrupted run. The *Flow methods
+	// (GenerateTestsFlow, IsolateCampaignFlow, MultiFaultIsolationFlow,
+	// fault.BuildDictionaryFlow) accept one.
 	FaultCheckpoint = fault.Checkpoint
 )
 

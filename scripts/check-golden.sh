@@ -12,6 +12,9 @@
 # (-chaos-cancel-after, a stand-in for Ctrl-C that CI can time exactly),
 # must exit 130 with a flushed checkpoint journal, and the -resume rerun —
 # at a *different* worker count — must reproduce the goldens byte for byte.
+# A last pair is a real crash: a journaled dictionary build is killed with
+# SIGKILL once its journal is non-empty, so nothing is flushed on the way
+# out, and the resume must still reproduce the dictionary digest.
 #
 # Usage: scripts/check-golden.sh [worker counts...]   (default: 1 4)
 set -euo pipefail
@@ -169,8 +172,28 @@ for pair in "1 4" "4 1"; do
     fi
 done
 
+echo "== dictionary real-crash resume: kill -9 at workers=1, resume at workers=4"
+rm -f "$tmp/ck.crash" "$tmp/dict_crash.csv"
+"$tmp/rescue-dict" build -small -workers 1 -checkpoint "$tmp/ck.crash" \
+    -o "$tmp/dict_crash.csv" > /dev/null 2>&1 &
+pid=$!
+while kill -0 "$pid" 2> /dev/null && [ ! -s "$tmp/ck.crash" ]; do
+    sleep 0.01
+done
+kill -9 "$pid" 2> /dev/null || true
+rc=0
+wait "$pid" 2> /dev/null || rc=$?
+if [ "$rc" -ne 137 ]; then
+    echo "FAIL: rescue-dict exited $rc before kill -9 landed, so no crashed journal was resumed" >&2
+    fail=1
+else
+    "$tmp/rescue-dict" build -small -workers 4 \
+        -checkpoint "$tmp/ck.crash" -resume -o "$tmp/dict_crash.csv" > /dev/null
+    check_dict "$tmp/dict_crash.csv" "resumed after kill -9"
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "golden check FAILED" >&2
     exit 1
 fi
-echo "golden check OK: outputs identical to committed results (dictionary digest included) at workers: ${workers[*]}, interrupt-resume included"
+echo "golden check OK: outputs identical to committed results (dictionary digest included) at workers: ${workers[*]}, interrupt-resume and kill -9 resume included"

@@ -4,9 +4,10 @@
 # full event walks, the excitation-skip index, the epoch arena, and the
 # campaign word tiler — into PODEM's event-driven implication, its
 # per-worker state reuse and the in-order commit of parallel searches,
-# into the netlist's compiled Flat form both read, and into the cycle
-# simulator's completion heap and idle fast-forward, and require that the
-# differential harness or the targeted unit tests catch every one. A
+# into the netlist's compiled Flat form both read, into the cycle
+# simulator's completion heap and idle fast-forward, and into the
+# append-only checkpoint journal's torn-tail recovery, and require that
+# the differential harness or the targeted unit tests catch every one. A
 # surviving mutant means the net has a blind spot — the build fails.
 #
 # Each mutant is a sed substitution against one source file (internal/fault
@@ -51,6 +52,10 @@
 #                  dropped: their discarded searches are committed again
 #   29 atpg podem.go reset leaves the faulty plane of the previous fault
 #                  stale
+#   30 checkpoint.go loading skips the truncate: the next append lands
+#                  after a torn final line
+#   31 checkpoint.go a range record names its section by in-memory slice
+#                  position instead of file ordinal
 #
 # Catchers, in order: the differential harness (fast, runs first: sim vs
 # oracle, PODEM cubes P5, untestable verdicts P8), then the mutated
@@ -63,7 +68,12 @@
 # disagree exposes it). Mutants 28 and 29 leave every single PODEM run
 # correct, so the differential harness cannot see them; 28 moves the
 # Baseline counts (vectors 2635 -> 2803, detected 13325 -> 13501) and 29
-# moves both test-set digests.
+# moves both test-set digests. Mutants 30 and 31 never touch a result the
+# harness compares (its kill-and-resume check P3 flushes cleanly and binds
+# one section); they fall to the torn-tail resume test, whose reload of a
+# resumed torn journal fails on the unterminated fragment (30) or finds a
+# range filed under the other section once content-addressed binding has
+# reordered the sections in memory (31).
 # Mutant 21 should fall to the differential harness: its oracle evaluates
 # the netlist's Gate records, not Flat, so a bad compile shows up as a
 # simulator/oracle disagreement. The cycle-simulator mutants fall to the
@@ -76,9 +86,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 range="${1:-0:40}"
-files=(internal/fault/sim.go internal/fault/cone.go internal/fault/campaign.go internal/atpg/podem.go internal/atpg/gen.go internal/netlist/netlist.go internal/uarch/sim.go)
+files=(internal/fault/sim.go internal/fault/cone.go internal/fault/campaign.go internal/fault/checkpoint.go internal/atpg/podem.go internal/atpg/gen.go internal/netlist/netlist.go internal/uarch/sim.go)
 declare -A unit_run=(
-  [internal/fault]='Cone|Epoch|Tiling|Excitation|Drop|Overflow|Determinism'
+  [internal/fault]='Cone|Epoch|Tiling|Excitation|Drop|Overflow|Determinism|TornTail'
   [internal/atpg]='Lockstep|PinnedCounts|FrontierOrder'
   [internal/netlist]='LevelsAndReaders|TruthTables|Equiv'
   [internal/uarch]='Lockstep|StaleCompletion'
@@ -115,6 +125,8 @@ mutants=(
   'internal/uarch/sim.go|s/\tat(s.fetchStallTill)/\t_ = s.fetchStallTill/'
   'internal/atpg/gen.go|s/if !remaining\[i\] { \/\/ a flush dropped it/if false { \/\/ a flush dropped it/'
   'internal/atpg/podem.go|s/\tclear(p.bad)/\t_ = p.bad/'
+  'internal/fault/checkpoint.go|s/if err := os.Truncate(path, kept); err != nil {/if _ = kept; false {/'
+  'internal/fault/checkpoint.go|s/ck.sections\[ck.cursor\] = s$/ck.sections[ck.cursor] = s; s.ord = ck.cursor/'
 )
 
 tmp=$(mktemp -d)
