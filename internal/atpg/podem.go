@@ -21,6 +21,13 @@ import (
 // cells and the fault site can drive a non-X value, so the search starts
 // from all-X planes with just those gates queued. implyFull, the
 // full-netlist pass, is the reference the lockstep test holds imply to.
+//
+// Implication is also confined to the fault's region: the fan-in closure,
+// back to PIs and scan cells, of the forward cone and of an FF-output
+// fault's D driver. Every net the search reads — the activation line, the
+// faulty gate's side inputs, the D-frontier and the X-path through the
+// cone, an FF fault's D net, every net backtrace walks — is driven from
+// inside it, so gates outside are never queued and their nets stay X.
 type searcher struct {
 	n     *netlist.Netlist
 	fl    netlist.Flat // n's compiled form, held by value
@@ -57,9 +64,14 @@ type searcher struct {
 	seen     []int32          // visit marks (== seenEp) for the cone and xPathExists walks
 	seenEp   int32
 	stack    []netlist.GateID
+	// region marks (== regionEp) the fault's region, the only gates
+	// schedule queues.
+	region   []int32
+	regionEp int32
 
-	// afterImply, when set, runs after every imply (the lockstep test hook).
-	afterImply func()
+	// Test hooks: afterReset, when set, runs between reset and the search;
+	// afterImply after every imply.
+	afterReset, afterImply func()
 
 	backtracks    int
 	maxBacktracks int
@@ -127,12 +139,16 @@ func newSearcher(n *netlist.Netlist, maxBacktracks int) *searcher {
 	p.buckets = make([][]netlist.GateID, p.fl.MaxLevel+1)
 	p.queued = make([]bool, nGates)
 	p.seen = make([]int32, nGates)
+	p.region = make([]int32, nGates)
 	return p
 }
 
 // run searches for a test for f: the cube and verdict Podem returns.
 func (p *searcher) run(f netlist.Fault) (Cube, PodemResult) {
 	p.reset(f)
+	if p.afterReset != nil {
+		p.afterReset()
+	}
 	ok, aborted := p.search()
 	switch {
 	case ok:
@@ -146,8 +162,8 @@ func (p *searcher) run(f netlist.Fault) (Cube, PodemResult) {
 }
 
 // reset readies the searcher for fault f: no decisions, all-X planes, the
-// fault's cone, and the gates that drive a value even then queued, so the
-// first imply yields the full-pass state.
+// fault's cone and region, and the region gates that drive a value even
+// then queued, so the first imply yields the full-pass state on the region.
 func (p *searcher) reset(f netlist.Fault) {
 	p.fault = f
 	p.backtracks = 0
@@ -156,6 +172,7 @@ func (p *searcher) reset(f netlist.Fault) {
 	clear(p.good)
 	clear(p.bad)
 	p.buildCone()
+	p.markRegion()
 	for _, g := range p.consts {
 		p.schedule(g)
 	}
@@ -172,7 +189,7 @@ func (p *searcher) reset(f netlist.Fault) {
 // the readers of an FF-output fault's Q. It also lists the observed nets
 // the cone drives.
 func (p *searcher) buildCone() {
-	ep := p.nextEpoch()
+	ep := nextEpoch(p.seen, &p.seenEp)
 	p.cone = p.cone[:0]
 	p.stack = p.stack[:0]
 	if q, ok := p.forcedQ(); ok {
@@ -203,15 +220,40 @@ func (p *searcher) buildCone() {
 	}
 }
 
-// nextEpoch starts a new seen-mark epoch, clearing the marks on the rare
-// wrap of the counter.
-func (p *searcher) nextEpoch() int32 {
-	if p.seenEp == math.MaxInt32 {
-		clear(p.seen)
-		p.seenEp = 0
+// markRegion marks the fault's region: the fan-in closure of the cone and
+// of an FF-output fault's D driver, walked back to PIs and scan cells.
+func (p *searcher) markRegion() {
+	ep := nextEpoch(p.region, &p.regionEp)
+	p.stack = append(p.stack[:0], p.cone...)
+	if p.fault.Gate < 0 && p.fault.FF >= 0 {
+		if drv := p.n.DriverGate(p.n.FFs[p.fault.FF].D); drv >= 0 {
+			p.stack = append(p.stack, drv)
+		}
 	}
-	p.seenEp++
-	return p.seenEp
+	for _, g := range p.stack {
+		p.region[g] = ep
+	}
+	for len(p.stack) > 0 {
+		g := p.stack[len(p.stack)-1]
+		p.stack = p.stack[:len(p.stack)-1]
+		for _, in := range p.fl.In(g) {
+			if d := p.n.DriverGate(in); d >= 0 && p.region[d] != ep {
+				p.region[d] = ep
+				p.stack = append(p.stack, d)
+			}
+		}
+	}
+}
+
+// nextEpoch starts a new epoch of a mark array, clearing the marks on the
+// rare wrap of the counter.
+func nextEpoch(marks []int32, ep *int32) int32 {
+	if *ep == math.MaxInt32 {
+		clear(marks)
+		*ep = 0
+	}
+	*ep++
+	return *ep
 }
 
 type decision struct {
@@ -347,9 +389,10 @@ func (p *searcher) scheduleReaders(net netlist.NetID) {
 	}
 }
 
-// schedule queues one gate for re-evaluation by the next imply.
+// schedule queues one region gate for re-evaluation by the next imply;
+// gates outside the fault's region are never evaluated.
 func (p *searcher) schedule(g netlist.GateID) {
-	if !p.queued[g] {
+	if !p.queued[g] && p.region[g] == p.regionEp {
 		p.queued[g] = true
 		p.buckets[p.fl.Level[g]] = append(p.buckets[p.fl.Level[g]], g)
 	}
@@ -552,7 +595,7 @@ func (p *searcher) xPathExists() bool {
 	if len(frontier) == 0 {
 		return false
 	}
-	ep := p.nextEpoch()
+	ep := nextEpoch(p.seen, &p.seenEp)
 	p.stack = append(p.stack[:0], frontier...)
 	for len(p.stack) > 0 {
 		g := p.stack[len(p.stack)-1]

@@ -2,6 +2,7 @@ package atpg
 
 import (
 	"context"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -13,9 +14,11 @@ import (
 
 // runLockstep runs PODEM on f through the reused searcher p with the
 // lockstep hook armed: after every incremental imply, both planes must
-// equal a from-scratch implyFull of the same assignment, so the first
-// imply also checks that reset left nothing of the previous fault behind.
-// It returns the verdict and the number of implies checked.
+// equal a from-scratch implyFull of the same assignment on every region
+// net, so the first imply also checks that reset left nothing of the
+// previous fault behind. Nets outside the region are never implied;
+// TestImplyRegionOnly holds them. It returns the verdict and the number of
+// implies checked.
 func runLockstep(t *testing.T, p *searcher, f netlist.Fault) (PodemResult, int) {
 	t.Helper()
 	good := make([]V3, p.n.NumNets())
@@ -28,6 +31,9 @@ func runLockstep(t *testing.T, p *searcher, f netlist.Fault) (PodemResult, int) 
 		}
 		p.implyFull(good, bad)
 		for net := range good {
+			if !regionNet(p, netlist.NetID(net)) {
+				continue
+			}
 			if good[net] != p.good[net] || bad[net] != p.bad[net] {
 				t.Errorf("fault %v, imply %d: net %d incremental good/bad %v/%v, full %v/%v",
 					f, checks, net, p.good[net], p.bad[net], good[net], bad[net])
@@ -109,6 +115,172 @@ func TestSearcherCone(t *testing.T) {
 				t.Fatalf("seed %d, fault %v: cone %v, want %v", seed, f, p.cone, want)
 			}
 		}
+	}
+}
+
+// regionNet reports whether imply keeps net up to date for p's fault: a
+// PI or scan-cell Q net, or the output of a gate in the fault's region.
+func regionNet(p *searcher, net netlist.NetID) bool {
+	d := p.n.DriverGate(net)
+	return p.piIndex[net] >= 0 || d >= 0 && p.region[d] == p.regionEp
+}
+
+// TestSearcherRegion pins the region a searcher marks at reset: exactly the
+// gates a fan-in fixpoint over the gate records reaches from the forward
+// cone and, for an FF-output fault, from its D driver — on a hand-built
+// circuit and on every collapsed fault of random circuits with FFs.
+func TestSearcherRegion(t *testing.T) {
+	n := netlist.New("region")
+	a, b, c := n.Input("a"), n.Input("b"), n.Input("c")
+	x := n.And(a, b)            // gate 0: fault site
+	y := n.Not(c)               // gate 1: side input of the cone
+	n.Output(n.Or(x, y), "z")   // gate 2: the cone
+	w := n.Xor(b, c)            // gate 3: feeds the FF's D driver
+	n.Output(n.Nand(w, a), "v") // gate 4: read by no region
+	q := n.AddFF(n.Buf(w), "q") // gate 5: the FF's D driver
+	n.Output(n.And(q, a), "u")  // gate 6: the FF's cone
+	if err := n.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	p := newSearcher(n, 1)
+	for _, tc := range []struct {
+		f    netlist.Fault
+		want []netlist.GateID
+	}{
+		{netlist.Fault{Gate: 0, FF: -1, Pin: -1}, []netlist.GateID{0, 1, 2}},
+		{netlist.Fault{Gate: -1, FF: 0, Pin: -1}, []netlist.GateID{3, 5, 6}},
+	} {
+		p.reset(tc.f)
+		if got := markedRegion(p); !slices.Equal(got, tc.want) {
+			t.Fatalf("fault %v: region %v, want %v", tc.f, got, tc.want)
+		}
+	}
+	// Count faults whose region the fan-in walk grew past the cone, and FF
+	// faults whose D driver lies outside their cone, so neither seed is
+	// left untested.
+	grown, dSeeded := 0, 0
+	for seed := uint64(0); seed < 20; seed++ {
+		n := netlist.Random(netlist.RandomConfig{Seed: seed, Gates: 60, FFs: 5})
+		p := newSearcher(n, 1)
+		for _, f := range fault.NewUniverse(n).Collapsed {
+			p.reset(f)
+			want := fanInRegion(n, f)
+			if got := markedRegion(p); !slices.Equal(got, want) {
+				t.Fatalf("seed %d, fault %v: region %v, want %v", seed, f, got, want)
+			}
+			if len(want) > len(p.cone) {
+				grown++
+			}
+			if f.Gate < 0 {
+				if d := n.DriverGate(n.FFs[f.FF].D); d >= 0 && !slices.Contains(p.cone, d) {
+					dSeeded++
+				}
+			}
+		}
+	}
+	if grown == 0 || dSeeded == 0 {
+		t.Fatalf("%d regions grew past their cone and %d FF faults seeded a D driver outside it: want both", grown, dSeeded)
+	}
+}
+
+// markedRegion lists the gates p marked as its fault's region, in gate-ID
+// order.
+func markedRegion(p *searcher) []netlist.GateID {
+	var r []netlist.GateID
+	for g, ep := range p.region {
+		if ep == p.regionEp {
+			r = append(r, netlist.GateID(g))
+		}
+	}
+	return r
+}
+
+// fanInRegion is the reference region: a fixpoint over the gate records
+// that adds the driver of every input of a gate already in, seeded from
+// the forward cone and an FF-output fault's D driver, in gate-ID order.
+func fanInRegion(n *netlist.Netlist, f netlist.Fault) []netlist.GateID {
+	in := make([]bool, len(n.Gates))
+	for _, g := range reachable(n, f) {
+		in[g] = true
+	}
+	if f.Gate < 0 {
+		if d := n.DriverGate(n.FFs[f.FF].D); d >= 0 {
+			in[d] = true
+		}
+	}
+	for grew := true; grew; {
+		grew = false
+		for gi, g := range n.Gates {
+			for _, net := range g.In {
+				if d := n.DriverGate(net); in[gi] && d >= 0 && !in[d] {
+					in[d], grew = true, true
+				}
+			}
+		}
+	}
+	var r []netlist.GateID
+	for gi, ok := range in {
+		if ok {
+			r = append(r, netlist.GateID(gi))
+		}
+	}
+	return r
+}
+
+// TestImplyRegionOnly pins the region trim from both sides, on every
+// collapsed fault of the lockstep random circuits and of both small
+// designs, each circuit's faults through one reused searcher:
+//   - (a) after every imply of a plain run, every net outside the region
+//     is still X in both planes, so imply never evaluates a gate outside it;
+//   - (b) a run with every such net preset to a fake error (good One,
+//     faulty Zero) before the search returns the plain run's verdict and
+//     cube, so the search never reads one.
+func TestImplyRegionOnly(t *testing.T) {
+	check := func(name string, n *netlist.Netlist, maxBacktracks int) {
+		p := newSearcher(n, maxBacktracks)
+		outside := make([]bool, n.NumNets()) // the current fault's non-region nets
+		for _, f := range fault.NewUniverse(n).Collapsed {
+			p.afterReset = func() {
+				for net := range outside {
+					outside[net] = !regionNet(p, netlist.NetID(net))
+				}
+			}
+			p.afterImply = func() {
+				good, bad := p.good[:len(outside)], p.bad[:len(outside)]
+				for net, out := range outside {
+					if out && (good[net] != X || bad[net] != X) {
+						t.Fatalf("%s, fault %v: net %d outside the region implied to good/bad %v/%v",
+							name, f, net, good[net], bad[net])
+					}
+				}
+			}
+			cube, res := p.run(f)
+			p.afterImply = nil
+			p.afterReset = func() {
+				for net, out := range outside {
+					if out {
+						p.good[net], p.bad[net] = One, Zero
+					}
+				}
+			}
+			pc, pres := p.run(f)
+			if pres != res || !slices.Equal(pc.PI, cube.PI) || !slices.Equal(pc.FF, cube.FF) {
+				t.Fatalf("%s, fault %v: poisoned run %v PI=%v FF=%v, plain run %v PI=%v FF=%v",
+					name, f, pres, pc.PI, pc.FF, res, cube.PI, cube.FF)
+			}
+		}
+	}
+	for seed := uint64(0); seed < 40; seed++ {
+		n := netlist.Random(netlist.RandomConfig{Seed: seed, Gates: 20 + int(seed)*3, FFs: 1 + int(seed%6),
+			Inputs: 1 + int(seed%5), Outputs: 1 + int(seed%3), MaxFanIn: 2 + int(seed%4)})
+		check(fmt.Sprintf("seed %d", seed), n, 30)
+	}
+	for _, v := range []rtl.Variant{rtl.Baseline, rtl.RescueDesign} {
+		d, err := rtl.Build(rtl.Small(), v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(v.String(), d.N, 20)
 	}
 }
 

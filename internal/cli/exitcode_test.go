@@ -3,6 +3,7 @@ package cli_test
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -10,25 +11,50 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
 
-// buildCmds compiles the CLI binaries once into a shared temp dir. Flag
-// validation runs before any heavy work in every command, so the error
-// paths exercised here return in milliseconds.
+// binDir holds the CLI binaries for the package run; TestMain creates and
+// removes it, and the first buildCmds call fills it.
+var (
+	binDir    string
+	buildOnce sync.Once
+	buildErr  error
+)
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "rescue-cli-bins")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	binDir = dir
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
+
+// buildCmds returns the paths of the named CLI binaries. The first call
+// compiles every command under cmd/ into binDir with one go build; later
+// calls reuse them. Flag validation runs before any heavy work in every
+// command, so the error paths exercised here return in milliseconds.
 func buildCmds(t *testing.T, names ...string) map[string]string {
 	t.Helper()
-	dir := t.TempDir()
-	bins := make(map[string]string, len(names))
-	for _, name := range names {
-		bin := filepath.Join(dir, name)
-		cmd := exec.Command("go", "build", "-o", bin, "./cmd/"+name)
+	buildOnce.Do(func() {
+		cmd := exec.Command("go", "build", "-o", binDir+string(filepath.Separator), "./cmd/...")
 		cmd.Dir = "../.." // module root
 		if out, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("building %s: %v\n%s", name, err, out)
+			buildErr = fmt.Errorf("building ./cmd/...: %v\n%s", err, out)
 		}
-		bins[name] = bin
+	})
+	if buildErr != nil {
+		t.Fatal(buildErr)
+	}
+	bins := make(map[string]string, len(names))
+	for _, name := range names {
+		bins[name] = filepath.Join(binDir, name)
 	}
 	return bins
 }

@@ -3,7 +3,8 @@
 # mutants into the simulator hot path — the cone builder, the clipped and
 # full event walks, the excitation-skip index, the epoch arena, and the
 # campaign word tiler — into PODEM's event-driven implication, its
-# per-worker state reuse and the in-order commit of parallel searches,
+# fault-region trim, its per-worker state reuse and the in-order commit of
+# parallel searches,
 # into the netlist's compiled Flat form both read, into the cycle
 # simulator's completion heap and idle fast-forward, and into the
 # append-only checkpoint journal's torn-tail recovery, and require that
@@ -56,6 +57,12 @@
 #                  after a torn final line
 #   31 checkpoint.go a range record names its section by in-memory slice
 #                  position instead of file ordinal
+#   32 atpg podem.go the region walk marks a gate's input drivers but does
+#                  not descend into them
+#   33 atpg podem.go an FF-output fault's D driver is not seeded into its
+#                  region
+#   34 atpg podem.go schedule drops its region test: imply evaluates the
+#                  whole netlist again
 #
 # Catchers, in order: the differential harness (fast, runs first: sim vs
 # oracle, PODEM cubes P5, untestable verdicts P8), then the mutated
@@ -73,7 +80,12 @@
 # one section); they fall to the torn-tail resume test, whose reload of a
 # resumed torn journal fails on the unterminated fragment (30) or finds a
 # range filed under the other section once content-addressed binding has
-# reordered the sections in memory (31).
+# reordered the sections in memory (31). Mutants 32 and 33 shrink PODEM's
+# region below what the search reads: the harness sees wrong cubes or
+# verdicts, and the region fixpoint test and the poisoned-region runs see
+# the region itself. Mutant 34 changes no verdict, cube or
+# lockstep-compared net; only the region-only test's check that every net
+# outside the region stays X catches it.
 # Mutant 21 should fall to the differential harness: its oracle evaluates
 # the netlist's Gate records, not Flat, so a bad compile shows up as a
 # simulator/oracle disagreement. The cycle-simulator mutants fall to the
@@ -89,7 +101,7 @@ range="${1:-0:40}"
 files=(internal/fault/sim.go internal/fault/cone.go internal/fault/campaign.go internal/fault/checkpoint.go internal/atpg/podem.go internal/atpg/gen.go internal/netlist/netlist.go internal/uarch/sim.go)
 declare -A unit_run=(
   [internal/fault]='Cone|Epoch|Tiling|Excitation|Drop|Overflow|Determinism|TornTail'
-  [internal/atpg]='Lockstep|PinnedCounts|FrontierOrder'
+  [internal/atpg]='Lockstep|PinnedCounts|FrontierOrder|Region'
   [internal/netlist]='LevelsAndReaders|TruthTables|Equiv'
   [internal/uarch]='Lockstep|StaleCompletion'
 )
@@ -127,6 +139,9 @@ mutants=(
   'internal/atpg/podem.go|s/\tclear(p.bad)/\t_ = p.bad/'
   'internal/fault/checkpoint.go|s/if err := os.Truncate(path, kept); err != nil {/if _ = kept; false {/'
   'internal/fault/checkpoint.go|s/ck.sections\[ck.cursor\] = s$/ck.sections[ck.cursor] = s; s.ord = ck.cursor/'
+  'internal/atpg/podem.go|s/p.stack = append(p.stack, d)$/_ = d/'
+  'internal/atpg/podem.go|s/p.stack = append(p.stack, drv)/_ = drv/'
+  'internal/atpg/podem.go|s/ \&\& p.region\[g\] == p.regionEp//'
 )
 
 tmp=$(mktemp -d)
