@@ -170,11 +170,16 @@ func toDegraded(c yield.CoreConfig) uarch.Degraded {
 	}
 }
 
-// BuildPerfModelFlow simulates every (benchmark, degraded configuration)
-// pair at a node. This is the expensive step of Figure 9; warmup/commit
-// control the accuracy/runtime trade, workers the simulation concurrency
-// (<= 0 = all cores). Once ctx is done no new simulations start and the
-// context's cause is returned.
+// BuildPerfModelFlow fills, at a node, every (benchmark, degraded
+// configuration) entry Figure 9 reads: the fault-free baseline and the 64
+// Rescue configurations, 65 per benchmark. It simulates each distinct
+// machine a benchmark can see once: one without FP-class instructions
+// (workload.Program.UsesFP) cannot tell the FP backend-group and FP
+// issue-queue degradations apart (uarch.Params.IntOnly), so it takes 17
+// simulations, not 65. This is the expensive step of Figure 9;
+// warmup/commit control the accuracy/runtime trade, workers the
+// simulation concurrency (<= 0 = all cores). Once ctx is done no new
+// simulations start and the context's cause is returned.
 func BuildPerfModelFlow(ctx context.Context, node area.Scaling, benchNames []string, warmup, commit int64, workers int) (*PerfModel, error) {
 	return BuildPerfModelFlowParams(ctx, node, uarch.DefaultParams(), uarch.RescueParams(), benchNames, warmup, commit, workers)
 }
@@ -182,7 +187,10 @@ func BuildPerfModelFlow(ctx context.Context, node area.Scaling, benchNames []str
 // BuildPerfModelFlowParams is BuildPerfModelFlow over an explicit
 // (baseline, Rescue) parameter pair instead of the paper's Table 1
 // machines — the entry point for design-space variants. Node scaling is
-// applied on top of both, exactly as for the fixed configuration.
+// applied on top of both, exactly as for the fixed configuration. Every
+// job is validated before it is merged with the other jobs on its
+// machine, so the first failing job in (benchmark, configuration) order
+// names the returned error.
 func BuildPerfModelFlowParams(ctx context.Context, node area.Scaling, baseParams, rescParams uarch.Params, benchNames []string, warmup, commit int64, workers int) (*PerfModel, error) {
 	defer obs.Span(ctx, "perf_model")()
 	if err := baseParams.Validate(); err != nil {
@@ -195,11 +203,11 @@ func BuildPerfModelFlowParams(ctx context.Context, node area.Scaling, baseParams
 	if err != nil {
 		return nil, err
 	}
-	// each benchmark's program is compiled once, by its first simulation,
-	// and walked afresh by every simulation
-	progs := make([]func() *workload.Program, len(profs))
-	for b, prof := range profs {
-		progs[b] = sync.OnceValue(func() *workload.Program { return workload.Compile(prof) })
+	// each benchmark's program is compiled once and walked afresh by
+	// every simulation
+	progs := make([]*workload.Program, len(profs))
+	if err := parallelMapCtx(ctx, len(profs), workers, func(b int) { progs[b] = workload.Compile(profs[b]) }); err != nil {
+		return nil, err
 	}
 	ns := ScaleFor(node)
 	cfgs := yield.Configs()
@@ -208,54 +216,78 @@ func BuildPerfModelFlowParams(ctx context.Context, node area.Scaling, baseParams
 		Baseline: map[string]float64{},
 		Rescue:   map[string]map[yield.CoreConfig]float64{},
 	}
-	type job struct {
+	type machine struct {
 		bench int
-		cfg   int // -1 = baseline
+		p     uarch.Params
 	}
+	type job struct {
+		bench, cfg int   // cfg -1 = baseline
+		run        int   // index of the machine that stands for it
+		err        error // the job's own validation failure
+	}
+	var runs []machine
+	seen := map[machine]int{}
 	var jobs []job
 	for b := range profs {
-		jobs = append(jobs, job{b, -1})
-		for c := range cfgs {
-			jobs = append(jobs, job{b, c})
+		intOnly := !progs[b].UsesFP()
+		for c := -1; c < len(cfgs); c++ {
+			j := job{bench: b, cfg: c}
+			p := ns.apply(baseParams)
+			if c >= 0 {
+				p = ns.apply(rescParams)
+				p.Degr = toDegraded(cfgs[c])
+			}
+			if j.err = p.Validate(); j.err == nil {
+				// a configuration's shape is live, so clearing its FP
+				// knobs cannot hide a refusal New would make
+				if c >= 0 && intOnly {
+					p = p.IntOnly()
+				}
+				m := machine{b, p}
+				r, ok := seen[m]
+				if !ok {
+					r = len(runs)
+					seen[m] = r
+					runs = append(runs, m)
+				}
+				j.run = r
+			}
+			jobs = append(jobs, j)
 		}
 	}
-	results := make([]float64, len(jobs))
-	errs := make([]error, len(jobs))
+	results := make([]float64, len(runs))
+	errs := make([]error, len(runs))
 	progress := fault.ProgressFromContext(ctx)
 	var done atomic.Int64
-	cerr := parallelMapCtx(ctx, len(jobs), workers, func(i int) {
-		j := jobs[i]
-		var p uarch.Params
-		if j.cfg < 0 {
-			p = ns.apply(baseParams)
-		} else {
-			p = ns.apply(rescParams)
-			p.Degr = toDegraded(cfgs[j.cfg])
-		}
-		s, err := uarch.NewFromSource(p, progs[j.bench]().Gen())
+	cerr := parallelMapCtx(ctx, len(runs), workers, func(i int) {
+		m := runs[i]
+		s, err := uarch.NewFromSource(m.p, progs[m.bench].Gen())
 		if err == nil {
 			results[i] = s.Run(warmup, commit).IPC()
 		}
 		errs[i] = err
 		if progress != nil {
-			progress(done.Add(1), int64(len(jobs)))
+			progress(done.Add(1), int64(len(runs)))
 		}
 	})
 	if cerr != nil {
 		return nil, cerr
 	}
-	for i, j := range jobs {
-		if errs[i] != nil {
-			return nil, errs[i]
+	for _, j := range jobs {
+		if j.err == nil {
+			j.err = errs[j.run]
+		}
+		if j.err != nil {
+			return nil, j.err
 		}
 		name := profs[j.bench].Name
 		if j.cfg < 0 {
-			pm.Baseline[name] = results[i]
+			pm.Baseline[name] = results[j.run]
 		} else {
 			if pm.Rescue[name] == nil {
 				pm.Rescue[name] = map[yield.CoreConfig]float64{}
 			}
-			pm.Rescue[name][cfgs[j.cfg]] = results[i]
+			pm.Rescue[name][cfgs[j.cfg]] = results[j.run]
 		}
 	}
 	return pm, nil

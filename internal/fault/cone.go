@@ -1,6 +1,8 @@
 package fault
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"rescue/internal/netlist"
@@ -78,11 +80,8 @@ func (c *simCore) buildCones(threshold int) {
 		}
 		// Level-major order makes the stored cone a valid evaluation
 		// schedule: every gate appears after all cone gates feeding it.
-		sort.Slice(gbuf, func(i, j int) bool {
-			if c.fl.Level[gbuf[i]] != c.fl.Level[gbuf[j]] {
-				return c.fl.Level[gbuf[i]] < c.fl.Level[gbuf[j]]
-			}
-			return gbuf[i] < gbuf[j]
+		slices.SortFunc(gbuf, func(a, b netlist.GateID) int {
+			return cmp.Or(cmp.Compare(c.fl.Level[a], c.fl.Level[b]), cmp.Compare(a, b))
 		})
 		c.coneGates = append(c.coneGates, gbuf...)
 		c.coneOff[net+1] = int32(len(c.coneGates))
@@ -102,7 +101,7 @@ func (c *simCore) buildCones(threshold int) {
 				down = true
 			}
 		}
-		sort.Slice(obuf, func(i, j int) bool { return obuf[i] < obuf[j] })
+		slices.Sort(obuf)
 		c.coneDownObs[net] = down
 		c.coneObs = append(c.coneObs, obuf...)
 		c.coneObsOff[net+1] = int32(len(c.coneObs))

@@ -248,3 +248,17 @@ func (p *Params) feWidth() int {
 // intWays / fpWays return usable backend ways per type.
 func (p *Params) intWays() int { return p.Ways - 2*p.Degr.IntGroupsDisabled }
 func (p *Params) fpWays() int  { return p.Ways - 2*p.Degr.FPGroupsDisabled }
+
+// IntOnly returns p with its FP backend-group and FP issue-queue
+// degradations cleared: the machine a program with no FP-class
+// instruction sees. Such a program runs cycle for cycle the same under
+// both, because dispatch sends only FP-class ops to the FP queue, and
+// fpWays reaches only that queue's issueQueue call and the fpadd/fpmul
+// budgets, which integer ops never take. It holds for live shapes only:
+// clearing the knobs can turn a shape New refuses into one it accepts, so
+// validate p first.
+func (p Params) IntOnly() Params {
+	p.Degr.FPGroupsDisabled = 0
+	p.Degr.FPIQHalvesDown = 0
+	return p
+}

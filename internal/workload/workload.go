@@ -126,6 +126,21 @@ func (prog *Program) Gen() *Gen {
 	}
 }
 
+// UsesFP reports whether any static instruction of the program is
+// FP-class (isa.Class.IsFP). Every dynamic instruction comes from one of
+// these templates or is a branch, so a program for which it is false
+// never issues to the FP backend.
+func (prog *Program) UsesFP() bool {
+	for _, b := range prog.blocks {
+		for _, t := range b.insts {
+			if t.class.IsFP() {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // build constructs the static program.
 func (prog *Program) build(sr *rand.Rand) {
 	p := prog.p

@@ -161,6 +161,24 @@ func TestFPBenchmarkHasFPOps(t *testing.T) {
 	if fp != 0 {
 		t.Fatalf("gzip produced %d fp ops", fp)
 	}
+	// the static check agrees with a dynamic walk on every profile
+	fpFree := 0
+	for _, p := range Benchmarks() {
+		prog := Compile(p)
+		g, dyn := prog.Gen(), false
+		for i := 0; i < 50000 && !dyn; i++ {
+			dyn = g.Next().Class.IsFP()
+		}
+		if prog.UsesFP() != dyn {
+			t.Errorf("%s: UsesFP %v, FP op in a 50k walk %v", p.Name, prog.UsesFP(), dyn)
+		}
+		if !prog.UsesFP() {
+			fpFree++
+		}
+	}
+	if fpFree != 10 {
+		t.Fatalf("%d profiles without FP ops, want 10", fpFree)
+	}
 }
 
 func TestLoopBranchesMostlyTaken(t *testing.T) {

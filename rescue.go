@@ -191,8 +191,10 @@ func BaselineArea() AreaModel { return area.BaselineWithScan() }
 // RescueArea returns the Rescue core area model.
 func RescueArea() AreaModel { return area.Rescue() }
 
-// BuildPerfModelFlow simulates every (benchmark, degraded config) pair at
-// a node — the expensive input of the YAT study (workers <= 0 = all cores).
+// BuildPerfModelFlow fills every (benchmark, degraded config) IPC entry at
+// a node — the expensive input of the YAT study (workers <= 0 = all
+// cores). Each distinct machine runs once: a benchmark with no FP-class
+// instruction shares one simulation across the FP degradations.
 func BuildPerfModelFlow(ctx context.Context, node Scaling, benchNames []string, warmup, commit int64, workers int) (*PerfModel, error) {
 	return core.BuildPerfModelFlow(ctx, node, benchNames, warmup, commit, workers)
 }

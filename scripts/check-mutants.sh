@@ -6,13 +6,14 @@
 # fault-region trim, its per-worker state reuse and the in-order commit of
 # parallel searches,
 # into the netlist's compiled Flat form both read, into the cycle
-# simulator's completion heap and idle fast-forward, and into the
+# simulator's completion heap and idle fast-forward, into the performance
+# model's collapse of FP-inert degraded configurations, and into the
 # append-only checkpoint journal's torn-tail recovery, and require that
 # the differential harness or the targeted unit tests catch every one. A
 # surviving mutant means the net has a blind spot — the build fails.
 #
 # Each mutant is a sed substitution against one source file (internal/fault
-# unless marked atpg, netlist or uarch), chosen to break a distinct
+# unless marked atpg, core, netlist or uarch), chosen to break a distinct
 # mechanism:
 #    1 sim.go      off-by-one: drop the last level bucket from the full walk
 #    2 sim.go      inverted obs-epoch guard: FailObs dedup records nothing
@@ -63,6 +64,11 @@
 #                  region
 #   34 atpg podem.go schedule drops its region test: imply evaluates the
 #                  whole netlist again
+#   35 core perf.go  the perf model drops its UsesFP guard: a benchmark
+#                  with FP ops shares one simulation across FP-degraded
+#                  configurations too
+#   36 uarch params.go IntOnly also clears LSQHalvesDown, a knob that does
+#                  change results
 #
 # Catchers, in order: the differential harness (fast, runs first: sim vs
 # oracle, PODEM cubes P5, untestable verdicts P8), then the mutated
@@ -91,19 +97,24 @@
 # simulator/oracle disagreement. The cycle-simulator mutants fall to the
 # lockstep test against the per-cycle reference loop (same commit trace,
 # Stats and Occupancy), except 22, whose stale-completion case is too rare
-# in real streams and has its own unit test.
+# in real streams and has its own unit test. Mutants 35 and 36 leave every
+# simulation correct and merge machines that differ: 35 falls to the perf
+# model's bit-for-bit check against direct simulation of every job, 36 to
+# the invariance test's check that IntOnly maps each FP variant to the
+# configuration it ran against.
 #
 # Usage: scripts/check-mutants.sh [seed range, default 0:40]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 range="${1:-0:40}"
-files=(internal/fault/sim.go internal/fault/cone.go internal/fault/campaign.go internal/fault/checkpoint.go internal/atpg/podem.go internal/atpg/gen.go internal/netlist/netlist.go internal/uarch/sim.go)
+files=(internal/fault/sim.go internal/fault/cone.go internal/fault/campaign.go internal/fault/checkpoint.go internal/atpg/podem.go internal/atpg/gen.go internal/netlist/netlist.go internal/uarch/sim.go internal/uarch/params.go internal/core/perf.go)
 declare -A unit_run=(
   [internal/fault]='Cone|Epoch|Tiling|Excitation|Drop|Overflow|Determinism|TornTail'
   [internal/atpg]='Lockstep|PinnedCounts|FrontierOrder|Region'
   [internal/netlist]='LevelsAndReaders|TruthTables|Equiv'
-  [internal/uarch]='Lockstep|StaleCompletion'
+  [internal/uarch]='Lockstep|StaleCompletion|IntOnly'
+  [internal/core]='PerfModelCollapse'
 )
 
 # target file|sed substitution
@@ -114,7 +125,7 @@ mutants=(
   'internal/fault/sim.go|s/if (v^good\[out\])\&mask == 0 {/if (v^good[out])\&mask != 0 {/'
   'internal/fault/sim.go|s/stuckWord = \^uint64(0)/stuckWord = 1/'
   'internal/fault/cone.go|s/if len(gbuf) > threshold {/if len(gbuf) >= threshold {/'
-  'internal/fault/cone.go|s/return c.fl.Level\[gbuf\[i\]\] < c.fl.Level\[gbuf\[j\]\]/return c.fl.Level[gbuf[i]] > c.fl.Level[gbuf[j]]/'
+  'internal/fault/cone.go|s/cmp.Compare(c.fl.Level\[a\], c.fl.Level\[b\])/cmp.Compare(c.fl.Level[b], c.fl.Level[a])/'
   'internal/fault/cone.go|s/c.coneDownObs\[net\] = down/c.coneDownObs[net] = down \&\& false/'
   'internal/fault/sim.go|s/for j := c.fl.RdrOff\[seedNet\]; j < c.fl.RdrOff\[seedNet+1\]; j++ {/for j := c.fl.RdrOff[seedNet] + 1; j < c.fl.RdrOff[seedNet+1]; j++ {/'
   'internal/fault/sim.go|s/return c.goodT\[int(in)\*st+w\]/return c.goodT[int(in)+st*w]/'
@@ -142,6 +153,8 @@ mutants=(
   'internal/atpg/podem.go|s/p.stack = append(p.stack, d)$/_ = d/'
   'internal/atpg/podem.go|s/p.stack = append(p.stack, drv)/_ = drv/'
   'internal/atpg/podem.go|s/ \&\& p.region\[g\] == p.regionEp//'
+  'internal/core/perf.go|s/intOnly := !progs\[b\].UsesFP()/intOnly := true/'
+  'internal/uarch/params.go|s/p.Degr.FPIQHalvesDown = 0$/p.Degr.FPIQHalvesDown, p.Degr.LSQHalvesDown = 0, 0/'
 )
 
 tmp=$(mktemp -d)
