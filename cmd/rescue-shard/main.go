@@ -26,14 +26,11 @@ package main
 
 import (
 	"bufio"
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"log"
-	"net"
-	"net/http"
 	"os"
 	"os/exec"
 	"sort"
@@ -95,30 +92,11 @@ func runWorker(addr string, jobWorkers int) {
 		Workers: jobWorkers,
 		Logf:    log.New(os.Stderr, "worker: ", log.LstdFlags).Printf,
 	})
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		cli.Fatalf("listen: %v", err)
-	}
-	fmt.Printf("listening on %s\n", ln.Addr())
-
-	hs := &http.Server{Handler: srv.Handler()}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-
 	ctx, stop := cli.SignalContext()
 	defer stop()
-	select {
-	case <-ctx.Done():
-	case err := <-errc:
-		cli.Fatalf("serve: %v", err)
+	if err := srv.Serve(ctx, addr, 2*time.Minute); err != nil {
+		cli.Fatalf("%v", err)
 	}
-	dctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	if err := srv.Drain(dctx); err != nil {
-		hs.Close()
-		cli.Fatalf("drain: %v", err)
-	}
-	hs.Shutdown(dctx)
 }
 
 type coordConfig struct {

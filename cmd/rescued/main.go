@@ -29,12 +29,9 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
-	"net"
-	"net/http"
 	"os"
 	"strconv"
 	"strings"
@@ -128,34 +125,13 @@ func main() {
 		EventLogCap:          *eventLogCap,
 	})
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		cli.Fatalf("listen: %v", err)
-	}
-	// The resolved address on stdout is the contract scripts use with
-	// -addr 127.0.0.1:0 to avoid port races.
-	fmt.Printf("listening on %s\n", ln.Addr())
-
-	hs := &http.Server{Handler: srv.Handler()}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-
+	// Drain on SIGINT/SIGTERM: stop accepting, cancel running jobs (their
+	// campaigns flush checkpoint journals), then close the listener and
+	// exit 0. The resolved address on stdout is the contract scripts use
+	// with -addr 127.0.0.1:0 to avoid port races.
 	ctx, stop := cli.SignalContext()
 	defer stop()
-	select {
-	case <-ctx.Done():
-	case err := <-errc:
-		cli.Fatalf("serve: %v", err)
+	if err := srv.Serve(ctx, *addr, *drainTimeout); err != nil {
+		cli.Fatalf("%v", err)
 	}
-
-	// Graceful drain: stop accepting, cancel running jobs (their campaigns
-	// flush checkpoint journals), then close the listener and exit 0.
-	dctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	if err := srv.Drain(dctx); err != nil {
-		hs.Close()
-		cli.Fatalf("drain: %v", err)
-	}
-	hs.Shutdown(dctx)
-	fmt.Println("drained; exiting")
 }

@@ -21,16 +21,11 @@
 package dispatch
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
-	"net/http"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -93,8 +88,12 @@ type ChaosConfig struct {
 	Kill func(worker int) error
 }
 
-// requestTimeout bounds one submit or result-fetch round trip.
-const requestTimeout = 10 * time.Second
+// requestTimeout bounds one submit or result-fetch round trip;
+// cancelTimeout bounds the best-effort cancel of an abandoned job.
+const (
+	requestTimeout = 10 * time.Second
+	cancelTimeout  = 2 * time.Second
+)
 
 func (c *Config) setDefaults() error {
 	if len(c.Workers) == 0 {
@@ -143,7 +142,7 @@ type Stats struct {
 // worker is one pool member. down is advisory: the health loop and
 // per-dispatch failures flip it, /healthz success revives it.
 type worker struct {
-	url  string
+	c    serve.Client
 	down atomic.Bool
 }
 
@@ -151,7 +150,6 @@ type worker struct {
 // to campaigns via Plan, and Close when the flow is done.
 type Pool struct {
 	cfg     Config
-	client  *http.Client
 	workers []*worker
 
 	rngMu sync.Mutex
@@ -175,13 +173,12 @@ func NewPool(cfg Config) (*Pool, error) {
 		return nil, err
 	}
 	p := &Pool{
-		cfg:    cfg,
-		client: &http.Client{},
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		stop:   make(chan struct{}),
+		cfg:  cfg,
+		rng:  rand.New(rand.NewSource(cfg.Seed)),
+		stop: make(chan struct{}),
 	}
 	for _, u := range cfg.Workers {
-		p.workers = append(p.workers, &worker{url: strings.TrimSuffix(u, "/")})
+		p.workers = append(p.workers, &worker{c: serve.Client{Base: u}})
 	}
 	p.wg.Add(1)
 	go p.healthLoop()
@@ -288,19 +285,23 @@ func (p *Pool) ExecJob(ctx context.Context, spec serve.Spec, check func([]byte) 
 			return out, nil
 		}
 		lastErr = err
-		var busy errBusy
-		if !errors.As(err, &busy) {
+		// A 429 means the worker is healthy but saturated: wait out its
+		// Retry-After without marking it down.
+		var busy *serve.BusyError
+		floor := time.Duration(0)
+		if errors.As(err, &busy) {
+			floor = busy.RetryAfter
+		} else {
 			w.down.Store(true)
-			p.logf("worker %s suspected down after %s: %v", w.url, what, err)
+			p.logf("worker %s suspected down after %s: %v", w.c.Base, what, err)
 		}
 		if attempt >= p.cfg.RetryBudget {
 			return nil, fmt.Errorf("dispatch: %s exhausted its retry budget (%d attempts): %w",
 				what, attempt+1, err)
 		}
 		p.retries.Add(1)
-		wait := p.backoff(attempt, busy.retryAfter)
 		select {
-		case <-time.After(wait):
+		case <-time.After(p.backoff(attempt, floor)):
 		case <-ctx.Done():
 			return nil, context.Cause(ctx)
 		}
@@ -310,7 +311,9 @@ func (p *Pool) ExecJob(ctx context.Context, spec serve.Spec, check func([]byte) 
 // attempt drives one job attempt on one worker: submit, watch the event
 // stream under the heartbeat watchdog, fetch the result, check it.
 func (p *Pool) attempt(ctx context.Context, w *worker, body []byte, kind string, check func([]byte) error) ([]byte, error) {
-	id, err := p.submit(ctx, w, body)
+	sctx, cancel := context.WithTimeout(ctx, requestTimeout)
+	id, err := w.c.Submit(sctx, body, p.cfg.Tenant, "")
+	cancel()
 	if err != nil {
 		return nil, err
 	}
@@ -319,33 +322,24 @@ func (p *Pool) attempt(ctx context.Context, w *worker, body []byte, kind string,
 		// The worker may still be computing (hung, or just slower than the
 		// heartbeat): cancel the job best-effort so a late completion burns
 		// no further cycles, and never fetch its result — the reassigned
-		// twin's result is the only one read.
-		p.cancelJob(w, id)
+		// twin's result is the only one read. A 409 means it finished in
+		// the race window; its result stays unread either way.
+		cctx, cancel := context.WithTimeout(context.Background(), cancelTimeout)
+		w.c.Cancel(cctx, id)
+		cancel()
 		return nil, err
 	}
-	if state != "succeeded" {
-		return nil, fmt.Errorf("worker %s: %s job %s ended %s", w.url, kind, id, state)
+	if state != serve.StateSucceeded {
+		return nil, fmt.Errorf("worker %s: %s job %s ended %s", w.c.Base, kind, id, state)
 	}
 	rctx, cancel := context.WithTimeout(ctx, requestTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodGet, w.url+"/jobs/"+id+"/result", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := p.client.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("result from %s: %w", w.url, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("result from %s: HTTP %d", w.url, resp.StatusCode)
-	}
-	out, err := io.ReadAll(resp.Body)
+	out, err := w.c.Result(rctx, id)
 	if err == nil && check != nil {
 		err = check(out)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("result from %s: %w", w.url, err)
+		return nil, fmt.Errorf("result from %s: %w", w.c.Base, err)
 	}
 	return out, nil
 }
@@ -367,154 +361,37 @@ func (p *Pool) pick() *worker {
 // backoff is exponential from the base, capped, plus seeded jitter in
 // [0, wait/2] so synchronized retries spread out. A server-provided
 // Retry-After raises the floor.
-func (p *Pool) backoff(attempt int, retryAfter time.Duration) time.Duration {
+func (p *Pool) backoff(attempt int, floor time.Duration) time.Duration {
 	wait := p.cfg.BackoffBase << attempt
 	if wait > p.cfg.BackoffCap || wait <= 0 {
 		wait = p.cfg.BackoffCap
 	}
-	if retryAfter > wait {
-		wait = retryAfter
-	}
+	wait = max(wait, floor)
 	p.rngMu.Lock()
 	jitter := time.Duration(p.rng.Int63n(int64(wait)/2 + 1))
 	p.rngMu.Unlock()
 	return wait + jitter
 }
 
-// errBusy marks a 429: the worker is healthy but saturated, so the retry
-// neither marks it down nor skips it — it just waits.
-type errBusy struct {
-	retryAfter time.Duration
-}
-
-func (e errBusy) Error() string {
-	return fmt.Sprintf("worker queue full (retry after %s)", e.retryAfter)
-}
-
-func (p *Pool) submit(ctx context.Context, w *worker, body []byte) (string, error) {
-	sctx, cancel := context.WithTimeout(ctx, requestTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(sctx, http.MethodPost, w.url+"/jobs", strings.NewReader(string(body)))
-	if err != nil {
-		return "", err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if p.cfg.Tenant != "" {
-		req.Header.Set("X-Rescue-Client", p.cfg.Tenant)
-	}
-	resp, err := p.client.Do(req)
-	if err != nil {
-		return "", fmt.Errorf("submit to %s: %w", w.url, err)
-	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusAccepted:
-		var sn struct {
-			ID string `json:"id"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&sn); err != nil || sn.ID == "" {
-			return "", fmt.Errorf("submit to %s: bad response: %v", w.url, err)
-		}
-		return sn.ID, nil
-	case http.StatusTooManyRequests:
-		after := time.Duration(0)
-		if secs, err := strconv.Atoi(strings.TrimSpace(resp.Header.Get("Retry-After"))); err == nil && secs > 0 {
-			after = time.Duration(secs) * time.Second
-		}
-		io.Copy(io.Discard, resp.Body)
-		return "", errBusy{retryAfter: after}
-	default:
-		b, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return "", fmt.Errorf("submit to %s: HTTP %d: %s", w.url, resp.StatusCode, strings.TrimSpace(string(b)))
-	}
-}
-
-// watch follows the job's NDJSON event stream until its done event and
-// returns the terminal state. Every streamed line is a heartbeat; silence
-// beyond the configured window cancels the stream and fails the attempt —
-// the hung-worker detector.
-func (p *Pool) watch(ctx context.Context, w *worker, id string) (string, error) {
+// watch follows the job's event stream until it ends and returns the done
+// event's state. Every streamed line, keepalives included, is a
+// heartbeat that resets the watchdog; silence beyond the configured
+// window cancels the stream and fails the attempt — the hung-worker
+// detector.
+func (p *Pool) watch(ctx context.Context, w *worker, id string) (serve.State, error) {
 	wctx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
-	req, err := http.NewRequestWithContext(wctx, http.MethodGet, w.url+"/jobs/"+id+"/events", nil)
+	hung := fmt.Errorf("worker %s: no event in %s on job %s (hung?)", w.c.Base, p.cfg.Heartbeat, id)
+	watchdog := time.AfterFunc(p.cfg.Heartbeat, func() { cancel(hung) })
+	defer watchdog.Stop()
+	state, err := w.c.Follow(wctx, id, func(serve.Event) { watchdog.Reset(p.cfg.Heartbeat) })
 	if err != nil {
-		return "", err
-	}
-	resp, err := p.client.Do(req)
-	if err != nil {
-		return "", fmt.Errorf("events from %s: %w", w.url, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("events from %s: HTTP %d", w.url, resp.StatusCode)
-	}
-
-	errHeartbeat := fmt.Errorf("worker %s: no event in %s on job %s (hung?)", w.url, p.cfg.Heartbeat, id)
-	beat := make(chan struct{}, 1)
-	watchdogDone := make(chan struct{})
-	defer close(watchdogDone)
-	go func() {
-		t := time.NewTimer(p.cfg.Heartbeat)
-		defer t.Stop()
-		for {
-			select {
-			case <-watchdogDone:
-				return
-			case <-beat:
-				if !t.Stop() {
-					<-t.C
-				}
-				t.Reset(p.cfg.Heartbeat)
-			case <-t.C:
-				cancel(errHeartbeat)
-				return
-			}
-		}
-	}()
-
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	state := ""
-	for sc.Scan() {
-		select {
-		case beat <- struct{}{}:
-		default:
-		}
-		var ev struct {
-			Type  string `json:"type"`
-			State string `json:"state"`
-		}
-		if json.Unmarshal(sc.Bytes(), &ev) == nil && ev.Type == "done" {
-			state = ev.State
-		}
-	}
-	if err := sc.Err(); err != nil {
 		if cause := context.Cause(wctx); cause != nil && cause != context.Canceled {
 			return "", cause
 		}
-		return "", fmt.Errorf("events from %s: %w", w.url, err)
-	}
-	if state == "" {
-		return "", fmt.Errorf("worker %s: event stream for %s ended without a done event", w.url, id)
+		return "", fmt.Errorf("events from %s: %w", w.c.Base, err)
 	}
 	return state, nil
-}
-
-// cancelJob best-effort DELETEs an abandoned job so a hung-but-alive
-// worker stops burning cores on a shard nobody will read. A 409 means the
-// job finished in the race window — fine either way; its result stays
-// unread.
-func (p *Pool) cancelJob(w *worker, id string) {
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, w.url+"/jobs/"+id, nil)
-	if err != nil {
-		return
-	}
-	if resp, err := p.client.Do(req); err == nil {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}
 }
 
 // healthLoop polls every worker's /healthz: a 200 revives a suspected
@@ -529,31 +406,17 @@ func (p *Pool) healthLoop() {
 			return
 		case <-t.C:
 			for _, w := range p.workers {
-				up := p.healthy(w)
+				hctx, cancel := context.WithTimeout(context.Background(), p.cfg.HealthEvery)
+				up := w.c.Healthy(hctx)
+				cancel()
 				was := w.down.Load()
 				w.down.Store(!up)
 				if was && up {
-					p.logf("worker %s back up", w.url)
+					p.logf("worker %s back up", w.c.Base)
 				}
 			}
 		}
 	}
-}
-
-func (p *Pool) healthy(w *worker) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), p.cfg.HealthEvery)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.url+"/healthz", nil)
-	if err != nil {
-		return false
-	}
-	resp, err := p.client.Do(req)
-	if err != nil {
-		return false
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return resp.StatusCode == http.StatusOK
 }
 
 // maybeChaos fires the chaos injector once the completed-shard count
@@ -581,7 +444,7 @@ func (p *Pool) maybeChaos(completed int64) {
 		victims := p.rng.Perm(n)[:k]
 		p.rngMu.Unlock()
 		for _, v := range victims {
-			p.logf("chaos: killing worker %d (%s)", v, p.workers[v].url)
+			p.logf("chaos: killing worker %d (%s)", v, p.workers[v].c.Base)
 			if err := c.Kill(v); err != nil {
 				p.logf("chaos: kill worker %d: %v", v, err)
 				continue

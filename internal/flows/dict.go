@@ -13,10 +13,11 @@ import (
 )
 
 // DictOpts parameterizes the fault-dictionary build — the
-// `rescue-dict build` command surface.
+// `rescue-dict build` command surface. Its JSON form is the params of a
+// rescued dict job.
 type DictOpts struct {
-	Small   bool
-	Workers int
+	Small   bool `json:"small"`
+	Workers int  `json:"workers"`
 }
 
 // DictResult carries the dictionary, the campaign stats (partial on

@@ -18,21 +18,24 @@ import (
 // FabOpts parameterizes the Monte Carlo die-lifecycle fleet — the
 // rescue-fab command surface. NodeNM must be one of area.Nodes()
 // (validated by ValidNode); zero values take the command's defaults.
+// Its JSON form is the params of a rescued fab job; GrowthSet and
+// BenchSet are not params, so a job's zero growth or empty bench takes
+// the default.
 type FabOpts struct {
-	Dies          int // 0 = 10000
-	NodeNM        int // 0 = 18
-	StagnateNM    int // 0 = 90
-	Growth        float64
-	GrowthSet     bool  // distinguishes an explicit 0 growth from the default 0.30
-	Seed          int64 // 0 = 2026
-	Workers       int
-	Small         bool
-	Bench         string // comma-separated; "" = all 23 — note rescue-fab defaults to "gzip"
-	BenchSet      bool
-	Warmup        int64 // 0 = 2000
-	Commit        int64 // 0 = 10000
-	SelfHealShare float64
-	Timing        bool
+	Dies          int     `json:"dies"`     // 0 = 10000
+	NodeNM        int     `json:"node"`     // 0 = 18
+	StagnateNM    int     `json:"stagnate"` // 0 = 90
+	Growth        float64 `json:"growth"`
+	GrowthSet     bool    `json:"-"`    // distinguishes an explicit 0 growth from the default 0.30
+	Seed          int64   `json:"seed"` // 0 = 2026
+	Workers       int     `json:"workers"`
+	Small         bool    `json:"small"`
+	Bench         string  `json:"bench"` // comma-separated; "" = all 23 — note rescue-fab defaults to "gzip"
+	BenchSet      bool    `json:"-"`
+	Warmup        int64   `json:"warmup"` // 0 = 2000
+	Commit        int64   `json:"commit"` // 0 = 10000
+	SelfHealShare float64 `json:"selfhealShare"`
+	Timing        bool    `json:"timing"`
 }
 
 func (o *FabOpts) setDefaults() {

@@ -13,14 +13,15 @@ import (
 )
 
 // IsolationOpts parameterizes the Section 6.1 isolation campaign — the
-// rescue-isolate command surface.
+// rescue-isolate command surface. Its JSON form is the params of a
+// rescued isolation job.
 type IsolationOpts struct {
-	Small    bool
-	PerStage int   // 0 means the paper's 1000
-	Seed     int64 // 0 means the default seed 2005
-	Multi    bool
-	Workers  int
-	Timing   bool
+	Small    bool  `json:"small"`
+	PerStage int   `json:"perStage"` // 0 means the paper's 1000
+	Seed     int64 `json:"seed"`     // 0 means the default seed 2005
+	Multi    bool  `json:"multi"`
+	Workers  int   `json:"workers"`
+	Timing   bool  `json:"timing"`
 }
 
 func (o *IsolationOpts) setDefaults() {

@@ -13,13 +13,14 @@ import (
 )
 
 // Table3Opts parameterizes the Table 3 (scan-chain data) flow — the
-// rescue-atpg command surface.
+// rescue-atpg command surface. Its JSON form is the params of a rescued
+// table3 job.
 type Table3Opts struct {
-	Small      bool
-	Seed       int64 // 0 means the default seed 1
-	Backtracks int   // 0 means the default 500
-	Workers    int
-	Timing     bool
+	Small      bool  `json:"small"`
+	Seed       int64 `json:"seed"`       // 0 means the default seed 1
+	Backtracks int   `json:"backtracks"` // 0 means the default 500
+	Workers    int   `json:"workers"`
+	Timing     bool  `json:"timing"`
 }
 
 func (o *Table3Opts) setDefaults() {

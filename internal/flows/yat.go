@@ -13,14 +13,15 @@ import (
 )
 
 // YATOpts parameterizes the Figure 9 yield-adjusted-throughput study — the
-// rescue-yat command surface.
+// rescue-yat command surface. Its JSON form is the params of a rescued
+// yat job.
 type YATOpts struct {
-	StagnateNM int    // 0 = 90
-	Bench      string // comma-separated; "" = all 23
-	Warmup     int64  // 0 = 20000
-	Commit     int64  // 0 = 150000
-	Workers    int
-	Timing     bool // print per-node model build durations
+	StagnateNM int    `json:"stagnate"` // 0 = 90
+	Bench      string `json:"bench"`    // comma-separated; "" = all 23
+	Warmup     int64  `json:"warmup"`   // 0 = 20000
+	Commit     int64  `json:"commit"`   // 0 = 150000
+	Workers    int    `json:"workers"`
+	Timing     bool   `json:"timing"` // print per-node model build durations
 }
 
 func (o *YATOpts) setDefaults() {

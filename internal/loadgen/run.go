@@ -1,18 +1,15 @@
 package loadgen
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"math/rand"
-	"net/http"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
+
+	"rescue/internal/serve"
 )
 
 // Options parameterize a firing run.
@@ -50,7 +47,6 @@ func (o *Options) setDefaults() error {
 	if o.BaseURL == "" {
 		return fmt.Errorf("loadgen: need a base URL")
 	}
-	o.BaseURL = strings.TrimSuffix(o.BaseURL, "/")
 	if o.MaxRetries == 0 {
 		o.MaxRetries = 8
 	}
@@ -126,7 +122,7 @@ func Run(ctx context.Context, sch *Schedule, opts Options) (*RunStats, error) {
 	if err := opts.setDefaults(); err != nil {
 		return nil, err
 	}
-	client := &http.Client{}
+	client := &serve.Client{Base: opts.BaseURL}
 	st := &RunStats{Results: make([]RequestResult, len(sch.Requests))}
 
 	if opts.Prewarm {
@@ -142,7 +138,7 @@ func Run(ctx context.Context, sch *Schedule, opts Options) (*RunStats, error) {
 		logf(opts, "prewarmed %d canonical specs in %.0fms", len(sch.Canonical), st.PrewarmMS)
 	}
 
-	hits0, misses0, err := scrapeCache(ctx, client, opts.BaseURL)
+	hits0, misses0, err := cacheCounts(ctx, client)
 	if err != nil {
 		return nil, fmt.Errorf("loadgen: baseline /metrics scrape: %w", err)
 	}
@@ -160,16 +156,16 @@ func Run(ctx context.Context, sch *Schedule, opts Options) (*RunStats, error) {
 			case <-samplerCtx.Done():
 				return
 			case <-tick.C:
-				g, err := scrapeGauges(samplerCtx, client, opts.BaseURL)
+				m, err := client.Metrics(samplerCtx)
 				if err != nil {
 					continue
 				}
-				if g.queueDepth > st.QueueDepthMax {
-					st.QueueDepthMax = g.queueDepth
-				}
-				st.QueueDepthMean += float64(g.queueDepth)
-				st.SlotsBusyMean += float64(g.running)
-				st.Slots = g.slots
+				// The report keeps integer gauges: truncate.
+				depth := int64(m["queue_depth"])
+				st.QueueDepthMax = max(st.QueueDepthMax, depth)
+				st.QueueDepthMean += float64(depth)
+				st.SlotsBusyMean += float64(int64(m["jobs_running"]))
+				st.Slots = int64(m["scheduler_slots"])
 				st.Samples++
 			}
 		}
@@ -208,7 +204,7 @@ func Run(ctx context.Context, sch *Schedule, opts Options) (*RunStats, error) {
 		st.SlotsBusyMean /= float64(st.Samples)
 	}
 
-	hits1, misses1, err := scrapeCache(ctx, client, opts.BaseURL)
+	hits1, misses1, err := cacheCounts(ctx, client)
 	if err != nil {
 		return nil, fmt.Errorf("loadgen: final /metrics scrape: %w", err)
 	}
@@ -245,50 +241,22 @@ func (s *Schedule) jitterSeed(req Request) int64 {
 // fire drives one request's lifecycle: submit (with 429 backoff honoring
 // Retry-After plus seeded jitter), then stream events until the job goes
 // terminal.
-func fire(ctx context.Context, client *http.Client, opts Options, req Request, jitterSeed int64) RequestResult {
+func fire(ctx context.Context, client *serve.Client, opts Options, req Request, jitterSeed int64) RequestResult {
 	rr := RequestResult{Seq: req.Seq, Client: req.Client, Kind: req.Kind, Warm: req.Warm, Tenant: req.Tenant}
 	ctx, cancel := context.WithTimeout(ctx, opts.RequestTimeout)
 	defer cancel()
 	t0 := time.Now()
 
 	var jrng *rand.Rand // lazily seeded; most requests never hit a 429
-	id := ""
+	var id string
 	for attempt := 0; ; attempt++ {
-		hreq, err := http.NewRequestWithContext(ctx, http.MethodPost,
-			opts.BaseURL+"/jobs", strings.NewReader(string(req.Body)))
-		if err != nil {
-			return rr.fail("error", err)
-		}
-		hreq.Header.Set("Content-Type", "application/json")
-		// Tenant identity rides as headers, never in the body — the job's
-		// artifact/checkpoint identity stays tenant-independent.
-		if req.Tenant != "" {
-			hreq.Header.Set("X-Rescue-Client", req.Tenant)
-		}
-		if req.Class != "" {
-			hreq.Header.Set("X-Rescue-Class", req.Class)
-		}
-		resp, err := client.Do(hreq)
-		if err != nil {
-			return rr.fail("error", err)
-		}
-		if resp.StatusCode == http.StatusAccepted {
-			var sn struct {
-				ID string `json:"id"`
-			}
-			err := json.NewDecoder(resp.Body).Decode(&sn)
-			resp.Body.Close()
-			if err != nil || sn.ID == "" {
-				return rr.fail("error", fmt.Errorf("bad submit response: %v", err))
-			}
-			id = sn.ID
+		var err error
+		if id, err = client.Submit(ctx, req.Body, req.Tenant, req.Class); err == nil {
 			break
 		}
-		io.Copy(io.Discard, resp.Body)
-		retryAfter := resp.Header.Get("Retry-After")
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusTooManyRequests {
-			return rr.fail("error", fmt.Errorf("submit: HTTP %d", resp.StatusCode))
+		var busy *serve.BusyError
+		if !errors.As(err, &busy) {
+			return rr.fail("error", err)
 		}
 		if attempt >= opts.MaxRetries {
 			rr.SubmitMS = sinceMS(t0)
@@ -301,7 +269,7 @@ func fire(ctx context.Context, client *http.Client, opts Options, req Request, j
 		if jrng == nil {
 			jrng = rand.New(rand.NewSource(jitterSeed))
 		}
-		wait := backoff(retryAfter, opts.RetryCap)
+		wait := backoff(busy.RetryAfter, opts.RetryCap)
 		// Seeded jitter in [0, wait/2]: a thundering herd that got the same
 		// Retry-After estimate spreads out instead of resubmitting in
 		// lockstep, and the spread replays identically run to run.
@@ -314,52 +282,43 @@ func fire(ctx context.Context, client *http.Client, opts Options, req Request, j
 	}
 	rr.SubmitMS = sinceMS(t0)
 
-	var state string
-	var dropped int
+	countDrops := func(ev serve.Event) {
+		if ev.Type == "dropped" {
+			rr.Dropped += ev.Count
+		}
+	}
+	var state serve.State
 	var err error
 	if req.Seq > 0 && req.Seq <= opts.SlowReaders {
-		state, dropped, err = lateReplay(ctx, client, opts.BaseURL, id, opts.SlowReadDelay)
+		state, err = lateReplay(ctx, client, id, opts.SlowReadDelay, countDrops)
 	} else {
-		state, dropped, err = streamUntilDone(ctx, client, opts.BaseURL, id)
+		state, err = client.Follow(ctx, id, countDrops)
 	}
 	rr.TotalMS = sinceMS(t0)
-	rr.Dropped = dropped
 	if err != nil {
 		return rr.fail("error", err)
 	}
-	rr.State = state
+	rr.State = string(state)
 	return rr
 }
 
 // lateReplay is the slow-consumer path: poll the snapshot until the job
-// is terminal, then read the retained event log in one pass, counting
-// what the server's bounded buffer evicted in the meantime.
-func lateReplay(ctx context.Context, client *http.Client, base, id string, every time.Duration) (string, int, error) {
+// is terminal, then read the retained event log in one pass, so fn sees
+// what the server's bounded buffer evicted in the meantime as a dropped
+// marker.
+func lateReplay(ctx context.Context, client *serve.Client, id string, every time.Duration, fn func(serve.Event)) (serve.State, error) {
 	for {
-		hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/jobs/"+id, nil)
+		sn, err := client.Snapshot(ctx, id)
 		if err != nil {
-			return "", 0, err
+			return "", err
 		}
-		resp, err := client.Do(hreq)
-		if err != nil {
-			return "", 0, err
-		}
-		var sn struct {
-			State string `json:"state"`
-		}
-		err = json.NewDecoder(resp.Body).Decode(&sn)
-		resp.Body.Close()
-		if err != nil {
-			return "", 0, err
-		}
-		switch sn.State {
-		case "succeeded", "failed", "interrupted", "canceled":
-			return streamUntilDone(ctx, client, base, id)
+		if sn.State.Done() {
+			return client.Follow(ctx, id, fn)
 		}
 		select {
 		case <-time.After(every):
 		case <-ctx.Done():
-			return "", 0, ctx.Err()
+			return "", ctx.Err()
 		}
 	}
 }
@@ -374,126 +333,17 @@ func sinceMS(t time.Time) float64 {
 	return float64(time.Since(t)) / float64(time.Millisecond)
 }
 
-// backoff converts a Retry-After header into a wait: the server's
-// estimate clamped to [100ms, cap]; an absent or malformed header falls
-// back to the cap's floor.
-func backoff(retryAfter string, cap time.Duration) time.Duration {
-	wait := 100 * time.Millisecond
-	if secs, err := strconv.Atoi(strings.TrimSpace(retryAfter)); err == nil && secs > 0 {
-		wait = time.Duration(secs) * time.Second
-	}
-	if wait > cap {
-		wait = cap
-	}
-	if wait < 100*time.Millisecond {
-		wait = 100 * time.Millisecond
-	}
-	return wait
+// backoff turns a 429's Retry-After hint into a wait: the server's
+// estimate clamped to [100ms, cap]. An absent or malformed header (a 0
+// hint) waits the 100ms floor.
+func backoff(retryAfter, cap time.Duration) time.Duration {
+	return max(min(retryAfter, cap), 100*time.Millisecond)
 }
 
-// streamUntilDone follows the job's NDJSON event stream and returns the
-// terminal state from its done event plus the total events the server's
-// bounded buffers dropped from this consumer's view. The stream ends
-// when the job does, so reading to EOF is the completion wait.
-func streamUntilDone(ctx context.Context, client *http.Client, base, id string) (string, int, error) {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/jobs/"+id+"/events", nil)
-	if err != nil {
-		return "", 0, err
-	}
-	resp, err := client.Do(hreq)
-	if err != nil {
-		return "", 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return "", 0, fmt.Errorf("events: HTTP %d", resp.StatusCode)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	state := ""
-	dropped := 0
-	for sc.Scan() {
-		var ev struct {
-			Type  string `json:"type"`
-			State string `json:"state"`
-			Count int    `json:"count"`
-		}
-		if json.Unmarshal(sc.Bytes(), &ev) == nil {
-			switch ev.Type {
-			case "done":
-				state = ev.State
-			case "dropped":
-				dropped += ev.Count
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return "", dropped, err
-	}
-	if state == "" {
-		return "", dropped, fmt.Errorf("event stream for %s ended without a done event", id)
-	}
-	return state, dropped, nil
-}
-
-type gauges struct {
-	queueDepth, running, slots int64
-}
-
-func scrapeGauges(ctx context.Context, client *http.Client, base string) (gauges, error) {
-	m, err := scrape(ctx, client, base)
-	if err != nil {
-		return gauges{}, err
-	}
-	return gauges{
-		queueDepth: m["queue_depth"],
-		running:    m["jobs_running"],
-		slots:      m["scheduler_slots"],
-	}, nil
-}
-
-func scrapeCache(ctx context.Context, client *http.Client, base string) (hits, misses int64, err error) {
-	m, err := scrape(ctx, client, base)
-	if err != nil {
-		return 0, 0, err
-	}
-	return m["artifact_cache_hits_total"], m["artifact_cache_misses_total"], nil
-}
-
-// scrape pulls /metrics and parses the integer-valued lines.
-func scrape(ctx context.Context, client *http.Client, base string) (map[string]int64, error) {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/metrics", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := client.Do(hreq)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("/metrics: HTTP %d", resp.StatusCode)
-	}
-	out := map[string]int64{}
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		if strings.HasPrefix(line, "#") {
-			continue
-		}
-		name, val, ok := strings.Cut(line, " ")
-		if !ok {
-			continue
-		}
-		// Integer gauges parse directly; float-valued funcs parse via
-		// ParseFloat so "0.25"-style lines still land (truncated).
-		if n, err := strconv.ParseInt(val, 10, 64); err == nil {
-			out[name] = n
-		} else if f, err := strconv.ParseFloat(val, 64); err == nil {
-			out[name] = int64(f)
-		}
-	}
-	return out, sc.Err()
+// cacheCounts reads the artifact-cache hit and miss counters.
+func cacheCounts(ctx context.Context, client *serve.Client) (hits, misses int64, err error) {
+	m, err := client.Metrics(ctx)
+	return int64(m["artifact_cache_hits_total"]), int64(m["artifact_cache_misses_total"]), err
 }
 
 func logf(opts Options, format string, args ...any) {

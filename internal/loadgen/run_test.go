@@ -3,10 +3,13 @@ package loadgen_test
 import (
 	"context"
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"rescue/internal/fault"
 	"rescue/internal/loadgen"
 	"rescue/internal/serve"
 )
@@ -190,5 +193,98 @@ func TestRunRejected(t *testing.T) {
 	}
 	if v := r.CheckSLOs(0, 0); len(v) == 0 {
 		t.Fatal("zero-error-rate floor not violated despite rejections")
+	}
+}
+
+// TestRunSlowReaders: a slow reader replays a chatty job's event stream
+// only after the job finishes, by which time the daemon's 16-event log
+// has evicted most of it; the replay must still end succeeded and count
+// the evicted events through the dropped marker.
+func TestRunSlowReaders(t *testing.T) {
+	kinds := serve.Kinds()
+	kinds["chatty"] = func(ctx context.Context, rc serve.RunContext, _ json.RawMessage) ([]byte, error) {
+		progress := fault.ProgressFromContext(ctx)
+		for i := int64(1); i <= 100; i++ {
+			progress(i, 100)
+		}
+		return []byte("chatty done\n"), nil
+	}
+	srv := serve.New(serve.Config{Slots: 2, EventLogCap: 16, Kinds: kinds})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	cfg := loadgen.Config{
+		Seed:     4,
+		Clients:  2,
+		Duration: 300 * time.Millisecond,
+		RPS:      20,
+		HitRatio: 1,
+		Profiles: []loadgen.Profile{{Kind: "chatty", Weight: 1}},
+	}
+	sch, err := loadgen.Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slow := 2
+	stats, err := loadgen.Run(context.Background(), sch, loadgen.Options{
+		BaseURL:       ts.URL,
+		SlowReaders:   slow,
+		SlowReadDelay: 5 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rr := range stats.Results {
+		if !rr.OK() {
+			t.Fatalf("request %d ended %s: %s", rr.Seq, rr.State, rr.Err)
+		}
+		if rr.Seq <= slow && rr.Dropped == 0 {
+			t.Fatalf("slow reader %d counted no dropped events", rr.Seq)
+		}
+	}
+	if stats.DropMarkers < slow || stats.DroppedEvents < slow*(103-16) {
+		t.Fatalf("run counted %d drop markers / %d dropped events, want >= %d / %d",
+			stats.DropMarkers, stats.DroppedEvents, slow, slow*(103-16))
+	}
+}
+
+// TestRunRetryAfterFloor: a 429 without a usable Retry-After hint still
+// backs off for loadgen's 100ms floor before resubmitting.
+func TestRunRetryAfterFloor(t *testing.T) {
+	for _, header := range []string{"", "soon"} {
+		var submits atomic.Int32
+		mux := http.NewServeMux()
+		mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, r *http.Request) {
+			if submits.Add(1) == 1 {
+				if header != "" {
+					w.Header().Set("Retry-After", header)
+				}
+				http.Error(w, `{"error":"queue full"}`, http.StatusTooManyRequests)
+				return
+			}
+			w.WriteHeader(http.StatusAccepted)
+			json.NewEncoder(w).Encode(serve.Snapshot{ID: "j-1"})
+		})
+		mux.HandleFunc("GET /jobs/j-1/events", func(w http.ResponseWriter, r *http.Request) {
+			json.NewEncoder(w).Encode(serve.Event{Type: "done", State: serve.StateSucceeded})
+		})
+		mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {})
+		ts := httptest.NewServer(mux)
+
+		sch := &loadgen.Schedule{Requests: []loadgen.Request{
+			{Seq: 1, Kind: "echo", Body: json.RawMessage(`{"kind":"echo"}`)},
+		}}
+		stats, err := loadgen.Run(context.Background(), sch, loadgen.Options{BaseURL: ts.URL})
+		ts.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rr := stats.Results[0]
+		if !rr.OK() || rr.Retries != 1 {
+			t.Fatalf("Retry-After %q: request ended %s after %d retries (%s)", header, rr.State, rr.Retries, rr.Err)
+		}
+		if rr.SubmitMS < 100 {
+			t.Fatalf("Retry-After %q: resubmitted after %.1fms, want the 100ms floor", header, rr.SubmitMS)
+		}
 	}
 }

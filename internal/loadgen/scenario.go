@@ -44,10 +44,12 @@ type NoisyNeighborConfig struct {
 	// VictimProfiles is the victim's kind mix. Default: warm small table3
 	// only — pure artifact-cache serving.
 	VictimProfiles []Profile
-	// AggressorProfiles is the aggressor's kind mix. Default: cold small
-	// isolation campaigns heavy enough (~0.5s) that the aggressor's
-	// arrival rate outruns its drain rate — the backlog is what exposes
-	// the difference between fair scheduling and FIFO.
+	// AggressorProfiles is the aggressor's kind mix. Default: cold
+	// full-size isolation campaigns at the paper's 1000 faults per stage
+	// on one campaign worker (~0.2s each on a 2-vCPU Xeon), so a job's
+	// cost does not shrink on a host with more cores and the aggressor's
+	// arrival rate outruns its drain rate through two slots — the backlog
+	// is what exposes the difference between fair scheduling and FIFO.
 	AggressorProfiles []Profile
 }
 
@@ -87,7 +89,7 @@ func (c *NoisyNeighborConfig) setDefaults() {
 	if len(c.AggressorProfiles) == 0 {
 		c.AggressorProfiles = []Profile{
 			{Kind: "isolation", Weight: 1, SeedKey: "seed",
-				Params: map[string]any{"small": true, "perStage": 300}},
+				Params: map[string]any{"workers": 1}},
 		}
 	}
 }

@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"strconv"
@@ -35,6 +37,37 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/healthz", s.handleHealth)
 	obs.AttachPprof(mux)
 	return mux
+}
+
+// Serve is a daemon's main loop: it runs the API on addr until ctx is
+// done, then drains — admission stops, running jobs flush their checkpoint
+// journals within drainTimeout, and the listener closes. It prints
+// "listening on <addr>" on stdout once the listener is bound, which is how
+// scripts and rescue-shard's -spawn find a daemon started on port 0, and
+// "drained; exiting" after a clean drain.
+func (s *Server) Serve(ctx context.Context, addr string, drainTimeout time.Duration) error {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return fmt.Errorf("listen: %w", err)
+	}
+	fmt.Printf("listening on %s\n", ln.Addr())
+	hs := &http.Server{Handler: s.Handler()}
+	errc := make(chan error, 1)
+	go func() { errc <- hs.Serve(ln) }()
+	select {
+	case <-ctx.Done():
+	case err := <-errc:
+		return fmt.Errorf("serve: %w", err)
+	}
+	dctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+	defer cancel()
+	if err := s.Drain(dctx); err != nil {
+		hs.Close()
+		return fmt.Errorf("drain: %w", err)
+	}
+	hs.Shutdown(dctx)
+	fmt.Println("drained; exiting")
+	return nil
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

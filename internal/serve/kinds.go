@@ -44,6 +44,8 @@ func decode(params json.RawMessage, into any) error {
 	return nil
 }
 
+// pick resolves a job's workers count: one <= 0 takes the server's
+// (cmp.Or would pass a negative count through).
 func pick(jobWorkers, serverWorkers int) int {
 	if jobWorkers > 0 {
 		return jobWorkers
@@ -71,136 +73,62 @@ func Kinds() map[string]Runner {
 	return m
 }
 
-type table3Params struct {
-	Small      bool  `json:"small"`
-	Seed       int64 `json:"seed"`
-	Backtracks int   `json:"backtracks"`
-	Workers    int   `json:"workers"`
-	Timing     bool  `json:"timing"`
-}
+// The fixed kinds decode their params straight into the flow's options,
+// whose JSON tags are the wire names.
 
 func runTable3(ctx context.Context, rc RunContext, params json.RawMessage) ([]byte, error) {
-	var p table3Params
-	if err := decode(params, &p); err != nil {
+	var o flows.Table3Opts
+	if err := decode(params, &o); err != nil {
 		return nil, err
 	}
+	o.Workers = pick(o.Workers, rc.Workers)
 	var buf bytes.Buffer
-	_, err := flows.Table3(ctx, &buf, flows.Table3Opts{
-		Small:      p.Small,
-		Seed:       p.Seed,
-		Backtracks: p.Backtracks,
-		Workers:    pick(p.Workers, rc.Workers),
-		Timing:     p.Timing,
-	}, rc.Env)
+	_, err := flows.Table3(ctx, &buf, o, rc.Env)
 	return buf.Bytes(), err
-}
-
-type dictParams struct {
-	Small   bool `json:"small"`
-	Workers int  `json:"workers"`
 }
 
 func runDict(ctx context.Context, rc RunContext, params json.RawMessage) ([]byte, error) {
-	var p dictParams
-	if err := decode(params, &p); err != nil {
+	var o flows.DictOpts
+	if err := decode(params, &o); err != nil {
 		return nil, err
 	}
+	o.Workers = pick(o.Workers, rc.Workers)
 	// The CSV is the artifact; the build commentary goes nowhere (clients
 	// watch the event stream instead).
 	var buf bytes.Buffer
-	_, err := flows.DictBuild(ctx, io.Discard, &buf, flows.DictOpts{
-		Small:   p.Small,
-		Workers: pick(p.Workers, rc.Workers),
-	}, rc.Env)
+	_, err := flows.DictBuild(ctx, io.Discard, &buf, o, rc.Env)
 	return buf.Bytes(), err
-}
-
-type isolationParams struct {
-	Small    bool  `json:"small"`
-	PerStage int   `json:"perStage"`
-	Seed     int64 `json:"seed"`
-	Multi    bool  `json:"multi"`
-	Workers  int   `json:"workers"`
-	Timing   bool  `json:"timing"`
 }
 
 func runIsolation(ctx context.Context, rc RunContext, params json.RawMessage) ([]byte, error) {
-	var p isolationParams
-	if err := decode(params, &p); err != nil {
+	var o flows.IsolationOpts
+	if err := decode(params, &o); err != nil {
 		return nil, err
 	}
+	o.Workers = pick(o.Workers, rc.Workers)
 	var buf bytes.Buffer
-	_, err := flows.Isolation(ctx, &buf, flows.IsolationOpts{
-		Small:    p.Small,
-		PerStage: p.PerStage,
-		Seed:     p.Seed,
-		Multi:    p.Multi,
-		Workers:  pick(p.Workers, rc.Workers),
-		Timing:   p.Timing,
-	}, rc.Env)
+	_, err := flows.Isolation(ctx, &buf, o, rc.Env)
 	return buf.Bytes(), err
-}
-
-type yatParams struct {
-	Stagnate int    `json:"stagnate"`
-	Bench    string `json:"bench"`
-	Warmup   int64  `json:"warmup"`
-	Commit   int64  `json:"commit"`
-	Workers  int    `json:"workers"`
-	Timing   bool   `json:"timing"`
 }
 
 func runYAT(ctx context.Context, rc RunContext, params json.RawMessage) ([]byte, error) {
-	var p yatParams
-	if err := decode(params, &p); err != nil {
+	var o flows.YATOpts
+	if err := decode(params, &o); err != nil {
 		return nil, err
 	}
+	o.Workers = pick(o.Workers, rc.Workers)
 	var buf bytes.Buffer
-	_, err := flows.YAT(ctx, &buf, flows.YATOpts{
-		StagnateNM: p.Stagnate,
-		Bench:      p.Bench,
-		Warmup:     p.Warmup,
-		Commit:     p.Commit,
-		Workers:    pick(p.Workers, rc.Workers),
-		Timing:     p.Timing,
-	}, rc.Env)
+	_, err := flows.YAT(ctx, &buf, o, rc.Env)
 	return buf.Bytes(), err
 }
 
-type fabParams struct {
-	Dies          int     `json:"dies"`
-	Node          int     `json:"node"`
-	Stagnate      int     `json:"stagnate"`
-	Growth        float64 `json:"growth"`
-	Seed          int64   `json:"seed"`
-	Small         bool    `json:"small"`
-	Bench         string  `json:"bench"`
-	Warmup        int64   `json:"warmup"`
-	Commit        int64   `json:"commit"`
-	SelfHealShare float64 `json:"selfhealShare"`
-	Workers       int     `json:"workers"`
-	Timing        bool    `json:"timing"`
-}
-
 func runFab(ctx context.Context, rc RunContext, params json.RawMessage) ([]byte, error) {
-	var p fabParams
-	if err := decode(params, &p); err != nil {
+	var o flows.FabOpts
+	if err := decode(params, &o); err != nil {
 		return nil, err
 	}
+	o.Workers = pick(o.Workers, rc.Workers)
 	var buf bytes.Buffer
-	_, err := flows.Fab(ctx, &buf, flows.FabOpts{
-		Dies:          p.Dies,
-		NodeNM:        p.Node,
-		StagnateNM:    p.Stagnate,
-		Growth:        p.Growth,
-		Seed:          p.Seed,
-		Workers:       pick(p.Workers, rc.Workers),
-		Small:         p.Small,
-		Bench:         p.Bench,
-		Warmup:        p.Warmup,
-		Commit:        p.Commit,
-		SelfHealShare: p.SelfHealShare,
-		Timing:        p.Timing,
-	}, rc.Env)
+	_, err := flows.Fab(ctx, &buf, o, rc.Env)
 	return buf.Bytes(), err
 }
