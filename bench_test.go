@@ -417,7 +417,7 @@ func BenchmarkFaultCampaign(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(len(faults)), "faults/op")
-			b.ReportMetric(float64(st.Dropped), "dropped-word-sims")
+			b.ReportMetric(float64(st.Words), "word-sims")
 		})
 	}
 

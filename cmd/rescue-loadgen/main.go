@@ -131,11 +131,9 @@ func main() {
 			cli.ExitErr(err)
 		}
 		writeReport(report, *out)
+		// The summary already lists each FAIRNESS VIOLATION line.
 		report.WriteSummary(os.Stdout)
 		if len(report.Fairness.Violations) > 0 {
-			for _, v := range report.Fairness.Violations {
-				fmt.Fprintf(os.Stderr, "FAIRNESS VIOLATION: %s\n", v)
-			}
 			os.Exit(cli.ExitRuntime)
 		}
 		return

@@ -51,7 +51,7 @@ type GenResult struct {
 	Cycles     int // tester cycles to apply all vectors
 
 	// Stats accumulates the fault-dropping campaign work (faults simulated,
-	// words dropped, gate events, wall time across all dropWord passes).
+	// word-sims, gate events, wall time across all dropWord passes).
 	Stats fault.Stats
 }
 

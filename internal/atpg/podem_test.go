@@ -351,6 +351,11 @@ func TestGenerateFlowPinnedCounts(t *testing.T) {
 			if d := patternDigest(g.Sim.Patterns); d != wantDigest[v] {
 				t.Errorf("%v, %d workers: test set digest %016x, want %016x", v, workers, d, wantDigest[v])
 			}
+			// Every drop campaign is one pattern word: one word-sim per
+			// fault-sim.
+			if g.Stats.Words != g.Stats.Faults {
+				t.Errorf("%v, %d workers: %d word-sims for %d fault-sims, want equal", v, workers, g.Stats.Words, g.Stats.Faults)
+			}
 		}
 	}
 }

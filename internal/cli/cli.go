@@ -127,8 +127,8 @@ func ExitFlow(err error, st fault.Stats, ck *fault.Checkpoint) {
 		}
 		fmt.Fprintf(os.Stderr, "%s: %v\n", what, err)
 		fmt.Fprintf(os.Stderr,
-			"partial campaign: %d fault-sims (%d rehydrated), %d word-sims, %d dropped, %d gate events, %s\n",
-			st.Faults, st.Rehydrated, st.Words, st.Dropped, st.Events,
+			"partial campaign: %d fault-sims (%d rehydrated), %d word-sims, %d gate events, %s\n",
+			st.Faults, st.Rehydrated, st.Words, st.Events,
 			st.Wall.Round(time.Millisecond))
 		if ck != nil {
 			fmt.Fprintf(os.Stderr, "checkpoint journal: %s — rerun with -resume to continue\n", ck.Path())

@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"rescue/internal/fault"
 	"rescue/internal/netlist"
@@ -191,19 +191,7 @@ func (s *System) MultiFaultIsolationFlow(ctx context.Context, tp *TestProgram, t
 		}
 	}
 	// Deterministic campaign order: sort the deduplicated fault list.
-	sort.Slice(all, func(i, j int) bool {
-		a, b := all[i], all[j]
-		if a.Gate != b.Gate {
-			return a.Gate < b.Gate
-		}
-		if a.FF != b.FF {
-			return a.FF < b.FF
-		}
-		if a.Pin != b.Pin {
-			return a.Pin < b.Pin
-		}
-		return !a.StuckAt1 && b.StuckAt1
-	})
+	slices.SortFunc(all, netlist.CompareFaults)
 	camp := fault.NewCampaign(tp.Gen.Sim, fault.CampaignConfig{Workers: workers})
 	results, _, err := camp.RunCheckpoint(ctx, ck, all)
 	if err != nil {

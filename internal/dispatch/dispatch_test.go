@@ -538,14 +538,15 @@ func TestDispatchExecJobSweep(t *testing.T) {
 		t.Skip("runs the real small sweep flow locally and on workers")
 	}
 	spec := sweep.Spec{
-		Presets: []string{"paper"},
-		Axes:    map[string][]string{"chipkill-scale": {"1", "0.8"}},
-		Nodes:   []int{18},
-		Small:   true,
-		Dies:    40,
-		Warmup:  100,
-		Commit:  500,
-		Workers: 2,
+		Presets:     []string{"paper"},
+		Axes:        map[string][]string{"chipkill-scale": {"1", "0.8"}},
+		Nodes:       []int{18},
+		Small:       true,
+		Dies:        40,
+		Warmup:      100,
+		Commit:      500,
+		Workers:     2,
+		Concurrency: 2,
 	}
 	toNDJSON := func(fr *sweep.Frontier) []byte {
 		var buf bytes.Buffer
@@ -554,9 +555,7 @@ func TestDispatchExecJobSweep(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	local, err := sweep.Run(context.Background(), spec, sweep.Options{
-		Env: flows.Env{Store: flows.NewStore()}, Concurrency: 2,
-	})
+	local, err := sweep.Run(context.Background(), spec, sweep.Options{Env: flows.Env{Store: flows.NewStore()}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -576,8 +575,7 @@ func TestDispatchExecJobSweep(t *testing.T) {
 	var fallbacks int
 	var mu sync.Mutex
 	remote, err := sweep.Run(context.Background(), spec, sweep.Options{
-		Env:         flows.Env{Store: flows.NewStore()},
-		Concurrency: 2,
+		Env: flows.Env{Store: flows.NewStore()},
 		Remote: func(ctx context.Context, one sweep.Spec, _ sweep.Point) ([]byte, error) {
 			body, err := json.Marshal(one)
 			if err != nil {

@@ -38,7 +38,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"rescue/internal/area"
 	"rescue/internal/core"
@@ -361,7 +361,7 @@ func (e *Engine) Run(ctx context.Context, ck *fault.Checkpoint) (*FleetReport, e
 			}
 		}
 	}
-	sortFaults(unique)
+	slices.SortFunc(unique, netlist.CompareFaults)
 	rep.UniqueFaults = len(unique)
 
 	// 2. One campaign over the deduplicated fault list — the shared
@@ -568,24 +568,6 @@ func (e *Engine) ipcOf(cfg yield.CoreConfig) float64 {
 		return e.resc.Full
 	}
 	return 0
-}
-
-// sortFaults orders a fault list by (Gate, FF, Pin, StuckAt1) — the same
-// deterministic campaign order MultiFaultIsolationFlow uses.
-func sortFaults(fs []netlist.Fault) {
-	sort.Slice(fs, func(i, j int) bool {
-		a, b := fs[i], fs[j]
-		if a.Gate != b.Gate {
-			return a.Gate < b.Gate
-		}
-		if a.FF != b.FF {
-			return a.FF < b.FF
-		}
-		if a.Pin != b.Pin {
-			return a.Pin < b.Pin
-		}
-		return !a.StuckAt1 && b.StuckAt1
-	})
 }
 
 // meanCI returns the sample mean and its 95% normal confidence half-width.

@@ -18,8 +18,7 @@ import (
 type Stats struct {
 	Faults     int64 // fault simulations performed
 	Detected   int64 // faults the pattern set detected
-	Dropped    int64 // (fault, word) sims a detect-only run skipped after detection
-	Words      int64 // (fault, word) pairs event-simulated
+	Words      int64 // (fault, word) pairs entered; a detect-only run stops at detection
 	Events     int64 // gate evaluations performed
 	Rehydrated int64 // results restored from a checkpoint journal, not simulated
 	Wall       time.Duration
@@ -30,7 +29,6 @@ type Stats struct {
 func (s *Stats) Add(o Stats) {
 	s.Faults += o.Faults
 	s.Detected += o.Detected
-	s.Dropped += o.Dropped
 	s.Words += o.Words
 	s.Events += o.Events
 	s.Rehydrated += o.Rehydrated
@@ -388,38 +386,16 @@ func (c *Campaign) pool(ctx context.Context, faults []netlist.Fault, out []Resul
 	return st, context.Cause(runCtx)
 }
 
-// tileState carries one in-flight fault across the word tiles of the
-// batched campaign path.
-type tileState struct {
-	idx   int // index into the run's fault slice
-	f     netlist.Fault
-	words int64 // (fault, word) pairs actually simulated so far
-}
-
-// wordTileSize is the pattern-word batch the tiled campaign path feeds
-// each in-flight fault before moving to the next fault of the chunk. One
-// excitation-index block (64 words) per window: each simWords call then
-// reads exactly one excitation word per fault, the per-window prologue
-// (seed resolution, excitation-row slicing) is paid once per block, and
-// a chunk of faults still streams over the same good-image rows while
-// they are cache-hot.
-const wordTileSize = 64
-
 // simChunk simulates fault indices [lo, hi) into out, skipping entries
-// marked done, and returns the number of freshly simulated faults. A
-// detect-only run (the ATPG workhorse) over a multi-word window takes the
-// pattern×fault tiled path; every other configuration runs each fault's
-// full word range in one call. cur tracks the in-flight fault index for
-// the worker's panic recovery.
+// marked done, and returns the number of freshly simulated faults. cur
+// tracks the in-flight fault index for the worker's panic recovery. The
+// counts reach wst once per chunk: the workers' Stats sit side by side in
+// one slice, and a write per fault would bounce their shared cache line
+// between cores.
 func (c *Campaign) simChunk(scr *simScratch, faults []netlist.Fault, out []Result,
 	done []bool, lo, hi, wLo, wHi int, wst *Stats, cur *int) int {
 
-	detectOnly := c.cfg.DetectOnly
-	if detectOnly && wHi-wLo > 1 {
-		return c.simChunkTiled(scr, faults, out, done, lo, hi, wLo, wHi, wst, cur)
-	}
-	nWords := int64(wHi - wLo)
-	fresh := 0
+	fresh, detected := 0, 0
 	for i := lo; i < hi; i++ {
 		if done != nil && done[i] {
 			continue
@@ -430,80 +406,14 @@ func (c *Campaign) simChunk(scr *simScratch, faults []netlist.Fault, out []Resul
 			campaignSimHook(i)
 		}
 		chaosSims.Add(1)
-		before := scr.words
-		out[i] = c.core.run(scr, faults[i], detectOnly, wLo, wHi)
-		wst.Faults++
+		out[i] = c.core.run(scr, faults[i], c.cfg.DetectOnly, wLo, wHi)
 		if out[i].Detected {
-			wst.Detected++
-		}
-		if detectOnly {
-			wst.Dropped += nWords - (scr.words - before)
+			detected++
 		}
 	}
 	*cur = -1
-	return fresh
-}
-
-// simChunkTiled is simChunk's word-major variant: the chunk's pending
-// faults advance through the pattern set wordTileSize words at a time, so
-// one tile's good-machine images are reused across every fault of the
-// chunk before the next tile is touched. Valid only for detect-only runs,
-// where it is result-identical to the fault-major order: a detect-only
-// Result is its Detected flag alone, so splitting a fault's word range
-// across beginFault epochs cannot change it. Faults drop out of the tile
-// set the moment they are detected, so the per-fault words simulated (and
-// Stats.Dropped) match the fault-major path exactly.
-func (c *Campaign) simChunkTiled(scr *simScratch, faults []netlist.Fault, out []Result,
-	done []bool, lo, hi, wLo, wHi int, wst *Stats, cur *int) int {
-
-	nWords := int64(wHi - wLo)
-	tiles := scr.tiles[:0]
-	for i := lo; i < hi; i++ {
-		if done != nil && done[i] {
-			continue
-		}
-		*cur = i
-		if campaignSimHook != nil {
-			campaignSimHook(i)
-		}
-		chaosSims.Add(1)
-		tiles = append(tiles, tileState{idx: i, f: faults[i]})
-	}
-	*cur = -1
-	fresh := len(tiles)
-	for w := wLo; w < wHi && len(tiles) > 0; w += wordTileSize {
-		tw := w + wordTileSize
-		if tw > wHi {
-			tw = wHi
-		}
-		keep := tiles[:0]
-		for ti := range tiles {
-			t := &tiles[ti]
-			*cur = t.idx
-			words0 := scr.words
-			c.core.beginFault(scr)
-			var res Result
-			detected := c.core.simWords(scr, t.f, &res, true, w, tw)
-			t.words += scr.words - words0
-			if detected {
-				out[t.idx] = res
-				wst.Faults++
-				wst.Detected++
-				wst.Dropped += nWords - t.words
-			} else {
-				keep = append(keep, *t)
-			}
-		}
-		*cur = -1
-		tiles = keep
-	}
-	for ti := range tiles {
-		t := &tiles[ti]
-		out[t.idx] = Result{} // undetected by every word of the window
-		wst.Faults++
-		wst.Dropped += nWords - t.words
-	}
-	scr.tiles = tiles[:0]
+	wst.Faults += int64(fresh)
+	wst.Detected += int64(detected)
 	return fresh
 }
 

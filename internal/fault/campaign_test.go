@@ -143,18 +143,15 @@ func TestCampaignDeterminism(t *testing.T) {
 
 // TestCampaignDropSkipsWords checks the ERASER-style redundancy trim: in
 // detect-only mode a detected fault must not be simulated against later
-// words, and the skipped work must be visible in Stats.Dropped.
+// words, so the campaign enters fewer (fault, word) pairs than the full
+// product.
 func TestCampaignDropSkipsWords(t *testing.T) {
 	sim, u := rescueSim(t, 6, 7)
 	camp := NewCampaign(sim, CampaignConfig{Workers: 2, DetectOnly: true})
 	results, st := mustRun(t, camp, u.Collapsed)
-	nWords := int64(len(sim.Patterns))
-	if st.Words+st.Dropped != int64(len(u.Collapsed))*nWords {
-		t.Fatalf("words(%d) + dropped(%d) != faults(%d) × words(%d)",
-			st.Words, st.Dropped, len(u.Collapsed), nWords)
-	}
-	if st.Dropped == 0 {
-		t.Fatal("no words dropped despite detected faults and DetectOnly mode")
+	if full := int64(len(u.Collapsed)) * int64(len(sim.Patterns)); st.Words >= full {
+		t.Fatalf("words(%d) not below faults(%d) × words(%d) despite DetectOnly mode",
+			st.Words, len(u.Collapsed), len(sim.Patterns))
 	}
 	detected := int64(0)
 	for _, r := range results {
@@ -170,53 +167,46 @@ func TestCampaignDropSkipsWords(t *testing.T) {
 	}
 }
 
-// TestCampaignTilingManyWords drives the word-tiled detect-only path across
-// several 64-word windows (70 patterns → two windows per in-flight fault)
-// and demands exact agreement with the serial path: detection, full
-// Results in isolation mode, and the Words/Dropped accounting identity.
-func TestCampaignTilingManyWords(t *testing.T) {
+// TestCampaignManyWords runs detect-only and isolation campaigns across
+// more than one 64-word excitation block (70 patterns) and demands exact
+// agreement with the serial path at 1 and 3 workers: every Result, and
+// the number of (fault, word) pairs entered.
+func TestCampaignManyWords(t *testing.T) {
 	sim, u := rescueSim(t, 70, 99)
 	faults := u.Collapsed
 	if testing.Short() {
 		faults = faults[:len(faults)/8]
 	}
-	serialDet := make([]bool, len(faults))
-	for i, f := range faults {
-		serialDet[i] = sim.Run(f, true).Detected
-	}
-
-	for _, workers := range []int{1, 3} {
-		camp := NewCampaign(sim, CampaignConfig{Workers: workers, DetectOnly: true})
-		res, st := mustRun(t, camp, faults)
-		for i := range res {
-			if want := (Result{Detected: serialDet[i]}); !reflect.DeepEqual(res[i], want) {
-				t.Fatalf("workers=%d fault %d (%v): tiled %+v, serial %+v",
-					workers, i, faults[i], res[i], want)
+	for _, mode := range []struct {
+		name   string
+		cfg    CampaignConfig
+		faults []netlist.Fault
+	}{
+		{"detect-only", CampaignConfig{DetectOnly: true}, faults},
+		// A slice of the universe keeps the uncapped 70-word sweeps
+		// affordable.
+		{"isolation", CampaignConfig{}, faults[:min(len(faults), 2000)]},
+	} {
+		ref := make([]Result, len(mode.faults))
+		words0 := sim.scr.words
+		for i, f := range mode.faults {
+			ref[i] = sim.Run(f, mode.cfg.DetectOnly)
+		}
+		refWords := sim.scr.words - words0
+		for _, workers := range []int{1, 3} {
+			cfg := mode.cfg
+			cfg.Workers = workers
+			res, st := mustRun(t, NewCampaign(sim, cfg), mode.faults)
+			for i := range res {
+				if !reflect.DeepEqual(res[i], ref[i]) {
+					t.Fatalf("%s workers=%d fault %d (%v): campaign %+v, serial %+v",
+						mode.name, workers, i, mode.faults[i], res[i], ref[i])
+				}
 			}
-		}
-		nWords := int64(len(sim.Patterns))
-		if st.Words+st.Dropped != int64(len(faults))*nWords {
-			t.Fatalf("workers=%d: words(%d) + dropped(%d) != faults(%d) × words(%d)",
-				workers, st.Words, st.Dropped, len(faults), nWords)
-		}
-	}
-
-	// Isolation mode (untiled reference inside the same campaign engine)
-	// must agree byte-for-byte too; a slice of the universe keeps the
-	// uncapped 70-word sweeps affordable.
-	isoFaults := faults
-	if len(isoFaults) > 2000 {
-		isoFaults = isoFaults[:2000]
-	}
-	ref := make([]Result, len(isoFaults))
-	for i, f := range isoFaults {
-		ref[i] = sim.Run(f, false)
-	}
-	camp := NewCampaign(sim, CampaignConfig{Workers: 2})
-	res, _ := mustRun(t, camp, isoFaults)
-	for i := range res {
-		if !reflect.DeepEqual(res[i], ref[i]) {
-			t.Fatalf("fault %d (%v): campaign %+v != serial %+v", i, isoFaults[i], res[i], ref[i])
+			if st.Words != refWords {
+				t.Fatalf("%s workers=%d: campaign entered %d words, serial %d",
+					mode.name, workers, st.Words, refWords)
+			}
 		}
 	}
 }
@@ -341,7 +331,8 @@ func TestChunkQueueCoversAll(t *testing.T) {
 }
 
 // TestDictionaryWorkersDeterminism: the parallel dictionary must be
-// identical at every worker count.
+// identical at every worker count, and it must enter every (fault, word)
+// pair: a dictionary needs full syndromes.
 func TestDictionaryWorkersDeterminism(t *testing.T) {
 	sim, u := rescueSim(t, 4, 11)
 	ref := mustDictionary(t, sim, u, 0)
@@ -353,8 +344,8 @@ func TestDictionaryWorkersDeterminism(t *testing.T) {
 		if !reflect.DeepEqual(d.Syndromes, ref.Syndromes) {
 			t.Fatalf("workers=%d: dictionary differs from reference", w)
 		}
-		if st.Dropped != 0 {
-			t.Fatalf("workers=%d: dictionary build dropped %d word-sims (needs full syndromes)", w, st.Dropped)
+		if full := int64(len(u.Collapsed)) * int64(len(sim.Patterns)); st.Words != full {
+			t.Fatalf("workers=%d: dictionary build entered %d word-sims, want faults × words = %d", w, st.Words, full)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package fault
 import (
 	"cmp"
 	"slices"
-	"sort"
 
 	"rescue/internal/netlist"
 )
@@ -108,16 +107,6 @@ func (c *simCore) buildCones(threshold int) {
 	}
 }
 
-// ConeThreshold reports the fan-out-cone clipping threshold this
-// simulator was built with (0 = clipping disabled, every fault takes the
-// full-netlist walk).
-func (s *Sim) ConeThreshold() int {
-	if s.coneThreshold < 0 {
-		return 0
-	}
-	return s.coneThreshold
-}
-
 // Cone returns the stored fan-out cone of net — its transitive fan-out
 // gate set in (level, id) order — and whether the net overflowed the
 // threshold (overflowed or clipping-disabled nets store no cone and take
@@ -144,52 +133,4 @@ func (s *Sim) ConeObs(net netlist.NetID) []int {
 		out[i] = int(oi)
 	}
 	return out
-}
-
-// ConeStats summarizes the stored cone structure — the shape data behind
-// the clipping win, reported by benchmarks and EXPERIMENTS.md.
-type ConeStats struct {
-	Threshold  int // clipping threshold the core was built with
-	Nets       int // nets with a stored cone
-	Overflow   int // nets whose cone exceeded the threshold (full walk)
-	TotalGates int // sum of stored cone sizes
-	MaxGates   int // largest stored cone
-	P50        int // stored-cone size percentiles
-	P90        int
-	P99        int
-	MeanGates  float64 // mean stored cone size
-}
-
-// ConeStats computes summary statistics over the stored cones.
-func (s *Sim) ConeStats() ConeStats {
-	st := ConeStats{Threshold: s.ConeThreshold()}
-	if s.coneThreshold <= 0 {
-		st.Overflow = len(s.coneFull)
-		return st
-	}
-	sizes := make([]int, 0, len(s.coneFull))
-	for net := range s.coneFull {
-		if s.coneFull[net] {
-			st.Overflow++
-			continue
-		}
-		sz := int(s.coneOff[net+1] - s.coneOff[net])
-		sizes = append(sizes, sz)
-		st.TotalGates += sz
-		if sz > st.MaxGates {
-			st.MaxGates = sz
-		}
-	}
-	st.Nets = len(sizes)
-	if st.Nets == 0 {
-		return st
-	}
-	sort.Ints(sizes)
-	pct := func(p float64) int {
-		i := int(p * float64(len(sizes)-1))
-		return sizes[i]
-	}
-	st.P50, st.P90, st.P99 = pct(0.50), pct(0.90), pct(0.99)
-	st.MeanGates = float64(st.TotalGates) / float64(st.Nets)
-	return st
 }

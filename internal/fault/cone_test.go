@@ -280,26 +280,6 @@ func TestExcitationSkipExactness(t *testing.T) {
 	}
 }
 
-// TestConeStatsShape sanity-checks the summary: stored + overflowed nets
-// cover the netlist, and the percentiles are ordered.
-func TestConeStatsShape(t *testing.T) {
-	s, n := randomSimForCone(t, 11, 7)
-	st := s.ConeStats()
-	if st.Threshold != 7 {
-		t.Fatalf("threshold %d, want 7", st.Threshold)
-	}
-	if st.Nets+st.Overflow != n.NumNets() {
-		t.Fatalf("stored %d + overflow %d != nets %d", st.Nets, st.Overflow, n.NumNets())
-	}
-	if st.P50 > st.P90 || st.P90 > st.P99 || st.P99 > st.MaxGates {
-		t.Fatalf("percentiles out of order: %+v", st)
-	}
-	disabled, _ := randomSimForCone(t, 11, 0)
-	if ds := disabled.ConeStats(); ds.Threshold != 0 || ds.Nets != 0 || ds.Overflow != n.NumNets() {
-		t.Fatalf("disabled stats %+v", ds)
-	}
-}
-
 // FuzzConeBuild generates arbitrary valid random netlists and thresholds
 // and verifies the stored cones against the brute-force BFS, plus full
 // Result equality between the fuzzed-threshold engine and the forced full

@@ -232,7 +232,6 @@ func (c *Campaign) dispatchShards(ctx context.Context, plan *ShardPlan, id Campa
 			mu.Lock()
 			st.Faults += res.Stats.Faults
 			st.Detected += res.Stats.Detected
-			st.Dropped += res.Stats.Dropped
 			st.Words += res.Stats.Words
 			st.Events += res.Stats.Events
 			mu.Unlock()

@@ -115,7 +115,7 @@ type simCore struct {
 
 // epochResetLimit bounds the epoch counters well below int32 overflow
 // (with headroom for one full fault's worth of increments past the check
-// in beginFault). Crossing it re-initializes the marker slab, so epochs
+// in run). Crossing it re-initializes the marker slab, so epochs
 // can never alias stale state no matter how long a scratch lives.
 const epochResetLimit = int32(1) << 30
 
@@ -134,11 +134,15 @@ type simScratch struct {
 	curEp   int32              // current (fault, word) epoch
 	runEp   int32              // current fault epoch
 	buckets [][]netlist.GateID // full-walk event queue bucketed by level
-	tiles   []tileState        // campaign word-tiling state, reused per chunk
 
 	// counters for campaign Stats
 	words  int64 // (fault, word) pairs event-simulated
 	events int64 // gate evaluations performed
+
+	// Pad to 192 bytes, three whole cache lines: the workers' scratches
+	// are allocated side by side, and a line shared between two of them
+	// would bounce the hot epoch and event counters between cores.
+	_ [24]byte
 }
 
 // Sim is a fault simulator bound to a netlist, a scan chain, and a growable
@@ -376,37 +380,24 @@ func (c *simCore) schedule(scr *simScratch, g netlist.GateID) {
 	scr.buckets[lv] = append(scr.buckets[lv], g)
 }
 
+// run simulates fault f over pattern words [wLo, wHi) in a fresh fault
+// epoch (the FailObs dedup scope): the one per-fault entry behind Sim.Run,
+// Sim.RunWord and every campaign chunk. A detect-only run returns at the
+// first failing observation.
 func (c *simCore) run(scr *simScratch, f netlist.Fault, detectOnly bool, wLo, wHi int) Result {
 	var res Result
-	c.beginFault(scr)
-	c.simWords(scr, f, &res, detectOnly, wLo, wHi)
-	return res
-}
-
-// beginFault opens a fresh fault epoch (FailObs dedup scope) and applies
-// the overflow guard that keeps epoch counters away from int32 wraparound.
-func (c *simCore) beginFault(scr *simScratch) {
 	if scr.curEp >= epochResetLimit || scr.runEp >= epochResetLimit {
 		scr.resetEpochs()
 	}
 	scr.runEp++
-}
 
-// simWords simulates fault f over pattern words [wLo, wHi), appending to
-// res, and reports whether a detect-only run has detected the fault
-// (after which the caller must not feed it further words). beginFault
-// must have opened the fault's epoch; the campaign tiler calls simWords
-// several times per fault with consecutive word windows, which is
-// result-identical to one full-range call because a detect-only Result is
-// only its Detected flag.
-func (c *simCore) simWords(scr *simScratch, f netlist.Fault, res *Result, detectOnly bool, wLo, wHi int) bool {
 	var stuckWord uint64
 	if f.StuckAt1 {
 		stuckWord = ^uint64(0)
 	}
 
-	// Resolve the seed site once per call: the net the stuck value first
-	// appears on, and whether its stored cone clips this fault's walk.
+	// Resolve the seed site: the net the stuck value first appears on,
+	// and whether its stored cone clips this fault's walk.
 	var seedNet netlist.NetID
 	if f.Gate >= 0 {
 		seedNet = c.fl.Out[f.Gate]
@@ -453,17 +444,17 @@ func (c *simCore) simWords(scr *simScratch, f netlist.Fault, res *Result, detect
 			obsStart := len(res.FailObs)
 
 			if clipped {
-				c.coneWalkWord(scr, f, res, stuckWord, seedNet, detectOnly, w)
+				c.coneWalkWord(scr, f, &res, stuckWord, seedNet, detectOnly, w)
 			} else {
-				c.fullWalkWord(scr, f, res, stuckWord, detectOnly, w)
+				c.fullWalkWord(scr, f, &res, stuckWord, detectOnly, w)
 			}
 
-			sortWord(res, obsStart)
+			sortWord(&res, obsStart)
 			if detectOnly && res.Detected {
-				return true
+				return res
 			}
 		}
-		return false
+		return res
 	}
 
 	// Excitable-word iteration: walk the set bits of the excitation rows
@@ -496,16 +487,16 @@ func (c *simCore) simWords(scr *simScratch, f netlist.Fault, res *Result, detect
 			scr.curEp++
 			obsStart := len(res.FailObs)
 
-			c.coneWalkWord(scr, f, res, stuckWord, seedNet, detectOnly, base+b)
+			c.coneWalkWord(scr, f, &res, stuckWord, seedNet, detectOnly, base+b)
 
-			sortWord(res, obsStart)
+			sortWord(&res, obsStart)
 			if detectOnly && res.Detected {
-				return true
+				return res
 			}
 		}
 		scr.words += int64(to - prev)
 	}
-	return false
+	return res
 }
 
 // coneWalkWord simulates one (fault, word) pair inside the seed net's
@@ -862,18 +853,4 @@ func sortWord(res *Result, obsStart int) {
 	if obsSeg := res.FailObs[obsStart:]; len(obsSeg) > 1 {
 		sort.Ints(obsSeg)
 	}
-}
-
-// Coverage reports the fraction of the given faults detected.
-func (s *Sim) Coverage(faults []netlist.Fault) float64 {
-	if len(faults) == 0 {
-		return 1
-	}
-	n := 0
-	for _, f := range faults {
-		if s.Run(f, true).Detected {
-			n++
-		}
-	}
-	return float64(n) / float64(len(faults))
 }

@@ -83,8 +83,8 @@ func Table3(ctx context.Context, w io.Writer, o Table3Opts, env Env) (Table3Resu
 				sum.Variant, sum.Faults, sum.ScanCells, sum.Vectors, sum.Cycles,
 				sum.Coverage*100, time.Since(start).Round(time.Millisecond))
 			st := tp.Gen.Stats
-			fmt.Fprintf(w, "           campaign: %d fault-sims, %d word-sims, %d dropped, %d gate events, %d workers\n",
-				st.Faults, st.Words, st.Dropped, st.Events, st.Workers)
+			fmt.Fprintf(w, "           campaign: %d fault-sims, %d word-sims, %d gate events, %d workers\n",
+				st.Faults, st.Words, st.Events, st.Workers)
 		} else {
 			fmt.Fprintf(w, "%-10s %10d %10d %10d %12d %8.2f%%\n",
 				sum.Variant, sum.Faults, sum.ScanCells, sum.Vectors, sum.Cycles,

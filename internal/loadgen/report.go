@@ -325,7 +325,7 @@ func (r *Report) WriteSummary(w io.Writer) {
 	}
 	if r.Fairness != nil && r.Fairness.Checked {
 		f := r.Fairness
-		fmt.Fprintf(w, "fairness: victim %s warm p99 solo %.1fms, fair %.1fms (bound %.1fx, floor %.1fms)",
+		fmt.Fprintf(w, "fairness: %s warm p99 solo %.1fms, fair %.1fms (bound %.1fx, floor %.1fms)",
 			f.Victim, f.SoloP99MS, f.FairP99MS, f.Bound, f.FloorMS)
 		if f.UnfairStarved {
 			fmt.Fprintf(w, "; unfair starved victim entirely")

@@ -183,3 +183,22 @@ func TestBuildNoisyNeighbor(t *testing.T) {
 		}
 	}
 }
+
+// TestWriteSummaryFairness pins the noisy-neighbor summary: the victim's
+// name appears once in the verdict line and each violation is listed once.
+func TestWriteSummaryFairness(t *testing.T) {
+	r := &Report{Fairness: &FairnessResult{
+		Checked: true, Victim: "victim", Aggressor: "aggressor",
+		Bound: 3, FloorMS: 250, SoloP99MS: 10, FairP99MS: 900,
+		Violations: []string{"victim warm p99 900.0ms exceeds budget 250.0ms"},
+	}}
+	var buf bytes.Buffer
+	r.WriteSummary(&buf)
+	out := buf.String()
+	if !strings.Contains(out, "fairness: victim warm p99 solo 10.0ms") || strings.Contains(out, "victim victim") {
+		t.Errorf("verdict line does not name the victim once:\n%s", out)
+	}
+	if n := strings.Count(out, "FAIRNESS VIOLATION: "); n != 1 {
+		t.Errorf("summary lists %d violation lines, want 1:\n%s", n, out)
+	}
+}

@@ -1,6 +1,9 @@
 package netlist
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+)
 
 // State holds one 64-way-parallel simulation image of a netlist: one uint64
 // word per net, bit i of each word belonging to pattern i. Pattern-parallel
@@ -50,6 +53,20 @@ type Fault struct {
 	FF       FFID   // valid when Gate == -1
 	Pin      int    // input pin index; -1 = gate output
 	StuckAt1 bool
+}
+
+// CompareFaults orders faults by (Gate, FF, Pin, StuckAt1), stuck-at-0
+// first: the deterministic campaign order of a deduplicated fault list,
+// which the list's campaign key depends on.
+func CompareFaults(a, b Fault) int {
+	sa := func(f Fault) int {
+		if f.StuckAt1 {
+			return 1
+		}
+		return 0
+	}
+	return cmp.Or(cmp.Compare(a.Gate, b.Gate), cmp.Compare(a.FF, b.FF),
+		cmp.Compare(a.Pin, b.Pin), cmp.Compare(sa(a), sa(b)))
 }
 
 // NoFault is the zero-cost "no fault injected" sentinel.

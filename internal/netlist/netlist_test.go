@@ -389,3 +389,20 @@ func TestStats(t *testing.T) {
 		t.Fatalf("components used = %v", used)
 	}
 }
+
+// TestCompareFaults pins the campaign fault order: Gate, then FF, then
+// Pin, then stuck-at-0 before stuck-at-1.
+func TestCompareFaults(t *testing.T) {
+	want := []Fault{
+		{Gate: -1, FF: 0, Pin: -1}, {Gate: -1, FF: 0, Pin: -1, StuckAt1: true},
+		{Gate: -1, FF: 3, Pin: -1},
+		{Gate: 2, FF: -1, Pin: -1}, {Gate: 2, FF: -1, Pin: 0, StuckAt1: true},
+		{Gate: 2, FF: -1, Pin: 1}, {Gate: 7, FF: -1, Pin: -1, StuckAt1: true},
+	}
+	got := slices.Clone(want)
+	rand.New(rand.NewSource(1)).Shuffle(len(got), func(i, j int) { got[i], got[j] = got[j], got[i] })
+	slices.SortFunc(got, CompareFaults)
+	if !slices.Equal(got, want) {
+		t.Fatalf("sorted faults %v, want %v", got, want)
+	}
+}

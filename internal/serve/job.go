@@ -89,7 +89,7 @@ type Job struct {
 	state   State
 	events  []Event
 	evBase  int // events evicted from the front of the bounded log
-	evCap   int // max retained events; <= 0 = unbounded
+	evCap   int // max retained events
 	changed chan struct{}
 	output  []byte // the report, once finished
 	err     string // failure detail, once finished
@@ -170,7 +170,7 @@ func (j *Job) append(ev Event) {
 func (j *Job) appendLocked(ev Event) {
 	ev.Seq = j.evBase + len(j.events) + 1
 	ev.Time = time.Now()
-	if j.evCap > 0 && len(j.events) >= j.evCap {
+	if len(j.events) >= j.evCap {
 		// Bounded log: evict the oldest event instead of growing without
 		// limit. Streamers that already read past the evicted prefix are
 		// unaffected; ones that lag see a dropped marker.

@@ -76,12 +76,12 @@ type Config struct {
 	DisableFairness bool
 	// EventLogCap bounds each job's retained event log; older events are
 	// evicted and streamed consumers that lagged past them get a
-	// {"type":"dropped","count":N} marker. 0 = 4096, ample for every
-	// built-in flow's percent-throttled progress; negative = unbounded.
+	// {"type":"dropped","count":N} marker. <= 0 = 4096, ample for every
+	// built-in flow's percent-throttled progress.
 	EventLogCap int
 }
 
-// DefaultEventLogCap is the per-job event-log bound when EventLogCap is 0.
+// DefaultEventLogCap is the per-job event-log bound when EventLogCap is <= 0.
 const DefaultEventLogCap = 4096
 
 // maxStreamLag bounds how far one NDJSON consumer may fall behind the
@@ -178,7 +178,7 @@ func New(cfg Config) *Server {
 	if kinds == nil {
 		kinds = Kinds()
 	}
-	if cfg.EventLogCap == 0 {
+	if cfg.EventLogCap <= 0 {
 		cfg.EventLogCap = DefaultEventLogCap
 	}
 	s := &Server{

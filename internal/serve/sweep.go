@@ -44,10 +44,8 @@ func runSweep(ctx context.Context, rc RunContext, params json.RawMessage) ([]byt
 	if err := decode(params, &spec); err != nil {
 		return nil, err
 	}
-	o := sweep.Options{
-		Env:     flows.Env{Store: rc.Env.Store},
-		Workers: pick(spec.Workers, rc.Workers),
-	}
+	spec.Workers = pick(spec.Workers, rc.Workers)
+	o := sweep.Options{Env: flows.Env{Store: rc.Env.Store}}
 	j := jobFromContext(ctx)
 	if j != nil {
 		// Publish the control only once it knows the whole grid: a point

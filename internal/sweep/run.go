@@ -112,9 +112,6 @@ type Options struct {
 	CheckpointDir string
 	Resume        bool
 
-	Concurrency int // points in flight; <= 0 means spec.Concurrency, then 1
-	Workers     int // per-point campaign workers; <= 0 means spec.Workers
-
 	Control *Control   // optional per-point cancellation
 	Remote  RemoteFunc // optional remote execution hook
 	OnPoint func(PointEvent)
@@ -199,17 +196,7 @@ func Run(ctx context.Context, spec Spec, o Options) (*Frontier, error) {
 	if err != nil {
 		return nil, err
 	}
-	conc := o.Concurrency
-	if conc <= 0 {
-		conc = spec.Concurrency
-	}
-	if conc <= 0 {
-		conc = 1
-	}
-	workers := o.Workers
-	if workers <= 0 {
-		workers = spec.Workers
-	}
+	conc := max(spec.Concurrency, 1)
 
 	done := map[string]PointResult{}
 	var jw *journalWriter
@@ -274,7 +261,7 @@ func Run(ctx context.Context, spec Spec, o Options) (*Frontier, error) {
 			go func(i int, pt Point) {
 				defer wg.Done()
 				defer func() { <-sem }()
-				r, err := runPoint(ctx, spec, pt, len(pts), o, ck, workers)
+				r, err := runPoint(ctx, spec, pt, len(pts), o, ck)
 				if err != nil {
 					fail(err)
 					return
@@ -332,7 +319,7 @@ func skeleton(pt Point) PointResult {
 // runPoint evaluates one grid cell, honoring per-point cancellation and
 // the remote hook. A point-level failure becomes an errored result; only
 // sweep-level interruption (ctx done) propagates as an error.
-func runPoint(ctx context.Context, spec Spec, pt Point, total int, o Options, ck *fault.Checkpoint, workers int) (PointResult, error) {
+func runPoint(ctx context.Context, spec Spec, pt Point, total int, o Options, ck *fault.Checkpoint) (PointResult, error) {
 	pctx := ctx
 	if o.Control != nil {
 		var disarm func()
@@ -372,7 +359,7 @@ func runPoint(ctx context.Context, spec Spec, pt Point, total int, o Options, ck
 			Msg: fmt.Sprintf("point %d/%d %s: remote failed (%v), running locally", pt.Index+1, total, pt.Digest, err)})
 	}
 
-	r, err := runPointLocal(pctx, spec, pt, o.Env, ck, workers)
+	r, err := runPointLocal(pctx, spec, pt, o.Env, ck)
 	switch {
 	case err == nil:
 		o.emit(PointEvent{Index: pt.Index, Total: total, Digest: pt.Digest, Phase: "done",
@@ -438,7 +425,7 @@ func runPointRemote(ctx context.Context, spec Spec, pt Point, o Options) (PointR
 // runPointLocal evaluates one point against the artifact store: build the
 // variant's system, generate tests, build the perf model, run the fab
 // fleet, and assemble the result row.
-func runPointLocal(ctx context.Context, spec Spec, pt Point, env flows.Env, ck *fault.Checkpoint, workers int) (PointResult, error) {
+func runPointLocal(ctx context.Context, spec Spec, pt Point, env flows.Env, ck *fault.Checkpoint) (PointResult, error) {
 	env.Ck = ck
 	v := pt.Variant
 
@@ -451,7 +438,7 @@ func runPointLocal(ctx context.Context, spec Spec, pt Point, env flows.Env, ck *
 	}
 
 	gen := atpg.DefaultGenConfig()
-	gen.Workers = workers
+	gen.Workers = spec.Workers
 	tp, err := env.TestProgram(ctx, sys, gen)
 	if err != nil {
 		return PointResult{}, err
@@ -466,7 +453,7 @@ func runPointLocal(ctx context.Context, spec Spec, pt Point, env flows.Env, ck *
 	if err != nil {
 		return PointResult{}, err
 	}
-	pm, err := env.PerfModel(ctx, pt.NodeNM, base, resc, names, spec.Warmup, spec.Commit, workers)
+	pm, err := env.PerfModel(ctx, pt.NodeNM, base, resc, names, spec.Warmup, spec.Commit, spec.Workers)
 	if err != nil {
 		return PointResult{}, err
 	}
@@ -479,7 +466,7 @@ func runPointLocal(ctx context.Context, spec Spec, pt Point, env flows.Env, ck *
 	baseCM, rescCM := fab.ModelsFromPerf(pm, area.BaselineWithScan(), rescArea)
 	eng, err := fab.New(sys, tp, baseCM, rescCM, fab.Config{
 		Dies: spec.Dies, Node: node, Stagnate: area.Node(pt.StagnateNM),
-		Growth: spec.Growth, Seed: spec.Seed, Workers: workers,
+		Growth: spec.Growth, Seed: spec.Seed, Workers: spec.Workers,
 		SelfHealShare: pt.SelfHealShare,
 	})
 	if err != nil {

@@ -158,9 +158,9 @@ var refOnce struct {
 func refNDJSON(t *testing.T) []byte {
 	t.Helper()
 	refOnce.Do(func() {
-		fr, err := Run(context.Background(), tinySpec(), Options{
-			Env: flows.Env{Store: flows.NewStore()}, Concurrency: 1,
-		})
+		spec := tinySpec()
+		spec.Concurrency = 1
+		fr, err := Run(context.Background(), spec, Options{Env: flows.Env{Store: flows.NewStore()}})
 		if err != nil {
 			refOnce.err = err
 			return
@@ -180,8 +180,9 @@ func refNDJSON(t *testing.T) []byte {
 // the frontier NDJSON is byte-identical at any point concurrency.
 func TestRunByteIdenticalAcrossConcurrency(t *testing.T) {
 	spec := tinySpec()
+	spec.Concurrency = 4
 	seq := refNDJSON(t)
-	par := runNDJSON(t, spec, Options{Env: flows.Env{Store: flows.NewStore()}, Concurrency: 4})
+	par := runNDJSON(t, spec, Options{Env: flows.Env{Store: flows.NewStore()}})
 	if !bytes.Equal(seq, par) {
 		t.Fatalf("frontier differs across concurrency:\n-- conc 1 --\n%s\n-- conc 4 --\n%s", seq, par)
 	}
@@ -196,6 +197,7 @@ func TestRunByteIdenticalAcrossConcurrency(t *testing.T) {
 // the journal, not recomputed.
 func TestRunResume(t *testing.T) {
 	spec := tinySpec()
+	spec.Concurrency = 1
 	want := refNDJSON(t)
 
 	dir := t.TempDir()
@@ -204,7 +206,6 @@ func TestRunResume(t *testing.T) {
 	_, err := Run(ctx, spec, Options{
 		Env:           flows.Env{Store: flows.NewStore()},
 		CheckpointDir: dir,
-		Concurrency:   1,
 		OnPoint: func(ev PointEvent) {
 			if ev.Phase == "done" {
 				once.Do(cancel)
@@ -263,8 +264,9 @@ func TestStoreSharing(t *testing.T) {
 	spec.Axes = nil // one variant...
 	spec.Nodes = []int{18, 32}
 	spec.Stagnates = []int{90, 65}
+	spec.Concurrency = 4
 
-	fr, err := Run(context.Background(), spec, Options{Env: flows.Env{Store: store}, Concurrency: 4})
+	fr, err := Run(context.Background(), spec, Options{Env: flows.Env{Store: store}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,7 +69,7 @@ type (
 	FaultCampaign = fault.Campaign
 	// FaultCampaignConfig tunes workers and detect-only (coverage) mode.
 	FaultCampaignConfig = fault.CampaignConfig
-	// FaultStats records campaign work (faults simulated, words dropped,
+	// FaultStats records campaign work (faults simulated, word-sims,
 	// gate events, checkpoint rehydrations, wall time).
 	FaultStats = fault.Stats
 	// FaultCheckpoint is a crash-safe, append-only journal of completed

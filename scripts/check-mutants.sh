@@ -2,9 +2,9 @@
 # Mutation check for the verification net: inject hand-picked single-line
 # mutants into the simulator hot path — the cone builder, the clipped and
 # full event walks, the excitation-skip index, the epoch arena, and the
-# campaign word tiler — into PODEM's event-driven implication, its
-# fault-region trim, its per-worker state reuse and the in-order commit of
-# parallel searches,
+# campaign's word and detection counts — into PODEM's event-driven
+# implication, its fault-region trim, its per-worker state reuse and the
+# in-order commit of parallel searches,
 # into the netlist's compiled Flat form both read, into the cycle
 # simulator's completion heap and idle fast-forward, into the performance
 # model's collapse of FP-inert degraded configurations, and into the
@@ -34,10 +34,9 @@
 #   13 sim.go      epoch-overflow reset guard disabled
 #   14 sim.go      arena epoch-clear skip: reset rewinds counters but leaves
 #                  stale marks
-#   15 campaign.go tiled path drops its per-fault word count: Stats.Dropped
-#                  charges every tiled fault the whole word range
-#   16 campaign.go tiled keep-list dropped: faults undetected in the first
-#                  word tile are never finished
+#   15 sim.go      excitable-word loop drops its count of trailing dead
+#                  words: a full-syndrome run enters fewer than every word
+#   16 campaign.go simChunk stops counting detected faults in Stats
 #   17 atpg podem.go readers of a changed gate output never scheduled
 #   18 atpg podem.go "changed?" test compares only the good plane
 #   19 atpg podem.go D-frontier walked in level order, not gate-ID order
@@ -72,9 +71,10 @@
 #
 # Catchers, in order: the differential harness (fast, runs first: sim vs
 # oracle, PODEM cubes P5, untestable verdicts P8), then the mutated
-# package's targeted unit tests — the cone/epoch/tiling/excitation tests
-# for mutants whose Results stay byte-identical (6, 13, 14, 15) or that need
-# low-lane patterns to discriminate (11, 12); for PODEM, the implication
+# package's targeted unit tests — the cone/epoch/excitation tests and the
+# campaign word and detection counts for mutants whose Results stay
+# byte-identical (6, 13, 14, 15, 16) or that need low-lane patterns to
+# discriminate (11, 12); for PODEM, the implication
 # lockstep, the pinned Table 3 counts and test-set digests at 1, 2 and
 # 8 workers, and the frontier-order test (19 leaves both small designs'
 # test sets unchanged, so only a circuit whose gate-ID and level orders
@@ -110,7 +110,7 @@ cd "$(dirname "$0")/.."
 range="${1:-0:40}"
 files=(internal/fault/sim.go internal/fault/cone.go internal/fault/campaign.go internal/fault/checkpoint.go internal/atpg/podem.go internal/atpg/gen.go internal/netlist/netlist.go internal/uarch/sim.go internal/uarch/params.go internal/core/perf.go)
 declare -A unit_run=(
-  [internal/fault]='Cone|Epoch|Tiling|Excitation|Drop|Overflow|Determinism|TornTail'
+  [internal/fault]='Cone|Epoch|ManyWords|Excitation|Drop|Overflow|Determinism|TornTail'
   [internal/atpg]='Lockstep|PinnedCounts|FrontierOrder|Region'
   [internal/netlist]='LevelsAndReaders|TruthTables|Equiv'
   [internal/uarch]='Lockstep|StaleCompletion|IntOnly'
@@ -133,8 +133,8 @@ mutants=(
   'internal/fault/sim.go|s/exRow = c.exPinFlip1\[/exRow = c.exPinFlip0[/'
   'internal/fault/sim.go|s/if scr.curEp >= epochResetLimit || scr.runEp >= epochResetLimit {/if false {/'
   'internal/fault/sim.go|s/for i := range scr.slab {/for i := range scr.slab[:0] {/'
-  'internal/fault/campaign.go|s/t.words += scr.words - words0/_ = words0/'
-  'internal/fault/campaign.go|s/keep = append(keep, \*t)/_ = t/'
+  'internal/fault/sim.go|s/scr.words += int64(to - prev)/_ = prev/'
+  'internal/fault/campaign.go|s/wst.Detected += int64(detected)/_ = detected/'
   'internal/atpg/podem.go|s/p.scheduleReaders(out)/_ = out/'
   'internal/atpg/podem.go|s/if gv == p.good\[out\] \&\& bv == p.bad\[out\] {/if gv == p.good[out] {/'
   'internal/atpg/podem.go|s/slices.Sort(p.cone)/slices.SortStableFunc(p.cone, func(a, b netlist.GateID) int { return int(p.fl.Level[a] - p.fl.Level[b]) })/'
