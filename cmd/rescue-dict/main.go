@@ -68,49 +68,20 @@ func build(args []string) {
 	ctx, stop := ff.Context()
 	defer stop()
 
-	// The output file is created on first write, so an interrupted build
-	// leaves nothing behind (the flow only writes CSV after the campaign
-	// finishes).
-	lf := &lazyFile{path: *out}
-	defer lf.Close()
-	res, err := flows.DictBuild(ctx, os.Stdout, lf, flows.DictOpts{
+	// The file is written only once the dictionary is complete, so an
+	// interrupted build leaves nothing behind.
+	res, err := flows.DictBuild(ctx, os.Stdout, flows.DictOpts{
 		Small:   *small,
 		Workers: ff.Workers,
 	}, flows.Env{Ck: ck})
 	if err != nil {
 		cli.ExitFlow(err, res.Stats, ck)
 	}
-	if err := lf.Close(); err != nil {
+	if err := os.WriteFile(*out, res.CSV, 0o666); err != nil {
 		cli.Fatalf("%v", err)
 	}
 	fmt.Printf("%d/%d faults detected; dictionary written to %s\n",
 		res.Detected, res.Faults, *out)
-}
-
-// lazyFile defers os.Create until the first write.
-type lazyFile struct {
-	path string
-	f    *os.File
-}
-
-func (l *lazyFile) Write(p []byte) (int, error) {
-	if l.f == nil {
-		f, err := os.Create(l.path)
-		if err != nil {
-			return 0, err
-		}
-		l.f = f
-	}
-	return l.f.Write(p)
-}
-
-func (l *lazyFile) Close() error {
-	if l.f == nil {
-		return nil
-	}
-	f := l.f
-	l.f = nil
-	return f.Close()
 }
 
 func diagnose(args []string) {

@@ -15,6 +15,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 
 	"rescue/internal/atpg"
 	"rescue/internal/fault"
@@ -58,6 +59,9 @@ func BuildChains(cfg rtl.Config, v rtl.Variant, chains int) (*System, error) {
 type TestProgram struct {
 	Universe *fault.Universe
 	Gen      *atpg.GenResult
+
+	partOnce sync.Once
+	part     *FaultPartition // see System.Partition
 }
 
 // GenerateTestsFlow runs the ATPG flow (random phase + PODEM) on the

@@ -57,27 +57,13 @@ func Stages() []string {
 func (s *System) IsolateCampaignFlow(ctx context.Context, tp *TestProgram, perStage int, stages []string, seed int64, workers int, ck *fault.Checkpoint) (IsolationReport, error) {
 	defer obs.Span(ctx, "isolate_campaign")()
 	rng := rand.New(rand.NewSource(seed))
-	n := s.Design.N
 	rep := IsolationReport{PerStage: map[string]StageIsolation{}}
-
 	// candidate faults per stage: gate faults in non-chipkill components
-	byStage := map[string][]netlist.Fault{}
-	for _, f := range tp.Universe.Collapsed {
-		if f.Gate < 0 {
-			continue
-		}
-		comp := n.CompName(n.FaultSiteComp(f))
-		super := s.Design.Grouping[comp]
-		if super == "CHIPKILL" {
-			continue
-		}
-		stage := s.Design.StageOfComp[comp]
-		byStage[stage] = append(byStage[stage], f)
-	}
+	part := s.Partition(tp)
 
 	camp := fault.NewCampaign(tp.Gen.Sim, fault.CampaignConfig{Workers: workers})
 	for _, stage := range stages {
-		cands := byStage[stage]
+		cands := part.ByStage[stage]
 		if len(cands) == 0 {
 			continue
 		}
@@ -120,7 +106,7 @@ func (s *System) IsolateCampaignFlow(ctx context.Context, tp *TestProgram, perSt
 			taken++
 			st.Sampled++
 			supers := s.Audit.IsolateEach(res.FailObs)
-			truth := s.Design.Grouping[n.CompName(n.FaultSiteComp(f))]
+			truth := part.SuperOf(f)
 			switch {
 			case len(supers) == 1 && supers[0] == truth:
 				rep.Isolated++
@@ -156,18 +142,8 @@ func (s *System) IsolateCampaignFlow(ctx context.Context, tp *TestProgram, perSt
 func (s *System) MultiFaultIsolationFlow(ctx context.Context, tp *TestProgram, trials, nFaults int, seed int64, workers int, ck *fault.Checkpoint) (ok, total int, err error) {
 	defer obs.Span(ctx, "isolate_multi")()
 	rng := rand.New(rand.NewSource(seed))
-	n := s.Design.N
-	var cands []netlist.Fault
-	for _, f := range tp.Universe.Collapsed {
-		if f.Gate < 0 {
-			continue
-		}
-		comp := n.CompName(n.FaultSiteComp(f))
-		if s.Design.Grouping[comp] == "CHIPKILL" {
-			continue
-		}
-		cands = append(cands, f)
-	}
+	part := s.Partition(tp)
+	cands := part.Isolable
 	// Draw every trial's faults up front (rng consumption identical to the
 	// serial per-trial loop), then simulate the union in one campaign.
 	chosenPerTrial := make([]map[string]netlist.Fault, trials)
@@ -177,7 +153,7 @@ func (s *System) MultiFaultIsolationFlow(ctx context.Context, tp *TestProgram, t
 		chosen := map[string]netlist.Fault{}
 		for tries := 0; tries < 200 && len(chosen) < nFaults; tries++ {
 			f := cands[rng.Intn(len(cands))]
-			super := s.Design.Grouping[n.CompName(n.FaultSiteComp(f))]
+			super := part.SuperOf(f)
 			if _, dup := chosen[super]; !dup {
 				chosen[super] = f
 			}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -158,6 +159,18 @@ type PerfModel struct {
 	Rescue   map[string]map[yield.CoreConfig]float64
 }
 
+// Benches returns the model's benchmark names in sorted order. Averages
+// over benchmarks fold in this order, so their floating-point sums do not
+// depend on map iteration.
+func (pm *PerfModel) Benches() []string {
+	names := make([]string, 0, len(pm.Baseline))
+	for name := range pm.Baseline {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
 // toDegraded converts a yield configuration into simulator knobs.
 func toDegraded(c yield.CoreConfig) uarch.Degraded {
 	return uarch.Degraded{
@@ -308,7 +321,9 @@ type YATRow struct {
 }
 
 // YATStudy reproduces one panel of Figure 9 for the given PWP-stagnation
-// node, using per-node performance models (one per plotted node).
+// node, using per-node performance models (one per plotted node). Each
+// row averages over the benchmarks in sorted-name order, so equal models
+// give bit-identical rows.
 func YATStudy(stagnate area.Scaling, models map[int]*PerfModel) ([]YATRow, error) {
 	var rows []YATRow
 	baseArea := area.BaselineWithScan()
@@ -322,8 +337,8 @@ func YATStudy(stagnate area.Scaling, models map[int]*PerfModel) ([]YATRow, error
 			var sumNone, sumCS, sumRescue float64
 			var count int
 			var cores int
-			for bench, full := range pm.Baseline {
-				baseCM := yield.CoreModel{Area: baseArea, Full: full}
+			for _, bench := range pm.Benches() {
+				baseCM := yield.CoreModel{Area: baseArea, Full: pm.Baseline[bench]}
 				rescCM := yield.CoreModel{
 					Area: rescArea,
 					Full: pm.Rescue[bench][yield.CoreConfig{}],

@@ -88,8 +88,10 @@ type Engine struct {
 	scanFrac         float64         // scan-cell fraction of the chipkill bucket
 	healedArea       float64         // node-scaled self-healed silicon (not in resc.Area.Total)
 
+	// Defect sites, from the test program's fault partition (read-only).
 	pools  map[string][]netlist.Fault // member super -> candidate gate faults
 	ckPool []netlist.Fault            // chipkill logic gate faults
+	scan   []netlist.Fault            // scan-cell faults
 }
 
 // pairGroups are the redundant groups in sampling order.
@@ -177,27 +179,11 @@ func New(sys *core.System, tp *core.TestProgram, base, resc yield.CoreModel, cfg
 	}
 
 	// Candidate fault pools per member super-component, from the collapsed
-	// universe (equivalent faults behave identically under every pattern).
-	e.pools = map[string][]netlist.Fault{}
-	n := sys.Design.N
-	for _, f := range tp.Universe.Collapsed {
-		if f.Gate < 0 {
-			continue // scan-cell faults are sampled via the chain-fail path
-		}
-		super := sys.Design.Grouping[n.CompName(n.FaultSiteComp(f))]
-		if super == "CHIPKILL" || super == "" {
-			e.ckPool = append(e.ckPool, f)
-			continue
-		}
-		e.pools[super] = append(e.pools[super], f)
-	}
-	// Scan-cell defect sites: every FF fault (chain flush catches any).
-	for _, f := range tp.Universe.Collapsed {
-		if f.Gate < 0 {
-			e.pools["SCAN"] = append(e.pools["SCAN"], f)
-		}
-	}
-	if len(e.ckPool) == 0 || len(e.pools["SCAN"]) == 0 {
+	// universe (equivalent faults behave identically under every pattern);
+	// scan-cell defect sites are every FF fault (chain flush catches any).
+	part := sys.Partition(tp)
+	e.pools, e.ckPool, e.scan = part.BySuper, part.Chipkill, part.Scan
+	if len(e.ckPool) == 0 || len(e.scan) == 0 {
 		return nil, fmt.Errorf("fab: netlist has no chipkill logic or scan cells to sample")
 	}
 	return e, nil
@@ -260,8 +246,7 @@ func (e *Engine) place(r *rng) defect {
 	}
 	if g == area.Chipkill {
 		if r.float64() < e.scanFrac {
-			pool := e.pools["SCAN"]
-			return defect{kind: defScan, group: g, fault: pool[r.intn(len(pool))]}
+			return defect{kind: defScan, group: g, fault: e.scan[r.intn(len(e.scan))]}
 		}
 		return defect{kind: defCKLogic, group: g, fault: e.ckPool[r.intn(len(e.ckPool))]}
 	}

@@ -3,7 +3,6 @@ package fab
 import (
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"rescue/internal/area"
@@ -14,14 +13,10 @@ import (
 // ModelsFromPerf averages a node's performance model across its
 // benchmarks into the two reference CoreModels the fab engine scores
 // with: the baseline (Full only) and the Rescue model with every degraded
-// configuration's mean IPC. Benchmarks are folded in sorted-name order so
-// the floating-point sums are reproducible.
+// configuration's mean IPC. Benchmarks are folded in sorted-name order
+// (PerfModel.Benches) so the floating-point sums are reproducible.
 func ModelsFromPerf(pm *core.PerfModel, baseArea, rescArea area.Model) (base, resc yield.CoreModel) {
-	names := make([]string, 0, len(pm.Baseline))
-	for name := range pm.Baseline {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	names := pm.Benches()
 	base = yield.CoreModel{Area: baseArea}
 	resc = yield.CoreModel{Area: rescArea, IPC: map[yield.CoreConfig]float64{}}
 	for _, name := range names {

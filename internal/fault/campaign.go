@@ -405,13 +405,15 @@ func (c *Campaign) simChunk(scr *simScratch, faults []netlist.Fault, out []Resul
 		if campaignSimHook != nil {
 			campaignSimHook(i)
 		}
-		chaosSims.Add(1)
 		out[i] = c.core.run(scr, faults[i], c.cfg.DetectOnly, wLo, wHi)
 		if out[i].Detected {
 			detected++
 		}
 	}
 	*cur = -1
+	// chaosTripped reads the budget only at chunk boundaries, so one add
+	// per chunk keeps the workers off the shared counter's cache line.
+	chaosSims.Add(int64(fresh))
 	wst.Faults += int64(fresh)
 	wst.Detected += int64(detected)
 	return fresh

@@ -90,22 +90,25 @@ func (d *Dictionary) Lookup(failObs []int) []int {
 	return out
 }
 
-// WriteCSV serializes the dictionary as "faultIndex,obs;obs;..." lines.
-func (d *Dictionary) WriteCSV(w io.Writer) error {
-	bw := bufio.NewWriter(w)
+// CSV renders the dictionary as "faultIndex,obs;obs;..." lines, the
+// format ReadCSV parses.
+func (d *Dictionary) CSV() []byte {
+	var b []byte
 	for i, syn := range d.Syndromes {
-		parts := make([]string, len(syn))
+		b = strconv.AppendInt(b, int64(i), 10)
+		b = append(b, ',')
 		for j, o := range syn {
-			parts[j] = fmt.Sprintf("%d", o)
+			if j > 0 {
+				b = append(b, ';')
+			}
+			b = strconv.AppendInt(b, int64(o), 10)
 		}
-		if _, err := fmt.Fprintf(bw, "%d,%s\n", i, strings.Join(parts, ";")); err != nil {
-			return err
-		}
+		b = append(b, '\n')
 	}
-	return bw.Flush()
+	return b
 }
 
-// ReadCSV parses a dictionary written by WriteCSV. Every index and
+// ReadCSV parses a dictionary rendered by CSV. Every index and
 // observation entry must be a whole decimal integer, and observation
 // indices must not be negative.
 func ReadCSV(r io.Reader) (*Dictionary, error) {

@@ -1,6 +1,8 @@
 package fault
 
 import (
+	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -65,11 +67,11 @@ func TestDictionaryLookup(t *testing.T) {
 func TestDictionaryCSVRoundTrip(t *testing.T) {
 	sim, u := dictFixture(t)
 	d := mustDictionary(t, sim, u, 0)
-	var sb strings.Builder
-	if err := d.WriteCSV(&sb); err != nil {
-		t.Fatal(err)
+	csv := d.CSV()
+	if want := referenceCSV(d); string(csv) != want {
+		t.Fatalf("CSV renders %d bytes that differ from the fmt rendering's %d", len(csv), len(want))
 	}
-	got, err := ReadCSV(strings.NewReader(sb.String()))
+	got, err := ReadCSV(bytes.NewReader(csv))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,8 +113,22 @@ func TestReadCSVErrors(t *testing.T) {
 	_ = netlist.NoFault
 }
 
+// referenceCSV is the dictionary's original per-observation fmt
+// rendering, kept to pin CSV's bytes.
+func referenceCSV(d *Dictionary) string {
+	var sb strings.Builder
+	for i, syn := range d.Syndromes {
+		parts := make([]string, len(syn))
+		for j, o := range syn {
+			parts[j] = fmt.Sprintf("%d", o)
+		}
+		fmt.Fprintf(&sb, "%d,%s\n", i, strings.Join(parts, ";"))
+	}
+	return sb.String()
+}
+
 // TestReadCSVRejectsMalformed: every row that is not exactly what
-// WriteCSV emits is an error, never a silently trimmed syndrome.
+// CSV emits is an error, never a silently trimmed syndrome.
 func TestReadCSVRejectsMalformed(t *testing.T) {
 	for _, in := range []string{
 		"0,12x;-3;7\n1x,\n", // trailing text after a number

@@ -20,20 +20,22 @@ type DictOpts struct {
 	Workers int  `json:"workers"`
 }
 
-// DictResult carries the dictionary, the campaign stats (partial on
-// interrupt), and the detection summary.
+// DictResult carries the dictionary, its CSV artifact (read-only: a
+// served dictionary's CSV is shared by every job that reads it), the
+// campaign stats (partial on interrupt), and the detection summary.
 type DictResult struct {
 	Stats    fault.Stats
 	Dict     *fault.Dictionary
+	CSV      []byte
 	Detected int
 	Faults   int
 }
 
-// DictBuild generates the test program, builds the full fault dictionary,
-// and writes the CSV artifact to csvW. Progress commentary — what
+// DictBuild generates the test program and builds the full fault
+// dictionary with its CSV artifact. Progress commentary — what
 // `rescue-dict build` prints to stdout around the CSV file — goes to
 // infoW (pass io.Discard to get the bare artifact, as the daemon does).
-func DictBuild(ctx context.Context, infoW, csvW io.Writer, o DictOpts, env Env) (DictResult, error) {
+func DictBuild(ctx context.Context, infoW io.Writer, o DictOpts, env Env) (DictResult, error) {
 	var res DictResult
 	sys, err := env.System(cfgFor(o.Small), 1, rtl.RescueDesign)
 	if err != nil {
@@ -48,18 +50,15 @@ func DictBuild(ctx context.Context, infoW, csvW io.Writer, o DictOpts, env Env) 
 	}
 	fmt.Fprintf(infoW, "building dictionary over %d collapsed faults, %d vectors...\n",
 		tp.Universe.CountCollapsed(), tp.Gen.Vectors)
-	d, st, err := env.Dictionary(ctx, sys, tp, gen, o.Workers)
+	d, csv, st, err := env.Dictionary(ctx, sys, tp, gen, o.Workers)
+	res.Stats = st
 	if err != nil {
-		res.Stats = st
 		return res, err
 	}
-	res.Stats = st
 	fmt.Fprintf(infoW, "campaign: %d fault-sims, %d word-sims, %d gate events, %d workers, %s\n",
 		st.Faults, st.Words, st.Events, st.Workers, st.Wall.Round(time.Millisecond))
-	if err := d.WriteCSV(csvW); err != nil {
-		return res, err
-	}
 	res.Dict = d
+	res.CSV = csv
 	res.Detected = d.Detected()
 	res.Faults = tp.Universe.CountCollapsed()
 	return res, nil

@@ -105,28 +105,34 @@ func (e Env) TestProgram(ctx context.Context, sys *core.System, gen atpg.GenConf
 	return tp, err
 }
 
-// dictArtifact pairs a dictionary with the campaign stats of its cold
-// build, so warm hits can still report what the build cost.
+// dictArtifact pairs a dictionary with its CSV, rendered once inside the
+// build, and the campaign stats of its cold build, so warm hits can still
+// report what the build cost.
 type dictArtifact struct {
-	d  *fault.Dictionary
-	st fault.Stats
+	d   *fault.Dictionary
+	csv []byte
+	st  fault.Stats
 }
 
-// Dictionary returns the full fault dictionary over tp's pattern set, from
-// the store when possible; tp must be the test program generated for sys
-// under gen, whose key the dictionary shares. The returned stats are those
-// of the build that actually ran (zero-valued Faults on a warm hit means no
-// simulation happened in this call).
-func (e Env) Dictionary(ctx context.Context, sys *core.System, tp *core.TestProgram, gen atpg.GenConfig, workers int) (*fault.Dictionary, fault.Stats, error) {
+// Dictionary returns the full fault dictionary over tp's pattern set and
+// its CSV rendering, from the store when possible; tp must be the test
+// program generated for sys under gen, whose key the dictionary shares.
+// Every caller gets the same CSV slice, which is read-only. The returned
+// stats are those of the build that actually ran (zero-valued Faults on a
+// warm hit means no simulation happened in this call).
+func (e Env) Dictionary(ctx context.Context, sys *core.System, tp *core.TestProgram, gen atpg.GenConfig, workers int) (*fault.Dictionary, []byte, fault.Stats, error) {
 	a, hit, err := cached(ctx, e, "dictionary", testProgramKey(sys, gen), func() (dictArtifact, error) {
 		d, st, err := fault.BuildDictionaryFlow(ctx, tp.Gen.Sim, tp.Universe, workers, e.Ck)
-		return dictArtifact{d, st}, err
+		if err != nil {
+			return dictArtifact{st: st}, err
+		}
+		return dictArtifact{d, d.CSV(), st}, nil
 	})
 	if hit {
 		// The work happened in some earlier job; this call simulated nothing.
 		a.st = fault.Stats{}
 	}
-	return a.d, a.st, err
+	return a.d, a.csv, a.st, err
 }
 
 // pmKey is everything that determines a perf model. The netlist is
@@ -145,9 +151,12 @@ type pmKey struct {
 // for a (baseline, Rescue) simulator parameter pair at a node, from the
 // store when possible.
 func (e Env) PerfModel(ctx context.Context, node int, base, resc uarch.Params, benches []string, warmup, commit int64, workers int) (*core.PerfModel, error) {
-	key := pmKey{base, resc, node, benches, warmup, commit}
-	pm, _, err := cached(ctx, e, "perfmodel", key, func() (*core.PerfModel, error) {
-		return core.BuildPerfModelFlowParams(ctx, area.Node(node), base, resc, benches, warmup, commit, workers)
+	return e.perfModel(ctx, pmKey{base, resc, node, benches, warmup, commit}, workers)
+}
+
+func (e Env) perfModel(ctx context.Context, k pmKey, workers int) (*core.PerfModel, error) {
+	pm, _, err := cached(ctx, e, "perfmodel", k, func() (*core.PerfModel, error) {
+		return core.BuildPerfModelFlowParams(ctx, area.Node(k.NodeNM), k.Base, k.Resc, k.Benches, k.Warmup, k.Commit, workers)
 	})
 	return pm, err
 }

@@ -36,9 +36,18 @@ func (o *YATOpts) setDefaults() {
 	}
 }
 
-// YATResult carries the study rows.
+// YATResult carries the study rows, which are read-only: a served study's
+// rows are shared by every job that reads them.
 type YATResult struct {
 	Rows []core.YATRow
+}
+
+// yatKey is everything that determines one Figure 9 panel's rows: the
+// stagnation node and the perf model of every plotted node, in
+// area.Nodes() order.
+type yatKey struct {
+	StagnateNM int     `json:"stagnate"`
+	Models     []pmKey `json:"models"`
 }
 
 // YAT runs the Figure 9 study and writes the report to w — the exact text
@@ -55,13 +64,16 @@ func YAT(ctx context.Context, w io.Writer, o YATOpts, env Env) (YATResult, error
 	fmt.Fprintf(w, "Figure 9%s: YAT with PWP stagnating at %dnm\n", yatPanel(o.StagnateNM), o.StagnateNM)
 	fmt.Fprintln(w, "(building per-node degraded-IPC models: 65 simulations per benchmark per node)")
 	models := map[int]*core.PerfModel{}
+	key := yatKey{StagnateNM: o.StagnateNM}
 	for _, node := range area.Nodes() {
 		start := time.Now()
-		pm, err := env.PerfModel(ctx, node.NodeNM, uarch.DefaultParams(), uarch.RescueParams(), names, o.Warmup, o.Commit, o.Workers)
+		pk := pmKey{uarch.DefaultParams(), uarch.RescueParams(), node.NodeNM, names, o.Warmup, o.Commit}
+		pm, err := env.perfModel(ctx, pk, o.Workers)
 		if err != nil {
 			return res, err
 		}
 		models[node.NodeNM] = pm
+		key.Models = append(key.Models, pk)
 		if o.Timing {
 			fmt.Fprintf(w, "  %dnm model built (%s)\n", node.NodeNM, time.Since(start).Round(time.Second))
 		} else {
@@ -69,7 +81,9 @@ func YAT(ctx context.Context, w io.Writer, o YATOpts, env Env) (YATResult, error
 		}
 	}
 
-	rows, err := core.YATStudy(area.Node(o.StagnateNM), models)
+	rows, _, err := cached(ctx, env, "yatrows", key, func() ([]core.YATRow, error) {
+		return core.YATStudy(area.Node(o.StagnateNM), models)
+	})
 	if err != nil {
 		return res, err
 	}

@@ -385,9 +385,9 @@ func (s *Schedule) Digest() string {
 // SmallMix is the default small-config traffic mix: every serving kind,
 // weighted toward the cheap ones, with cold traffic (perturbed seeds)
 // enabled on the kinds whose artifact rebuild is campaign-sized rather
-// than ATPG-sized — isolation re-runs its sampling campaign (~0.1s small)
-// and fab re-manufactures its fleet (~2s small), while a perturbed table3
-// seed would regenerate the full test set (~12s) per request.
+// than ATPG-sized — isolation re-runs its sampling campaign (~5ms small)
+// and fab re-manufactures its 100-die fleet (~3ms), while a perturbed
+// table3 seed would regenerate the full test set (~0.2s) per request.
 func SmallMix() []Profile {
 	return []Profile{
 		{Kind: "table3", Weight: 3, Params: map[string]any{"small": true}},

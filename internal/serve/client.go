@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -35,9 +36,13 @@ func (e *BusyError) Error() string {
 	return fmt.Sprintf("job shed with HTTP 429 (retry after %s)", e.RetryAfter)
 }
 
+// ErrEvicted marks a 410 Gone from a /jobs/{id} route: the daemon has
+// evicted the finished job from its bounded job table, report included.
+var ErrEvicted = errors.New("job evicted from the daemon's table of finished jobs")
+
 // do sends one request. A response whose status is one of ok is returned
 // for the caller to read and close; any other status is an error carrying
-// the start of the body.
+// the start of the body, which wraps ErrEvicted on a 410.
 func (c *Client) do(ctx context.Context, method, path string, body []byte, header http.Header, ok ...int) (*http.Response, error) {
 	var rd io.Reader
 	if body != nil {
@@ -65,6 +70,9 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, heade
 	}
 	msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 	discard(resp)
+	if resp.StatusCode == http.StatusGone {
+		return nil, fmt.Errorf("%s %s: %w: HTTP 410: %s", method, req.URL, ErrEvicted, bytes.TrimSpace(msg))
+	}
 	return nil, fmt.Errorf("%s %s: HTTP %d: %s", method, req.URL, resp.StatusCode, bytes.TrimSpace(msg))
 }
 

@@ -19,7 +19,7 @@ import (
 // Handler returns the daemon's HTTP API:
 //
 //	POST   /jobs              submit {kind, params}; 202 + job snapshot
-//	GET    /jobs              list all jobs
+//	GET    /jobs              list the retained jobs
 //	GET    /jobs/{id}         one job's snapshot
 //	GET    /jobs/{id}/result  the finished report (text/plain)
 //	GET    /jobs/{id}/events  NDJSON event stream: replay, then live until done
@@ -29,6 +29,9 @@ import (
 //	GET    /metrics           obs text format
 //	GET    /healthz           200 ok / 503 draining
 //	/debug/pprof/...          net/http/pprof
+//
+// The server keeps the last MaxFinishedJobs finished jobs; every /jobs/{id}
+// route on an evicted job answers 410 Gone, and on an ID never issued 404.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/jobs", s.handleJobs)
@@ -140,6 +143,10 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	rest := strings.TrimPrefix(r.URL.Path, "/jobs/")
 	id, sub, _ := strings.Cut(rest, "/")
 	j, ok := s.Job(id)
+	if !ok && s.evicted(id) {
+		writeErr(w, http.StatusGone, "job %s was evicted: the daemon keeps only the last %d finished jobs, so fetch a result as soon as its job is done", id, MaxFinishedJobs)
+		return
+	}
 	if !ok {
 		writeErr(w, http.StatusNotFound, "no job %q", id)
 		return

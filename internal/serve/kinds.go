@@ -93,11 +93,11 @@ func runDict(ctx context.Context, rc RunContext, params json.RawMessage) ([]byte
 		return nil, err
 	}
 	o.Workers = pick(o.Workers, rc.Workers)
-	// The CSV is the artifact; the build commentary goes nowhere (clients
-	// watch the event stream instead).
-	var buf bytes.Buffer
-	_, err := flows.DictBuild(ctx, io.Discard, &buf, o, rc.Env)
-	return buf.Bytes(), err
+	// The CSV is the artifact, returned as the store's own slice: every
+	// warm dict job's report shares it. The build commentary goes nowhere
+	// (clients watch the event stream instead).
+	res, err := flows.DictBuild(ctx, io.Discard, o, rc.Env)
+	return res.CSV, err
 }
 
 func runIsolation(ctx context.Context, rc RunContext, params json.RawMessage) ([]byte, error) {

@@ -18,6 +18,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -89,6 +92,12 @@ const DefaultEventLogCap = 4096
 // of replaying the full backlog to a reader that cannot keep up.
 const maxStreamLag = 1024
 
+// MaxFinishedJobs bounds how many terminal jobs the server keeps, 16× the
+// default queue cap. Beyond it the job that finished longest ago is
+// evicted with its report and event log; its ID then answers 410 Gone.
+// Queued and running jobs are never evicted.
+const MaxFinishedJobs = 1024
+
 // Server owns the queue, the scheduler, and the artifact store.
 type Server struct {
 	cfg   Config
@@ -97,8 +106,10 @@ type Server struct {
 	reg   *obs.Registry
 
 	mu       sync.Mutex
-	jobs     map[string]*Job
-	order    []string // insertion order, for listing
+	jobs     map[string]*Job         // retained jobs
+	order    []string                // submission order, for listing; may name evicted jobs
+	finished [MaxFinishedJobs]string // ring of finished IDs; once full, nextFin is the oldest
+	nextFin  int
 	nextID   int
 	draining bool
 
@@ -115,6 +126,7 @@ type Server struct {
 	mFailed      *obs.Counter
 	mCanceled    *obs.Counter
 	mInterrupted *obs.Counter
+	mEvicted     *obs.Counter
 	gQueueDepth  *obs.Gauge
 	gRunning     *obs.Gauge
 	hJobSeconds  *obs.Histogram
@@ -195,6 +207,7 @@ func New(cfg Config) *Server {
 		mFailed:      cfg.Reg.Counter("jobs_failed_total"),
 		mCanceled:    cfg.Reg.Counter("jobs_canceled_total"),
 		mInterrupted: cfg.Reg.Counter("jobs_interrupted_total"),
+		mEvicted:     cfg.Reg.Counter("jobs_evicted_total"),
 		gQueueDepth:  cfg.Reg.Gauge("queue_depth"),
 		gRunning:     cfg.Reg.Gauge("jobs_running"),
 		hJobSeconds:  cfg.Reg.Histogram("job_seconds"),
@@ -219,6 +232,11 @@ func New(cfg Config) *Server {
 	})
 	cfg.Reg.RegisterFunc("queue_cap", func() float64 { return float64(s.cfg.QueueCap) })
 	cfg.Reg.RegisterFunc("scheduler_slots", func() float64 { return float64(s.cfg.Slots) })
+	cfg.Reg.RegisterFunc("jobs_retained", func() float64 {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return float64(len(s.jobs))
+	})
 	cfg.Reg.RegisterFunc("artifact_cache_hits_total", func() float64 { return float64(s.store.Hits()) })
 	cfg.Reg.RegisterFunc("artifact_cache_misses_total", func() float64 { return float64(s.store.Misses()) })
 	cfg.Reg.RegisterFunc("artifact_cache_builds_total", func() float64 { return float64(s.store.Builds()) })
@@ -317,7 +335,7 @@ func (s *Server) RetryAfter(tenant string) int {
 	return s.sched.RetryAfter(tenant)
 }
 
-// Job looks a job up by ID.
+// Job looks a retained job up by ID.
 func (s *Server) Job(id string) (*Job, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -325,15 +343,84 @@ func (s *Server) Job(id string) (*Job, bool) {
 	return j, ok
 }
 
-// List snapshots every job in submission order.
-func (s *Server) List() []Snapshot {
+// evicted reports whether id names a job this server issued and has
+// since evicted from its table of finished jobs.
+func (s *Server) evicted(id string) bool {
+	digits, ok := strings.CutPrefix(id, "j")
+	n, err := strconv.Atoi(digits)
+	if !ok || err != nil || fmt.Sprintf("j%06d", n) != id {
+		return false
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]Snapshot, 0, len(s.order))
+	_, kept := s.jobs[id]
+	return n >= 1 && n <= s.nextID && !kept
+}
+
+// retained returns the retained jobs in submission order.
+func (s *Server) retained() []*Job {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([]*Job, 0, len(s.jobs))
 	for _, id := range s.order {
-		out = append(out, s.jobs[id].snapshot())
+		if j, ok := s.jobs[id]; ok {
+			out = append(out, j)
+		}
 	}
 	return out
+}
+
+// List snapshots every retained job in submission order.
+func (s *Server) List() []Snapshot {
+	jobs := s.retained()
+	out := make([]Snapshot, len(jobs))
+	for i, j := range jobs {
+		out[i] = j.snapshot()
+	}
+	return out
+}
+
+// setState moves j to st (see Job.setState) and, on a terminal state,
+// counts the outcome and retires j to the table of finished jobs. It
+// reports whether the transition happened.
+func (s *Server) setState(j *Job, st State, msg string) bool {
+	if !j.setState(st, msg) {
+		return false
+	}
+	switch st {
+	case StateSucceeded:
+		s.mSucceeded.Inc()
+	case StateFailed:
+		s.mFailed.Inc()
+	case StateCanceled:
+		s.mCanceled.Inc()
+	case StateInterrupted:
+		s.mInterrupted.Inc()
+	}
+	if st.Done() {
+		s.retire(j)
+	}
+	return true
+}
+
+// retire files a finished job in the bounded table, evicting the job that
+// finished longest ago once MaxFinishedJobs are kept. Evicted IDs leave
+// the listing order in bulk, once they are half of it.
+func (s *Server) retire(j *Job) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if old := s.finished[s.nextFin]; old != "" {
+		delete(s.jobs, old)
+		s.mEvicted.Inc()
+	}
+	s.finished[s.nextFin] = j.ID
+	s.nextFin = (s.nextFin + 1) % MaxFinishedJobs
+	if len(s.order) > 2*len(s.jobs) {
+		s.order = slices.DeleteFunc(s.order, func(id string) bool {
+			_, ok := s.jobs[id]
+			return !ok
+		})
+	}
 }
 
 // Cancel cancels a queued or running job. Queued jobs flip to canceled
@@ -351,8 +438,7 @@ func (s *Server) Cancel(id string) (*Job, bool) {
 		cancel(ErrCanceled)
 		return j, true
 	}
-	if j.setState(StateCanceled, ErrCanceled.Error()) {
-		s.mCanceled.Inc()
+	if s.setState(j, StateCanceled, ErrCanceled.Error()) {
 		s.logf("job %s canceled while queued", j.ID)
 	}
 	return j, true
@@ -370,22 +456,16 @@ func (s *Server) Drain(ctx context.Context) error {
 		return nil
 	}
 	s.draining = true
-	jobs := make([]*Job, 0, len(s.jobs))
-	for _, id := range s.order {
-		jobs = append(jobs, s.jobs[id])
-	}
 	s.mu.Unlock()
+	jobs := s.retained()
 
 	// Closing the scheduler stops the slots and hands back every
 	// undelivered job; marking them interrupted here keeps the depth
 	// gauge honest without racing the cancel sweep below (setState is
 	// idempotent — the first terminal state wins).
 	for _, p := range s.sched.Close() {
-		j := p.(*Job)
 		s.gQueueDepth.Add(-1)
-		if j.setState(StateInterrupted, ErrDraining.Error()) {
-			s.mInterrupted.Inc()
-		}
+		s.setState(p.(*Job), StateInterrupted, ErrDraining.Error())
 	}
 
 	for _, j := range jobs {
@@ -394,8 +474,8 @@ func (s *Server) Drain(ctx context.Context) error {
 		j.mu.Unlock()
 		if cancel != nil {
 			cancel(ErrDraining)
-		} else if j.setState(StateInterrupted, ErrDraining.Error()) {
-			s.mInterrupted.Inc()
+		} else {
+			s.setState(j, StateInterrupted, ErrDraining.Error())
 		}
 	}
 
@@ -445,7 +525,7 @@ func (s *Server) runJob(j *Job) {
 	j.cancel = cancel
 	j.mu.Unlock()
 
-	if !j.setState(StateRunning, "") {
+	if !s.setState(j, StateRunning, "") {
 		return
 	}
 	s.jobWG.Add(1)
@@ -479,8 +559,7 @@ func (s *Server) runJob(j *Job) {
 
 	ck, ckPath, err := s.openCheckpoint(j)
 	if err != nil {
-		j.setState(StateFailed, err.Error())
-		s.mFailed.Inc()
+		s.setState(j, StateFailed, err.Error())
 		return
 	}
 	j.setCkPath(ckPath)
@@ -494,27 +573,20 @@ func (s *Server) runJob(j *Job) {
 	j.finishOutput(out)
 	s.hJobSeconds.Observe(time.Since(start).Seconds())
 
+	st, msg := StateSucceeded, ""
 	switch {
 	case runErr == nil:
 		if ckPath != "" {
 			os.Remove(ckPath)
 		}
-		if j.setState(StateSucceeded, "") {
-			s.mSucceeded.Inc()
-		}
 	case errors.Is(runErr, ErrCanceled):
-		if j.setState(StateCanceled, ErrCanceled.Error()) {
-			s.mCanceled.Inc()
-		}
+		st, msg = StateCanceled, ErrCanceled.Error()
 	case errors.Is(runErr, ErrDraining):
-		if j.setState(StateInterrupted, ErrDraining.Error()) {
-			s.mInterrupted.Inc()
-		}
+		st, msg = StateInterrupted, ErrDraining.Error()
 	default:
-		if j.setState(StateFailed, runErr.Error()) {
-			s.mFailed.Inc()
-		}
+		st, msg = StateFailed, runErr.Error()
 	}
+	s.setState(j, st, msg)
 	sn := j.snapshot()
 	s.logf("job %s %s (%s)", j.ID, sn.State, time.Since(start).Round(time.Millisecond))
 }

@@ -14,6 +14,7 @@ package yield
 
 import (
 	"math"
+	"sync"
 
 	"rescue/internal/area"
 )
@@ -69,16 +70,41 @@ func MixGamma(f func(x float64) float64) float64 {
 // alpha = heavy clustering, large alpha approaches the Poisson model. Used
 // by the clustering-sensitivity ablation.
 func MixGammaAlpha(alpha float64, f func(x float64) float64) float64 {
-	xmax := 6.0 + 24.0/alpha // cover the long tail of small-alpha mixtures
-	h := xmax / gammaSteps
-	theta := 1.0 / alpha
-	norm := math.Gamma(alpha) * math.Pow(theta, alpha)
-	pdf := func(x float64) float64 {
-		return math.Pow(x, alpha-1) * math.Exp(-x/theta) / norm
+	t := alphaTable()
+	if alpha != Alpha {
+		t = newGammaTable(alpha)
 	}
 	sum := 0.0
-	for i := 0; i <= gammaSteps; i++ {
-		x := float64(i) * h
+	for i, wp := range t.wpdf {
+		x := float64(i) * t.h
+		if x == 0 && alpha < 1 {
+			continue // integrable singularity; Simpson weight 1 at 0 dropped
+		}
+		sum += wp * f(x)
+	}
+	return sum * t.h / 3
+}
+
+// gammaTable is MixGammaAlpha's f-independent half for one alpha: the
+// step and each Simpson node's weight × mixing density, computed with the
+// same operations in the same order as the per-call loop it replaced, so
+// every integral is bit-identical.
+type gammaTable struct {
+	h    float64
+	wpdf [gammaSteps + 1]float64
+}
+
+// alphaTable is the table at the ITRS alpha, the one every integral
+// outside the clustering ablation uses, built once.
+var alphaTable = sync.OnceValue(func() *gammaTable { return newGammaTable(Alpha) })
+
+func newGammaTable(alpha float64) *gammaTable {
+	xmax := 6.0 + 24.0/alpha // cover the long tail of small-alpha mixtures
+	t := &gammaTable{h: xmax / gammaSteps}
+	theta := 1.0 / alpha
+	norm := math.Gamma(alpha) * math.Pow(theta, alpha)
+	for i := range t.wpdf {
+		x := float64(i) * t.h
 		w := 2.0
 		switch {
 		case i == 0 || i == gammaSteps:
@@ -86,12 +112,9 @@ func MixGammaAlpha(alpha float64, f func(x float64) float64) float64 {
 		case i%2 == 1:
 			w = 4
 		}
-		if x == 0 && alpha < 1 {
-			continue // integrable singularity; Simpson weight 1 at 0 dropped
-		}
-		sum += w * pdf(x) * f(x)
+		t.wpdf[i] = w * (math.Pow(x, alpha-1) * math.Exp(-x/theta) / norm)
 	}
-	return sum * h / 3
+	return t
 }
 
 // NegBinomialYieldAlpha is the clustered yield with an explicit alpha.
@@ -219,14 +242,28 @@ func (in *integrand) at(d float64) float64 {
 	pIB := PairProb(lam(area.IntBE))
 	pFB := PairProb(lam(area.FPBE))
 	ck := PoissonClean(d * in.area.SingleArea(area.Chipkill))
-	total := 0.0
-	for i, c := range liveConfigs {
-		if !in.covered[i] {
-			continue
+	// A configuration's probability is the left-associated product
+	// ((((pFE·pII)·pFI)·pL)·pIB)·pFB over its pairs' states. Configs()
+	// counts in binary with FE as the top bit, so prefix products fill
+	// one pair at a time: after the k-th pair, prod[j] is the product for
+	// the first k pairs' states spelled by j's bits. Each multiply is the
+	// one the full product would do, so every p is bit-identical.
+	var prod [numConfigs]float64
+	prod[0], prod[1] = pFE[0], pFE[1]
+	n := 2
+	for _, pg := range [...][3]float64{pII, pFI, pL, pIB, pFB} {
+		for j := n - 1; j >= 0; j-- {
+			v := prod[j]
+			prod[2*j+1] = v * pg[1]
+			prod[2*j] = v * pg[0]
 		}
-		p := pFE[c.FEDown] * pII[c.IntIQDown] * pFI[c.FPIQDown] *
-			pL[c.LSQDown] * pIB[c.IntBEDown] * pFB[c.FPBEDown]
-		total += p * in.ipc[i]
+		n *= 2
+	}
+	total := 0.0
+	for i, p := range prod {
+		if in.covered[i] {
+			total += p * in.ipc[i]
+		}
 	}
 	return ck * total
 }

@@ -7,14 +7,17 @@
 # in-order commit of parallel searches,
 # into the netlist's compiled Flat form both read, into the cycle
 # simulator's completion heap and idle fast-forward, into the performance
-# model's collapse of FP-inert degraded configurations, and into the
-# append-only checkpoint journal's torn-tail recovery, and require that
-# the differential harness or the targeted unit tests catch every one. A
+# model's collapse of FP-inert degraded configurations, into the
+# append-only checkpoint journal's torn-tail recovery, and into the
+# serving path's seed-independent shortcuts (the daemon's bounded job
+# table, the test program's fault partition, the yield kernel's shared
+# prefix products, the dictionary's CSV renderer), and require that the
+# differential harness or the targeted unit tests catch every one. A
 # surviving mutant means the net has a blind spot — the build fails.
 #
 # Each mutant is a sed substitution against one source file (internal/fault
-# unless marked atpg, core, netlist or uarch), chosen to break a distinct
-# mechanism:
+# unless marked atpg, core, netlist, uarch, serve or yield), chosen to
+# break a distinct mechanism:
 #    1 sim.go      off-by-one: drop the last level bucket from the full walk
 #    2 sim.go      inverted obs-epoch guard: FailObs dedup records nothing
 #    3 sim.go      inverted lane mask: clipped path observes only padding lanes
@@ -68,6 +71,14 @@
 #                  configurations too
 #   36 uarch params.go IntOnly also clears LSQHalvesDown, a knob that does
 #                  change results
+#   37 serve server.go every state change retires the job, so eviction
+#                  takes a running job
+#   38 core partition.go the partition drops its CHIPKILL guard: chipkill
+#                  faults become isolation candidates
+#   39 yield yield.go the prefix products fold the FP issue-queue pair
+#                  before the integer one
+#   40 dictionary.go the CSV renderer writes a separator before a
+#                  syndrome's first observation too
 #
 # Catchers, in order: the differential harness (fast, runs first: sim vs
 # oracle, PODEM cubes P5, untestable verdicts P8), then the mutated
@@ -101,20 +112,28 @@
 # simulation correct and merge machines that differ: 35 falls to the perf
 # model's bit-for-bit check against direct simulation of every job, 36 to
 # the invariance test's check that IntOnly maps each FP variant to the
-# configuration it ran against.
+# configuration it ran against. Mutants 37–40 are outside everything the
+# harness runs: 37 falls to the eviction test's check that a running job
+# survives the churn, 38 to the partition's comparison with the per-job
+# loops it replaced, 39 to the yield kernel's bit-for-bit comparison with
+# the old loops, and 40 to the dictionary round trip's comparison with the
+# fmt rendering. The compile check builds the mutated package as well as
+# the harness, since the harness does not import serve or yield.
 #
 # Usage: scripts/check-mutants.sh [seed range, default 0:40]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 range="${1:-0:40}"
-files=(internal/fault/sim.go internal/fault/cone.go internal/fault/campaign.go internal/fault/checkpoint.go internal/atpg/podem.go internal/atpg/gen.go internal/netlist/netlist.go internal/uarch/sim.go internal/uarch/params.go internal/core/perf.go)
+files=(internal/fault/sim.go internal/fault/cone.go internal/fault/campaign.go internal/fault/checkpoint.go internal/fault/dictionary.go internal/atpg/podem.go internal/atpg/gen.go internal/netlist/netlist.go internal/uarch/sim.go internal/uarch/params.go internal/core/perf.go internal/core/partition.go internal/serve/server.go internal/yield/yield.go)
 declare -A unit_run=(
-  [internal/fault]='Cone|Epoch|ManyWords|Excitation|Drop|Overflow|Determinism|TornTail'
+  [internal/fault]='Cone|Epoch|ManyWords|Excitation|Drop|Overflow|Determinism|TornTail|CSVRoundTrip'
   [internal/atpg]='Lockstep|PinnedCounts|FrontierOrder|Region'
   [internal/netlist]='LevelsAndReaders|TruthTables|Equiv'
   [internal/uarch]='Lockstep|StaleCompletion|IntOnly'
-  [internal/core]='PerfModelCollapse'
+  [internal/core]='PerfModelCollapse|FaultPartition'
+  [internal/serve]='Eviction'
+  [internal/yield]='KernelBitIdentical|IntegrandMatches'
 )
 
 # target file|sed substitution
@@ -155,6 +174,10 @@ mutants=(
   'internal/atpg/podem.go|s/ \&\& p.region\[g\] == p.regionEp//'
   'internal/core/perf.go|s/intOnly := !progs\[b\].UsesFP()/intOnly := true/'
   'internal/uarch/params.go|s/p.Degr.FPIQHalvesDown = 0$/p.Degr.FPIQHalvesDown, p.Degr.LSQHalvesDown = 0, 0/'
+  'internal/serve/server.go|s/\tif st.Done() {$/\tif true {/'
+  'internal/core/partition.go|s/\t\tif super == "CHIPKILL" {$/\t\tif false {/'
+  'internal/yield/yield.go|s/range \[...\]\[3\]float64{pII, pFI, pL, pIB, pFB}/range [...][3]float64{pFI, pII, pL, pIB, pFB}/'
+  'internal/fault/dictionary.go|s/\t\t\tif j > 0 {$/\t\t\tif j >= 0 {/'
 )
 
 tmp=$(mktemp -d)
@@ -187,7 +210,7 @@ for i in "${!mutants[@]}"; do
         fail=1
         continue
     fi
-    if ! go build -o "$tmp/rescue-diffcheck" ./cmd/rescue-diffcheck 2> "$tmp/build.err"; then
+    if ! { go build -o "$tmp/rescue-diffcheck" ./cmd/rescue-diffcheck && go build "./$pkg"; } 2> "$tmp/build.err"; then
         echo "FAIL: mutant $((i + 1)) does not compile:" >&2
         cat "$tmp/build.err" >&2
         fail=1
